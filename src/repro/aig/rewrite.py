@@ -110,8 +110,10 @@ def rewrite_root(
 
     Processes the cone bottom-up.  For each node, tries every k-cut, builds
     the cut function from its truth table over *rewritten* leaves, and keeps
-    the best replacement edge.  Size never increases because the trivial
-    (identity) reconstruction is always among the candidates.
+    the best replacement edge.  Each choice is only locally best — a
+    smaller sub-cone can share less with its siblings — so the rewritten
+    cone is compared with the original at the end and the original edge is
+    returned when the rewrite is larger: size never increases.
     """
     if edge in (FALSE, TRUE):
         return edge
@@ -144,4 +146,7 @@ def rewrite_root(
                 best_size = size
                 best_edge = candidate
         rebuilt[node] = best_edge
-    return rebuilt[edge >> 1] ^ (edge & 1)
+    rewritten = rebuilt[edge >> 1] ^ (edge & 1)
+    if aig.cone_and_count(rewritten) > aig.cone_and_count(edge):
+        return edge
+    return rewritten

@@ -3,13 +3,12 @@
 Simulation drives the sweeping engines: random patterns partition nodes into
 candidate-equivalence classes, and every SAT counterexample is fed back as
 one more pattern ("any SAT solver solution thus potentially rules-out
-several non matching couples").  The public interface speaks numpy
-``uint64`` arrays (one word simulates 64 patterns at once), but the kernel
-itself runs on a *levelized cone plan*: one topological pass over flat
-integer arrays, with each node's 64-way lanes packed into a single Python
-integer (``words * 64`` bits wide).  A packed-int AND/XOR is one arbitrary-
-precision machine op, so the per-node cost is a few interpreter ops instead
-of a numpy ufunc dispatch, and there are no per-node dict lookups.
+several non matching couples").  A node's value over ``words * 64``
+patterns is one Python integer: bit ``i`` is the node's value under
+pattern ``i``.  A packed-int AND/XOR is one arbitrary-precision machine op,
+so the per-node cost is a few interpreter ops.  The kernel runs on a
+*levelized cone plan*: one topological pass over flat integer arrays, with
+no per-node dict lookups.
 
 Plans are cached on the :class:`~repro.aig.graph.Aig` instance keyed by the
 target node set.  The manager is append-only, so a plan — the cone's
@@ -20,9 +19,8 @@ generalization, FRAIG resimulation) skip the cone walk entirely.
 
 from __future__ import annotations
 
+import random
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from repro.aig.graph import Aig
 from repro.errors import AigError
@@ -84,19 +82,9 @@ def cone_plan(aig: Aig, edges: Sequence[int]) -> ConePlan:
     return plan
 
 
-def _pack(vector: np.ndarray | Sequence[int]) -> int:
-    """A uint64 vector packed into one little-endian Python integer."""
-    return int.from_bytes(
-        np.ascontiguousarray(np.asarray(vector, dtype="<u8")).tobytes(),
-        "little",
-    )
-
-
-def _unpack(value: int, words: int) -> np.ndarray:
-    """A packed integer back to a fresh, writable uint64 vector."""
-    return np.frombuffer(
-        bytearray(value.to_bytes(words * 8, "little")), dtype="<u8"
-    ).view(np.uint64)
+def word_mask(words: int) -> int:
+    """The all-ones value over ``words * 64`` patterns."""
+    return (1 << (words * 64)) - 1
 
 
 def _eval_plan(
@@ -121,70 +109,48 @@ def _eval_plan(
 
 def simulate(
     aig: Aig,
-    input_vectors: Mapping[int, np.ndarray],
+    input_words: Mapping[int, int],
     targets: Sequence[int],
-) -> dict[int, np.ndarray]:
-    """Simulate the cones of ``targets`` under the given input vectors.
+    words: int,
+) -> dict[int, int]:
+    """Simulate the cones of ``targets`` over ``words * 64`` patterns.
 
-    ``input_vectors`` maps input *nodes* to uint64 arrays (all of one equal
-    length).  Returns a map from each target *edge* to its output vector.
-    Inputs missing from the map default to constant zero.
+    ``input_words`` maps input *nodes* to packed pattern values below
+    ``word_mask(words)``; inputs missing from the map are constant zero.
+    Returns a map from each target *edge* to its packed value.
     """
-    words = None
-    for vector in input_vectors.values():
-        if words is None:
-            words = len(vector)
-        elif len(vector) != words:
-            raise AigError("input vectors must all have the same length")
-    if words is None:
-        words = 1
     plan = cone_plan(aig, targets)
-    mask = (1 << (words * 64)) - 1
-    input_ints = {
-        node: _pack(vector) for node, vector in input_vectors.items()
-    }
-    values = _eval_plan(plan, input_ints, mask)
+    mask = word_mask(words)
+    values = _eval_plan(plan, input_words, mask)
     pos = plan.pos
-    result: dict[int, np.ndarray] = {}
+    result: dict[int, int] = {}
     for edge in targets:
         value = values[pos.get(edge >> 1, 0)]
-        if edge & 1:
-            value ^= mask
-        result[edge] = _unpack(value, words)
+        result[edge] = value ^ mask if edge & 1 else value
     return result
 
 
 def simulate_nodes(
     aig: Aig,
-    input_vectors: Mapping[int, np.ndarray],
+    input_words: Mapping[int, int],
     targets: Sequence[int],
-) -> dict[int, np.ndarray]:
-    """Like :func:`simulate` but returns *node* vectors for whole cones.
+    words: int,
+) -> dict[int, int]:
+    """Like :func:`simulate` but returns *node* values for whole cones.
 
     The sweeping engines need per-node signatures, not just root values.
     """
-    words = max((len(v) for v in input_vectors.values()), default=1)
     plan = cone_plan(aig, targets)
-    mask = (1 << (words * 64)) - 1
-    input_ints = {
-        node: _pack(vector) for node, vector in input_vectors.items()
-    }
-    values = _eval_plan(plan, input_ints, mask)
-    return {
-        node: _unpack(values[index], words)
-        for node, index in plan.pos.items()
-    }
+    values = _eval_plan(plan, input_words, word_mask(words))
+    return dict(zip(plan.nodes, values))
 
 
-def random_input_vectors(
+def random_input_words(
     aig: Aig, words: int, seed: int = 0
-) -> dict[int, np.ndarray]:
-    """Uniform random simulation vectors for every input of the manager."""
-    rng = np.random.default_rng(seed)
-    return {
-        node: rng.integers(0, 2**64, size=words, dtype=np.uint64)
-        for node in aig.inputs
-    }
+) -> dict[int, int]:
+    """Uniform random patterns for every input of the manager."""
+    rng = random.Random(seed)
+    return {node: rng.getrandbits(64 * words) for node in aig.inputs}
 
 
 def eval_edge(aig: Aig, edge: int, assignment: Mapping[int, bool]) -> bool:

@@ -1,16 +1,16 @@
 """Bit-parallel single stuck-at fault simulation.
 
-One numpy ``uint64`` word carries 64 test patterns, so each fault costs one
-vectorized resimulation of its output cone.  Detected faults are dropped
-from the active list (classic fault dropping), which makes coverage sweeps
-over random patterns cheap enough for the benchmark harness.
+One packed Python integer carries ``words * 64`` test patterns per node,
+so each fault costs one bit-parallel resimulation of its output cone.
+Detected faults are dropped from the active list (classic fault dropping),
+which makes coverage sweeps over random patterns cheap enough for the
+benchmark harness.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from repro.aig.graph import Aig
 from repro.aig.simulate import simulate
@@ -59,28 +59,31 @@ class FaultSimulator:
         return cached
 
     def simulate_patterns(
-        self, input_vectors: Mapping[int, np.ndarray]
+        self, input_words: Mapping[int, int], words: int
     ) -> list[Fault]:
-        """Run all remaining faults against the given pattern words.
+        """Run all remaining faults against ``words * 64`` packed patterns.
 
-        ``input_vectors`` maps input nodes to uint64 words (as produced by
-        :func:`repro.aig.simulate.random_input_vectors`).  Newly detected
-        faults are dropped and returned; the first detecting pattern is
-        recorded per fault in :attr:`detected`.
+        ``input_words`` maps input nodes to packed pattern values (as
+        produced by :func:`repro.aig.simulate.random_input_words`).  Newly
+        detected faults are dropped and returned; the first detecting
+        pattern is recorded per fault in :attr:`detected`.
         """
-        good = simulate(self.aig, input_vectors, self.roots)
+        good = simulate(self.aig, input_words, self.roots, words)
         newly_detected: list[Fault] = []
         still_remaining: list[Fault] = []
         for fault in self.remaining:
             faulty_roots = self._roots_for(fault)
-            faulty = simulate(self.aig, input_vectors, faulty_roots)
-            difference = np.zeros_like(good[self.roots[0]])
+            faulty = simulate(self.aig, input_words, faulty_roots, words)
+            difference = 0
             for root, froot in zip(self.roots, faulty_roots):
                 difference |= good[root] ^ faulty[froot]
             self.stats.incr("fault_simulations")
-            if difference.any():
-                pattern = _first_set_pattern(difference, input_vectors)
-                self.detected[fault] = pattern
+            if difference:
+                bit = (difference & -difference).bit_length() - 1
+                self.detected[fault] = {
+                    node: bool(value >> bit & 1)
+                    for node, value in input_words.items()
+                }
                 newly_detected.append(fault)
                 self.stats.incr("faults_detected")
             else:
@@ -92,7 +95,7 @@ class FaultSimulator:
         self, words: int = 4, rounds: int = 4, seed: int = 2005
     ) -> float:
         """Random-pattern campaign; returns the final fault coverage."""
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         input_nodes = [
             node for node in self.aig.cone(self.roots)
             if self.aig.is_input(node)
@@ -100,11 +103,10 @@ class FaultSimulator:
         for _ in range(rounds):
             if not self.remaining:
                 break
-            vectors = {
-                node: rng.integers(0, 2**64, size=words, dtype=np.uint64)
-                for node in input_nodes
+            patterns = {
+                node: rng.getrandbits(64 * words) for node in input_nodes
             }
-            self.simulate_patterns(vectors)
+            self.simulate_patterns(patterns, words)
         return self.coverage
 
     @property
@@ -114,23 +116,6 @@ class FaultSimulator:
         if total == 0:
             return 1.0
         return len(self.detected) / total
-
-
-def _first_set_pattern(
-    difference: np.ndarray, input_vectors: Mapping[int, np.ndarray]
-) -> dict[int, bool]:
-    """Decode the first detecting pattern index back to input values."""
-    for word_index, word in enumerate(difference):
-        value = int(word)
-        if value:
-            bit = (value & -value).bit_length() - 1
-            return {
-                node: bool(
-                    (int(vector[word_index]) >> bit) & 1
-                )
-                for node, vector in input_vectors.items()
-            }
-    raise AssertionError("difference vector had no set bit")
 
 
 def fault_coverage(

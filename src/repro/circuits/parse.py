@@ -51,7 +51,12 @@ def parse_netlist(text: str) -> Netlist:
             elif keyword == "input":
                 signals[parts[1]] = netlist.add_input(parts[1])
             elif keyword == "latch":
-                init = bool(int(parts[2])) if len(parts) > 2 else False
+                init_token = parts[2] if len(parts) > 2 else "0"
+                if init_token not in ("0", "1"):
+                    raise NetlistError(
+                        f"latch init must be 0 or 1, got {init_token!r}"
+                    )
+                init = init_token == "1"
                 edge = netlist.add_latch(parts[1], init=init)
                 signals[parts[1]] = edge
                 latch_edges[parts[1]] = edge

@@ -17,17 +17,20 @@ whenever
 
 Candidate ``n'`` are constants (redundancy removal) and existing nodes
 modulo complementation (merge), pre-filtered by care-set simulation so the
-SAT engine only sees plausible pairs.
+SAT engine only sees plausible pairs.  The simulation patterns are the
+shared sweeper's :class:`~repro.sweep.signatures.SignatureTable` patterns:
+random words plus every counterexample a failed check has produced, the
+DC checks' own included, so a candidate refuted once is not proposed
+again.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.aig.graph import FALSE, TRUE, Aig, edge_not
+from repro.aig.graph import FALSE, TRUE, Aig
 from repro.aig.ops import or_, xor
-from repro.aig.simulate import simulate_nodes
+from repro.aig.simulate import simulate_nodes, word_mask
 from repro.sweep.satsweep import SatSweeper
+from repro.sweep.signatures import SignatureTable
 from repro.util.stats import StatsBag
 
 
@@ -86,44 +89,42 @@ def care_set_candidates(
     aig: Aig,
     f0: int,
     f1: int,
-    input_vectors: dict[int, np.ndarray],
+    signatures: SignatureTable,
     max_merge_candidates: int = 4,
 ) -> dict[int, list[int]]:
     """Simulation-based candidate transformations for nodes of f1's cone.
 
-    Patterns where ``f0`` is 1 are don't-cares, so signatures are compared
-    only on care patterns (``f0 == 0``).  Returns node -> candidate
-    replacement edges, most promising first: constants, then merges with
-    other nodes (modulo complement).  Purely heuristic — every candidate
-    still goes through the :class:`DontCareOracle`.
+    The cones of ``f0`` and ``f1`` are simulated on the table's patterns
+    (see :meth:`SignatureTable.patterns`).  Patterns where ``f0`` is 1 are
+    don't-cares, so signatures are compared only on care patterns
+    (``f0 == 0``).  Returns node -> candidate replacement edges, most
+    promising first: constants, then merges with other nodes (modulo
+    complement).  Purely heuristic — every candidate still goes through
+    the :class:`DontCareOracle`.
     """
-    values = simulate_nodes(aig, input_vectors, [f0, f1])
-    sig_f0 = values[f0 >> 1]
-    if f0 & 1:
-        sig_f0 = ~sig_f0
-    care = ~sig_f0  # patterns where f0 == 0
+    input_words, words = signatures.patterns([f0, f1])
+    values = simulate_nodes(aig, input_words, [f0, f1], words)
+    mask = word_mask(words)
+    care = values[f0 >> 1] ^ (0 if f0 & 1 else mask)  # patterns with f0 == 0
     f1_cone = [n for n in aig.cone([f1]) if aig.is_and(n)]
     # Index care-masked signatures of *all* cone nodes (f0's included —
     # merging into f0's cone is where the sharing payoff is) so merge
     # candidates can be found in both polarities.
-    by_masked: dict[bytes, list[tuple[int, bool]]] = {}
+    by_masked: dict[int, list[tuple[int, bool]]] = {}
     for node in aig.cone([f0, f1]):
-        by_masked.setdefault(
-            (values[node] & care).tobytes(), []
-        ).append((node, False))
-        by_masked.setdefault(
-            (~values[node] & care).tobytes(), []
-        ).append((node, True))
+        value = values[node]
+        by_masked.setdefault(value & care, []).append((node, False))
+        by_masked.setdefault(~value & care, []).append((node, True))
     candidates: dict[int, list[int]] = {}
     for node in f1_cone:
         entries: list[int] = []
         masked = values[node] & care
-        if not masked.any():
+        if not masked:
             entries.append(FALSE)
-        if not ((~values[node]) & care).any():
+        if masked == care:
             entries.append(TRUE)
         added = 0
-        for other, complemented in by_masked.get(masked.tobytes(), ()):
+        for other, complemented in by_masked.get(masked, ()):
             if other == node or other == 0:
                 continue
             entries.append((2 * other) ^ int(complemented))

@@ -8,9 +8,10 @@ then optionally run truth-table rewriting on the final disjunction
 
 The algorithm per direction (simplify f1 under f0's onset):
 
-1. simulate the cones and derive candidate transformations per node
-   (constants and merges modulo complement) valid on all simulated *care*
-   patterns;
+1. simulate the cones on the shared sweeper's signature-table patterns
+   (random words plus every learned counterexample) and derive candidate
+   transformations per node (constants and merges modulo complement)
+   valid on all simulated *care* patterns;
 2. validate candidates with the input-DC SAT check; validated input-DC
    replacements compose, so they are applied in one batch rebuild;
 3. optionally retry failed candidates under the observability-DC rule
@@ -22,8 +23,6 @@ The algorithm per direction (simplify f1 under f0's onset):
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.aig.analysis import cone_size_many
 from repro.aig.graph import Aig, edge_not
@@ -41,8 +40,6 @@ class OptimizeOptions:
     use_input_dc: bool = True
     use_odc: bool = False          # observability checks are expensive
     use_rewrite: bool = False
-    sim_words: int = 4
-    sim_seed: int = 2005
     max_merge_candidates: int = 4
     max_input_dc_checks: int = 200
     max_odc_checks: int = 30
@@ -57,19 +54,11 @@ def _simplify_against(
     stats: StatsBag,
 ) -> int:
     """Simplify ``target`` using the onset of ``reference`` as DC set."""
-    rng = np.random.default_rng(options.sim_seed)
-    cone_inputs = [
-        node for node in aig.cone([reference, target]) if aig.is_input(node)
-    ]
-    input_vectors = {
-        node: rng.integers(0, 2**64, size=options.sim_words, dtype=np.uint64)
-        for node in cone_inputs
-    }
     candidates = care_set_candidates(
         aig,
         reference,
         target,
-        input_vectors,
+        oracle.sweeper.signature_table([reference, target], extend=False),
         max_merge_candidates=options.max_merge_candidates,
     )
     care_edge = edge_not(reference)

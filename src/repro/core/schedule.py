@@ -21,13 +21,12 @@ Heuristics (all return the *next* variable to quantify):
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from repro.aig.graph import Aig
-from repro.aig.simulate import simulate
+from repro.aig.simulate import simulate, word_mask
 from repro.errors import AigError
 
 Scheduler = Callable[[Aig, int, Sequence[int]], int]
@@ -85,25 +84,21 @@ def schedule_cofactor_probe(
     probability (similar cofactors)" case, where quantification is cheap.
     Ties break towards lower dependence cost.
     """
-    rng = np.random.default_rng(seed)
-    input_nodes = [n for n in aig.cone([edge]) if aig.is_input(n)]
+    rng = random.Random(seed)
     vectors = {
-        node: rng.integers(0, 2**64, size=words, dtype=np.uint64)
-        for node in input_nodes
+        node: rng.getrandbits(64 * words)
+        for node in aig.cone([edge])
+        if aig.is_input(node)
     }
-    all_ones = np.full(words, ~np.uint64(0), dtype=np.uint64)
-    zeros = np.zeros(words, dtype=np.uint64)
 
     def disagreement(var: int) -> tuple[int, int]:
         low = dict(vectors)
-        low[var] = zeros
+        low[var] = 0
         high = dict(vectors)
-        high[var] = all_ones
-        value_low = simulate(aig, low, [edge])[edge]
-        value_high = simulate(aig, high, [edge])[edge]
-        differing = int(
-            sum(int(w).bit_count() for w in (value_low ^ value_high))
-        )
+        high[var] = word_mask(words)
+        value_low = simulate(aig, low, [edge], words)[edge]
+        value_high = simulate(aig, high, [edge], words)[edge]
+        differing = (value_low ^ value_high).bit_count()
         return differing, dependence_cost(aig, edge, var)
 
     return min(candidates, key=disagreement)

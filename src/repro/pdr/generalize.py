@@ -93,7 +93,7 @@ def _flip_candidates(
     value — the only possible ternary drops, found with one bit-parallel
     simulation (pattern 0 is the base assignment, pattern k flips the
     k-th latch).  Lanes are packed integers straight into the plan
-    evaluator — no numpy round-trip."""
+    evaluator."""
     latch_nodes = netlist.latch_nodes
     patterns = len(latch_nodes) + 1
     mask = (1 << patterns) - 1

@@ -20,7 +20,6 @@ from repro.sweep.signatures import SignatureTable
 from repro.sweep.satsweep import SatSweeper, prove_edges_equivalent
 from repro.sweep.circuitsweep import CircuitSweeper
 from repro.sweep.bddsweep import bdd_sweep
-from repro.sweep.engine import sweep_edges, SweepResult
 from repro.sweep.fraig import fraig, fraig_in_place, fraig_netlist, FraigResult
 
 __all__ = [
@@ -29,10 +28,8 @@ __all__ = [
     "CircuitSweeper",
     "prove_edges_equivalent",
     "bdd_sweep",
-    "sweep_edges",
     "fraig",
     "fraig_in_place",
     "fraig_netlist",
     "FraigResult",
-    "SweepResult",
 ]

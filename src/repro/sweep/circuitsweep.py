@@ -16,19 +16,21 @@ merge yields under both back ends.
 
 from __future__ import annotations
 
-from repro.aig.graph import FALSE, TRUE, Aig
+from repro.aig.graph import Aig
 from repro.sat.circuit import CircuitSolver
+from repro.sweep.satsweep import SatSweeper
 from repro.sweep.signatures import SignatureTable
-from repro.util.stats import StatsBag
 
 
-class CircuitSweeper:
-    """Forward sweeping with circuit-SAT equivalence checks.
+class CircuitSweeper(SatSweeper):
+    """Sweeping with circuit-SAT equivalence checks.
 
-    Mirrors :class:`repro.sweep.satsweep.SatSweeper`'s forward pass:
-    candidate classes come from phase-normalized simulation signatures,
-    constant candidates are tried first, and counterexamples found by the
-    solver refine the signature table for later checks.
+    Inherits :class:`repro.sweep.satsweep.SatSweeper`'s forward and
+    backward passes unchanged: candidate classes come from phase-normalized
+    simulation signatures, constant candidates are tried first, and
+    counterexamples found by the solver refine the signature table for
+    later checks.  Only the two primitive checks and the model read-back
+    are replaced; the inherited CNF mapper is never used.
     """
 
     def __init__(
@@ -40,18 +42,10 @@ class CircuitSweeper:
         sim_words: int = 4,
         seed: int = 2005,
     ) -> None:
-        self.aig = aig
+        super().__init__(
+            aig, signatures, conflict_budget, max_candidates, sim_words, seed
+        )
         self.solver = CircuitSolver(aig, conflict_budget=conflict_budget)
-        self.signatures = signatures
-        self.conflict_budget = conflict_budget
-        self.max_candidates = max_candidates
-        self._sim_words = sim_words
-        self._seed = seed
-        self.stats = StatsBag()
-
-    # ------------------------------------------------------------------ #
-    # Primitive checks (same contract as SatSweeper)
-    # ------------------------------------------------------------------ #
 
     def check_equal(self, a: int, b: int) -> bool | None:
         """Is ``a == b`` for all inputs?  True / False / None (unknown)."""
@@ -78,74 +72,5 @@ class CircuitSweeper:
             self.stats.incr("unknown_checks")
         return verdict
 
-    def _learn_counterexample(self) -> None:
-        if self.signatures is None:
-            return
-        self.signatures.add_pattern(self.solver.model_inputs())
-        self.stats.incr("counterexamples_learned")
-
-    # ------------------------------------------------------------------ #
-    # Forward sweeping
-    # ------------------------------------------------------------------ #
-
-    def sweep(self, roots: list[int]) -> tuple[list[int], dict[int, int]]:
-        """Forward sweep with circuit-SAT checks; same contract as SatSweeper.
-
-        Returns ``(new_roots, rebuilt)`` where ``rebuilt`` maps original
-        nodes to their representative edges in the same manager.
-        """
-        aig = self.aig
-        if self.signatures is None:
-            self.signatures = SignatureTable(
-                aig, roots, words=self._sim_words, seed=self._seed
-            )
-        else:
-            self.signatures.refresh_roots(roots)
-        signatures = self.signatures
-        signatures.freeze()
-        rebuilt: dict[int, int] = {0: FALSE}
-        reps: dict[bytes, list[int]] = {}
-        for node in aig.cone(roots):
-            if aig.is_input(node):
-                rebuilt[node] = 2 * node
-                phase, key = signatures.signature_key(node)
-                reps.setdefault(key, []).append(2 * node ^ int(phase))
-                continue
-            f0, f1 = aig.fanins(node)
-            default = aig.and_(
-                rebuilt[f0 >> 1] ^ (f0 & 1),
-                rebuilt[f1 >> 1] ^ (f1 & 1),
-            )
-            if default in (FALSE, TRUE):
-                rebuilt[node] = default
-                self.stats.incr("constant_folds")
-                continue
-            suggested = signatures.is_candidate_constant(node)
-            if suggested is not None:
-                verdict = self.check_constant(default, suggested)
-                if verdict:
-                    rebuilt[node] = TRUE if suggested else FALSE
-                    self.stats.incr("constant_merges")
-                    continue
-            phase, key = signatures.signature_key(node)
-            merged = False
-            candidates = reps.get(key, ())
-            for normalized_rep in candidates[: self.max_candidates]:
-                candidate = normalized_rep ^ int(phase)
-                if candidate == default:
-                    rebuilt[node] = default
-                    merged = True
-                    self.stats.incr("hash_merges")
-                    break
-                verdict = self.check_equal(default, candidate)
-                if verdict:
-                    rebuilt[node] = candidate
-                    merged = True
-                    self.stats.incr("sat_merges")
-                    break
-            if not merged:
-                rebuilt[node] = default
-                reps.setdefault(key, []).append(default ^ int(phase))
-        new_roots = [rebuilt[e >> 1] ^ (e & 1) for e in roots]
-        signatures.thaw()
-        return new_roots, rebuilt
+    def _model_inputs(self) -> dict[int, bool]:
+        return self.solver.model_inputs()

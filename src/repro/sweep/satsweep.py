@@ -15,8 +15,11 @@ exhausted; the pair is conservatively left unmerged).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
+from repro.aig.simulate import word_mask
 from repro.sat.solver import Solver, SolveResult
 from repro.sweep.signatures import SignatureTable
 from repro.util.stats import StatsBag
@@ -102,9 +105,30 @@ class SatSweeper:
     def _learn_counterexample(self) -> None:
         if self.signatures is None:
             return
-        pattern = self.mapper.model_inputs()
-        self.signatures.add_pattern(pattern)
+        self.signatures.add_pattern(self._model_inputs())
         self.stats.incr("counterexamples_learned")
+
+    def _model_inputs(self) -> dict[int, bool]:
+        """Input values of the last SAT answer."""
+        return self.mapper.model_inputs()
+
+    def signature_table(
+        self, roots: Sequence[int], extend: bool = True
+    ) -> SignatureTable:
+        """The shared signature table, built over ``roots`` if missing.
+
+        An existing table is extended (and re-simulated) to cover the
+        cones of ``roots`` unless ``extend`` is false, which is enough for
+        callers that only read input patterns through
+        :meth:`SignatureTable.patterns`.
+        """
+        if self.signatures is None:
+            self.signatures = SignatureTable(
+                self.aig, roots, words=self._sim_words, seed=self._seed
+            )
+        elif extend:
+            self.signatures.refresh_roots(roots)
+        return self.signatures
 
     # ------------------------------------------------------------------ #
     # Forward sweeping
@@ -122,18 +146,12 @@ class SatSweeper:
         nodes to their representative edges in the same manager.
         """
         aig = self.aig
-        if self.signatures is None:
-            self.signatures = SignatureTable(
-                aig, roots, words=self._sim_words, seed=self._seed
-            )
-        else:
-            self.signatures.refresh_roots(roots)
-        signatures = self.signatures
+        signatures = self.signature_table(roots)
         signatures.freeze()  # keys must stay comparable within this sweep
         rebuilt: dict[int, int] = {0: FALSE}
         # Candidate classes over *original* nodes; reps store the
         # phase-normalized rebuilt edge.
-        reps: dict[bytes, list[int]] = {}
+        reps: dict[int, list[int]] = {}
         for node in aig.cone(roots):
             if aig.is_input(node):
                 rebuilt[node] = 2 * node
@@ -197,13 +215,7 @@ class SatSweeper:
         ``merge_map`` maps nodes of b's cone to edges into a's cone.
         """
         aig = self.aig
-        if self.signatures is None:
-            self.signatures = SignatureTable(
-                aig, [a, b], words=self._sim_words, seed=self._seed
-            )
-        else:
-            self.signatures.refresh_roots([a, b])
-        signatures = self.signatures
+        signatures = self.signature_table([a, b])
         signatures.freeze()
         merge_map: dict[int, int] = {}
         visited_pairs: set[tuple[int, int]] = set()
@@ -221,9 +233,9 @@ class SatSweeper:
             if node_b == 0 or aig.is_input(node_b):
                 continue  # only AND nodes of b's cone get merged
             sig_a = signatures.edge_signature(edge_a)
-            sig_b = signatures.edge_signature(edge_b)
-            compatible_equal = bool((sig_a == sig_b).all())
-            compatible_compl = bool((sig_a == ~sig_b).all())
+            difference = sig_a ^ signatures.edge_signature(edge_b)
+            compatible_equal = difference == 0
+            compatible_compl = difference == word_mask(signatures.words)
             if compatible_equal or compatible_compl:
                 target = edge_a if compatible_equal else edge_not(edge_a)
                 verdict = self.check_equal(target, edge_b)

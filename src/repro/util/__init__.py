@@ -1,6 +1,5 @@
-"""Small shared utilities: timers, RNG helpers, statistics containers."""
+"""Small shared utilities: the statistics container."""
 
-from repro.util.timing import Stopwatch
-from repro.util.stats import Counter, StatsBag
+from repro.util.stats import StatsBag
 
-__all__ = ["Stopwatch", "Counter", "StatsBag"]
+__all__ = ["StatsBag"]

@@ -11,22 +11,6 @@ import time
 from typing import Iterator
 
 
-class Counter:
-    """A named monotone counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: int = 0) -> None:
-        self.name = name
-        self.value = value
-
-    def incr(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value})"
-
-
 class StatsBag:
     """A dictionary of counters and gauges with a compact report format.
 

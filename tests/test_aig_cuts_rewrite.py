@@ -1,7 +1,7 @@
 """Tests for cut enumeration and truth-table rewriting."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.aig.cuts import cut_cone, cut_truth_table, enumerate_cuts
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
@@ -133,6 +133,7 @@ class TestRewrite:
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
+@example(seed=4802)  # locally best cuts grew this cone from 10 to 11 ANDs
 def test_rewrite_property(seed):
     aig, inputs, root = build_random_aig(4, 20, seed=seed)
     nodes = [e >> 1 for e in inputs]

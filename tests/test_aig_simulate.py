@@ -2,7 +2,6 @@
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +9,7 @@ from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import or_, xor
 from repro.aig.simulate import (
     eval_edge,
-    random_input_vectors,
+    random_input_words,
     simulate,
     simulate_nodes,
     truth_table,
@@ -48,41 +47,28 @@ class TestEval:
 class TestSimulate:
     def test_matches_eval_on_words(self):
         aig, inputs, root = build_random_aig(5, 30, seed=11)
-        vectors = random_input_vectors(aig, words=2, seed=3)
-        out = simulate(aig, vectors, [root])[root]
-        # Check bit 17 of word 0 against scalar evaluation.
-        bit = 17
-        assignment = {
-            node: bool(int(vec[0]) >> bit & 1) for node, vec in vectors.items()
-        }
-        assert bool(int(out[0]) >> bit & 1) == eval_edge(aig, root, assignment)
-
-    def test_mismatched_vector_lengths_rejected(self):
-        aig = Aig()
-        a, b = aig.add_inputs(2)
-        f = aig.and_(a, b)
-        with pytest.raises(AigError):
-            simulate(
-                aig,
-                {
-                    a >> 1: np.zeros(1, dtype=np.uint64),
-                    b >> 1: np.zeros(2, dtype=np.uint64),
-                },
-                [f],
-            )
+        patterns = random_input_words(aig, words=2, seed=3)
+        out = simulate(aig, patterns, [root], 2)[root]
+        # Bit 17 of word 0 and bit 17 of word 1 against scalar evaluation.
+        for bit in (17, 64 + 17):
+            assignment = {
+                node: bool(value >> bit & 1)
+                for node, value in patterns.items()
+            }
+            assert bool(out >> bit & 1) == eval_edge(aig, root, assignment)
 
     def test_complement_output(self):
         aig = Aig()
         a = aig.add_input()
-        ones = np.full(1, ~np.uint64(0), dtype=np.uint64)
-        out = simulate(aig, {a >> 1: ones}, [a, edge_not(a)])
-        assert int(out[a][0]) == 0xFFFFFFFFFFFFFFFF
-        assert int(out[edge_not(a)][0]) == 0
+        ones = 0xFFFFFFFFFFFFFFFF
+        out = simulate(aig, {a >> 1: ones}, [a, edge_not(a)], 1)
+        assert out[a] == ones
+        assert out[edge_not(a)] == 0
 
     def test_simulate_nodes_covers_cone(self):
         aig, inputs, root = build_random_aig(4, 15, seed=12)
-        vectors = random_input_vectors(aig, words=1, seed=1)
-        values = simulate_nodes(aig, vectors, [root])
+        patterns = random_input_words(aig, words=1, seed=1)
+        values = simulate_nodes(aig, patterns, [root], 1)
         for node in aig.cone([root]):
             assert node in values
 
@@ -136,11 +122,10 @@ class TestTruthTable:
 def test_simulation_consistency_property(seed):
     """64 parallel patterns agree with 64 scalar evaluations."""
     aig, inputs, root = build_random_aig(3, 12, seed=seed)
-    vectors = random_input_vectors(aig, words=1, seed=seed)
-    out = simulate(aig, vectors, [root])[root]
+    patterns = random_input_words(aig, words=1, seed=seed)
+    out = simulate(aig, patterns, [root], 1)[root]
     for bit in range(0, 64, 17):
         assignment = {
-            node: bool(int(vec[0]) >> bit & 1)
-            for node, vec in vectors.items()
+            node: bool(value >> bit & 1) for node, value in patterns.items()
         }
-        assert bool(int(out[0]) >> bit & 1) == eval_edge(aig, root, assignment)
+        assert bool(out >> bit & 1) == eval_edge(aig, root, assignment)

@@ -8,13 +8,12 @@ against the sweeping engines' equivalence checker.
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.graph import Aig, edge_not
 from repro.aig.ops import and_all, ite, or_, xor
-from repro.aig.simulate import eval_edge, random_input_vectors
+from repro.aig.simulate import eval_edge, random_input_words
 from repro.atpg.equivalence import check_equal_via_atpg
 from repro.atpg.faults import (
     OUTPUT,
@@ -171,8 +170,8 @@ class TestFaultSimulation:
             num_inputs=5, num_gates=25, seed=3
         )
         sim = FaultSimulator(aig, [root])
-        vectors = random_input_vectors(aig, words=4, seed=9)
-        detected = sim.simulate_patterns(vectors)
+        patterns = random_input_words(aig, words=4, seed=9)
+        detected = sim.simulate_patterns(patterns, 4)
         for fault in detected:
             pattern = sim.detected[fault]
             good = eval_edge(aig, root, pattern)

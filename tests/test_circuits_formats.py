@@ -18,6 +18,7 @@ from repro.circuits.library import (
     s27_with_property,
 )
 from repro.circuits.netlist import Netlist
+from repro.circuits.parse import parse_netlist
 from repro.errors import NetlistError
 from repro.mc.reach_aig import BackwardReachability
 from repro.mc.reach_bdd import bdd_backward_reachability
@@ -51,6 +52,23 @@ def sequential_trace_signature(netlist: Netlist, steps: int = 16) -> list:
     ]
     states = netlist.run_trace(stimulus)
     return [sorted(state.items()) for state in states]
+
+
+class TestNetParser:
+    @pytest.mark.parametrize("init", ["z", "7"])
+    def test_bad_latch_init_rejected_with_line(self, init):
+        text = f"netlist x\ninput a\nlatch s {init}\nnext s a\n"
+        with pytest.raises(NetlistError, match="line 3"):
+            parse_netlist(text)
+
+    def test_latch_init_values(self):
+        netlist = parse_netlist(
+            "netlist x\nlatch p 0\nlatch q 1\nlatch r\n"
+            "next p p\nnext q q\nnext r r\n"
+        )
+        assert [latch.init for latch in netlist.latches] == [
+            False, True, False,
+        ]
 
 
 class TestBenchParser:

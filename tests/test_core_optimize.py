@@ -1,6 +1,5 @@
 """Tests for the don't-care optimization phase (Section 2.2)."""
 
-import numpy as np
 import pytest
 
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
@@ -9,6 +8,7 @@ from repro.aig.simulate import truth_table
 from repro.core.dontcare import DontCareOracle, care_set_candidates
 from repro.core.optimize import OptimizeOptions, optimize_disjunction
 from repro.sweep.satsweep import SatSweeper
+from repro.sweep.signatures import SignatureTable
 from tests.conftest import build_random_aig, edges_equivalent
 
 
@@ -53,12 +53,8 @@ class TestCandidates:
         a, b = aig.add_inputs(2)
         f0 = a
         f1 = aig.and_(a, b)  # within care (a=0) f1 is constant 0
-        rng = np.random.default_rng(1)
-        vectors = {
-            node: rng.integers(0, 2**64, size=4, dtype=np.uint64)
-            for node in (a >> 1, b >> 1)
-        }
-        candidates = care_set_candidates(aig, f0, f1, vectors)
+        table = SignatureTable(aig, [f0, f1], words=4, seed=1)
+        candidates = care_set_candidates(aig, f0, f1, table)
         assert FALSE in candidates.get(f1 >> 1, [])
 
     def test_merge_candidates_found(self):
@@ -67,14 +63,36 @@ class TestCandidates:
         f0 = edge_not(a)
         # Within care (a=1): (a AND b) == b.
         f1 = aig.and_(aig.and_(a, b), c)
-        rng = np.random.default_rng(2)
-        vectors = {
-            node: rng.integers(0, 2**64, size=4, dtype=np.uint64)
-            for node in (a >> 1, b >> 1, c >> 1)
-        }
-        candidates = care_set_candidates(aig, f0, f1, vectors)
+        table = SignatureTable(aig, [f0, f1], words=4, seed=2)
+        candidates = care_set_candidates(aig, f0, f1, table)
         inner = aig.and_(a, b)
-        assert b in candidates.get(inner >> 1, []) or candidates
+        assert b in candidates.get(inner >> 1, [])
+
+    def test_unseen_inputs_get_patterns_without_resimulation(self):
+        aig = Aig()
+        a, b = aig.add_inputs(2)
+        table = SignatureTable(aig, [a], words=2, seed=3)
+        f1 = aig.and_(a, b)
+        input_words, words = table.patterns([f1])
+        assert words == 2
+        assert set(input_words) == {a >> 1, b >> 1}
+        assert table.roots == [a]
+
+    def test_refuted_candidate_is_dropped(self):
+        # f1 is a wide AND: no random pattern sets all its inputs, so f1
+        # looks constant FALSE.  The DC check refutes that, and its
+        # counterexample lands in the sweeper's table.
+        aig = Aig()
+        xs = aig.add_inputs(20)
+        f0, f1 = xs[0], and_all(aig, xs[1:])
+        sweeper = SatSweeper(aig)
+        table = sweeper.signature_table([f0, f1])
+        assert FALSE in care_set_candidates(aig, f0, f1, table)[f1 >> 1]
+        oracle = DontCareOracle(aig, sweeper)
+        assert oracle.valid_under_input_dc(edge_not(f0), f1, FALSE) is False
+        assert sweeper.stats.get("counterexamples_learned") == 1
+        again = care_set_candidates(aig, f0, f1, table)
+        assert FALSE not in again.get(f1 >> 1, [])
 
 
 class TestOptimizeDisjunction:

@@ -1,14 +1,11 @@
 """Tests for the merge-phase engines: signatures, SAT sweep, BDD sweep."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import and_all, or_, xor
 from repro.aig.simulate import truth_table
 from repro.sweep.bddsweep import bdd_sweep
-from repro.sweep.engine import sweep_edges
 from repro.sweep.satsweep import SatSweeper, prove_edges_equivalent
 from repro.sweep.signatures import SignatureTable
 from tests.conftest import build_random_aig
@@ -219,24 +216,6 @@ class TestBddSweep:
         h = or_(aig, edge_not(a), edge_not(b))
         [sf, sh], rebuilt, stats = bdd_sweep(aig, [f, h])
         assert sf == edge_not(sh)
-
-
-class TestSweepFacade:
-    def test_pipeline_combinations(self):
-        aig, inputs, root = build_random_aig(5, 35, seed=300)
-        nodes = [e >> 1 for e in inputs]
-        reference = truth_table(aig, root, nodes)
-        for use_bdd in (False, True):
-            for use_sat in (False, True):
-                result = sweep_edges(
-                    aig, [root], use_bdd=use_bdd, use_sat=use_sat
-                )
-                assert truth_table(aig, result.edges[0], nodes) == reference
-
-    def test_stats_populated(self):
-        aig, inputs, root = build_random_aig(5, 35, seed=301)
-        result = sweep_edges(aig, [root])
-        assert "bdd_nodes" in result.stats
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,9 +1,6 @@
-"""Tests for the util substrate (stats containers, stopwatch)."""
+"""Tests for the util substrate (the stats container)."""
 
-import pytest
-
-from repro.util.stats import Counter, StatsBag
-from repro.util.timing import Stopwatch
+from repro.util.stats import StatsBag
 
 
 class TestStatsBag:
@@ -167,43 +164,3 @@ class TestStatsBagSeries:
         assert left.series("nodes") == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
         assert left.series("queue") == [(0.5, 5.0)]
 
-
-class TestCounter:
-    def test_incr(self):
-        counter = Counter("n")
-        counter.incr()
-        counter.incr(2)
-        assert counter.value == 3
-        assert counter.name == "n"
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        watch = Stopwatch()
-        with watch:
-            pass
-        first = watch.elapsed
-        with watch:
-            pass
-        assert watch.elapsed >= first >= 0.0
-
-    def test_double_start_rejected(self):
-        watch = Stopwatch()
-        watch.start()
-        with pytest.raises(RuntimeError):
-            watch.start()
-        watch.stop()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_running_flag_and_reset(self):
-        watch = Stopwatch()
-        assert not watch.running
-        watch.start()
-        assert watch.running
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
-        assert not watch.running
