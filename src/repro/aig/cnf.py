@@ -31,7 +31,15 @@ class CnfMapper:
         self.aig = aig
         self.solver = solver if solver is not None else Solver()
         self._node_var: dict[int, int] = {}
+        # (node, var) of every encoded input, in encoding order: a model
+        # read-back touches only these, not every encoded AND node.
+        self._input_vars: list[tuple[int, int]] = []
         self._const_var: int | None = None
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of AIG nodes encoded so far (the constant excluded)."""
+        return len(self._node_var)
 
     def _var_for_const(self) -> int:
         if self._const_var is None:
@@ -46,27 +54,23 @@ class CnfMapper:
             return existing
         if node == 0:
             return self._var_for_const()
-        if self.aig.is_input(node):
-            var = self.solver.new_var()
-            self._node_var[node] = var
-            return var
-        # Encode the whole cone iteratively (recursion-free for deep AIGs).
-        for cone_node in self.aig.cone([2 * node]):
-            if cone_node in self._node_var:
+        # Encode the not-yet-encoded part of the cone, fanins first.  The
+        # walk stops at encoded nodes, whose cones are encoded already.
+        aig, solver, node_var = self.aig, self.solver, self._node_var
+        for cone_node in aig.cone([2 * node], node_var):
+            if aig.is_input(cone_node):
+                var = node_var[cone_node] = solver.new_var()
+                self._input_vars.append((cone_node, var))
                 continue
-            if self.aig.is_input(cone_node):
-                self._node_var[cone_node] = self.solver.new_var()
-                continue
-            f0, f1 = self.aig.fanins(cone_node)
+            f0, f1 = aig.fanins(cone_node)
             a = self._edge_lit_encoded(f0)
             b = self._edge_lit_encoded(f1)
-            out = self.solver.new_var()
-            self._node_var[cone_node] = out
+            out = node_var[cone_node] = solver.new_var()
             # out <-> a AND b
-            self.solver.add_clause([-out, a])
-            self.solver.add_clause([-out, b])
-            self.solver.add_clause([out, -a, -b])
-        return self._node_var[node]
+            solver.add_clause([-out, a])
+            solver.add_clause([-out, b])
+            solver.add_clause([out, -a, -b])
+        return node_var[node]
 
     def _edge_lit_encoded(self, edge: int) -> int:
         node = edge >> 1
@@ -98,11 +102,14 @@ class CnfMapper:
 
     def model_inputs(self) -> dict[int, bool]:
         """Read back input values from the solver's last model."""
-        values: dict[int, bool] = {}
-        for node, var in self._node_var.items():
-            if self.aig.is_input(node) and var <= len(self.solver.model):
-                values[node] = self.solver.value(var)
-        return values
+        if not self._input_vars:
+            return {}
+        model = self.solver.model
+        return {
+            node: model[var - 1]
+            for node, var in self._input_vars
+            if var <= len(model)
+        }
 
 
 def edge_to_cnf(aig: Aig, edge: int) -> tuple[CNF, int, dict[int, int]]:

@@ -9,7 +9,7 @@ exploits "to early detect functionally equivalent map points".
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from repro.errors import AigError
 
@@ -170,27 +170,34 @@ class Aig:
     # Cone extraction / compaction
     # ------------------------------------------------------------------ #
 
-    def cone(self, edges: Iterable[int]) -> list[int]:
+    def cone(
+        self, edges: Iterable[int], known: Container[int] = ()
+    ) -> list[int]:
         """Nodes in the transitive fanin of ``edges``, topologically sorted.
 
-        Includes input nodes of the cone; excludes the constant node.
+        Includes input nodes of the cone; excludes the constant node.  The
+        walk neither returns nor descends below nodes in ``known``: callers
+        that keep per-node state over a cone-closed node set (every known
+        node's cone is known too) get exactly the new nodes, in the order
+        the full walk would have returned them.
         """
-        roots = [edge >> 1 for edge in edges]
+        fanin0, fanin1 = self._fanin0, self._fanin1
         seen: set[int] = set()
         order: list[int] = []
-        stack: list[tuple[int, bool]] = [(n, False) for n in roots]
+        stack: list[tuple[int, bool]] = [(edge >> 1, False) for edge in edges]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
-            if node in seen or node == _CONST_NODE:
+            if node in seen or node == _CONST_NODE or node in known:
                 continue
             seen.add(node)
             stack.append((node, True))
-            if self.is_and(node):
-                stack.append((self._fanin0[node] >> 1, False))
-                stack.append((self._fanin1[node] >> 1, False))
+            f0 = fanin0[node]
+            if f0 != -1:
+                stack.append((f0 >> 1, False))
+                stack.append((fanin1[node] >> 1, False))
         return order
 
     def cone_and_count(self, edge: int) -> int:

@@ -39,17 +39,26 @@ class ConePlan:
     inputs; ``pos`` maps node ids to value-array positions (position 0 is
     the constant-FALSE node) and ``nodes`` is the inverse column.
     Positions index a flat value list, so an evaluator is one loop with
-    no dict access.
+    no dict access.  :meth:`extend` appends nodes to a plan in place.
     """
 
     __slots__ = ("size", "inputs", "ops", "pos", "nodes")
 
-    def __init__(self, aig: Aig, nodes: tuple[int, ...]) -> None:
-        pos: dict[int, int] = {0: 0}
-        node_ids: list[int] = [0]
-        inputs: list[tuple[int, int]] = []
-        ops: list[tuple[int, int, int, int, int]] = []
-        for node in aig.cone([2 * n for n in nodes]):
+    def __init__(self, aig: Aig, nodes: Sequence[int]) -> None:
+        self.size = 1
+        self.pos: dict[int, int] = {0: 0}
+        self.nodes: list[int] = [0]
+        self.inputs: list[tuple[int, int]] = []
+        self.ops: list[tuple[int, int, int, int, int]] = []
+        self.extend(aig, aig.cone([2 * n for n in nodes]))
+
+    def extend(self, aig: Aig, cone: Sequence[int]) -> None:
+        """Append ``cone``'s nodes, topologically sorted, at new positions.
+
+        Every fanin must be planned already or come earlier in ``cone``.
+        """
+        pos, node_ids, inputs, ops = self.pos, self.nodes, self.inputs, self.ops
+        for node in cone:
             index = len(pos)
             pos[node] = index
             node_ids.append(node)
@@ -61,10 +70,6 @@ class ConePlan:
                     (index, pos[f0 >> 1], f0 & 1, pos[f1 >> 1], f1 & 1)
                 )
         self.size = len(pos)
-        self.inputs = inputs
-        self.ops = ops
-        self.pos = pos
-        self.nodes = node_ids
 
 
 def cone_plan(aig: Aig, edges: Sequence[int]) -> ConePlan:
@@ -87,6 +92,20 @@ def word_mask(words: int) -> int:
     return (1 << (words * 64)) - 1
 
 
+def _run_ops(
+    ops: Sequence[tuple[int, int, int, int, int]], values: list[int], mask: int
+) -> None:
+    """Evaluate plan ``ops`` in place over the flat value list."""
+    for dst, src0, neg0, src1, neg1 in ops:
+        a = values[src0]
+        if neg0:
+            a ^= mask
+        b = values[src1]
+        if neg1:
+            b ^= mask
+        values[dst] = a & b
+
+
 def _eval_plan(
     plan: ConePlan,
     input_ints: Mapping[int, int],
@@ -96,14 +115,7 @@ def _eval_plan(
     values = [0] * plan.size
     for index, node in plan.inputs:
         values[index] = input_ints.get(node, 0)
-    for dst, src0, neg0, src1, neg1 in plan.ops:
-        a = values[src0]
-        if neg0:
-            a ^= mask
-        b = values[src1]
-        if neg1:
-            b ^= mask
-        values[dst] = a & b
+    _run_ops(plan.ops, values, mask)
     return values
 
 

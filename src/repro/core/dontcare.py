@@ -38,7 +38,8 @@ class DontCareOracle:
     """SAT-backed validity checks for node transformations under DCs.
 
     All probes run through the shared :class:`SatSweeper` solver, so one
-    clause database serves the whole optimization phase.
+    clause database serves the optimization phase until it outgrows the
+    cones being optimized (see :meth:`SatSweeper.fit_solver`).
     """
 
     def __init__(self, aig: Aig, sweeper: SatSweeper) -> None:

@@ -60,13 +60,13 @@ def merge_cofactors(
                 conflict_budget=options.sat_conflict_budget,
                 sim_words=options.sim_words,
             )
-        checks_before = sweeper.stats.get("sat_checks")
+        before = sweeper.stats.as_dict()
         if options.order == "backward":
             cof1, _ = sweeper.merge_pair_backward(cof0, cof1)
         else:
             (cof0, cof1), _ = sweeper.sweep([cof0, cof1])
-        stats.merge(sweeper.stats)
-        stats.set(
-            "merge_sat_checks", sweeper.stats.get("sat_checks") - checks_before
-        )
+        # The sweeper may be shared: report only what this call did.
+        sweeper_stats = sweeper.stats.growth_since(before)
+        stats.merge(sweeper_stats)
+        stats.set("merge_sat_checks", sweeper_stats.get("sat_checks"))
     return cof0, cof1, stats

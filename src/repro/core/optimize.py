@@ -58,7 +58,7 @@ def _simplify_against(
         aig,
         reference,
         target,
-        oracle.sweeper.signature_table([reference, target], extend=False),
+        oracle.sweeper.signature_table([reference, target]),
         max_merge_candidates=options.max_merge_candidates,
     )
     care_edge = edge_not(reference)
@@ -118,6 +118,8 @@ def optimize_disjunction(
     if sweeper is None:
         sweeper = SatSweeper(aig)
     stats = StatsBag()
+    sweeper.fit_solver([f0, f1])
+    sweeper_before = sweeper.stats.as_dict()
     oracle = DontCareOracle(aig, sweeper)
     baseline = or_(aig, f0, f1)
     baseline_size = cone_size_many(aig, [baseline])
@@ -143,6 +145,8 @@ def optimize_disjunction(
             stats.set("rewrite_gain", best_size - rewritten_size)
             best, best_size = rewritten, rewritten_size
     stats.merge(oracle.stats)
+    # The sweeper may be shared: report only the checks made here.
+    stats.merge(sweeper.stats.growth_since(sweeper_before))
     stats.set("size_before", baseline_size)
     stats.set("size_after", best_size)
     return best, stats

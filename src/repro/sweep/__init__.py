@@ -7,8 +7,9 @@ Three escalating ways to find merge points between the cofactor circuits:
    functionally equivalent map points");
 2. BDD sweeping — canonical BDDs under a node budget, cut points past it
    (:mod:`repro.sweep.bddsweep`, after Kuehlmann-Krohm [4]);
-3. SAT-based checks for the remaining compare points, factorized inside a
-   single incremental solver (:mod:`repro.sweep.satsweep`).
+3. SAT-based checks for the remaining compare points, factorized inside an
+   incremental solver that is recycled once it outgrows the cones being
+   checked (:mod:`repro.sweep.satsweep`).
 
 Simulation signatures (:mod:`repro.sweep.signatures`) pre-filter candidate
 pairs for the SAT engine, and every SAT counterexample refines the

@@ -16,6 +16,8 @@ merge yields under both back ends.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.aig.graph import Aig
 from repro.sat.circuit import CircuitSolver
 from repro.sweep.satsweep import SatSweeper
@@ -46,6 +48,9 @@ class CircuitSweeper(SatSweeper):
             aig, signatures, conflict_budget, max_candidates, sim_words, seed
         )
         self.solver = CircuitSolver(aig, conflict_budget=conflict_budget)
+
+    def fit_solver(self, roots: Sequence[int]) -> None:
+        """Nothing to right-size: circuit SAT works on the AIG itself."""
 
     def check_equal(self, a: int, b: int) -> bool | None:
         """Is ``a == b`` for all inputs?  True / False / None (unknown)."""

@@ -1,12 +1,24 @@
 """SAT-based merge-point detection (step 3 of the paper's merge phase).
 
-All equivalence checks of one sweeping session share a single incremental
-solver: the AIG cones are Tseitin-encoded once through a persistent
-:class:`~repro.aig.cnf.CnfMapper`, and each check activates two temporary
-"difference" clauses through a fresh selector variable assumed for that call
-only.  This is the paper's factorization of "several checks together within
-a single ZChaff run": no clause database is ever reloaded, and everything
-the solver learns carries over to later checks.
+Equivalence checks share an incremental solver: the AIG cones are
+Tseitin-encoded through a persistent :class:`~repro.aig.cnf.CnfMapper`, and
+each check activates two temporary "difference" clauses through a fresh
+selector variable assumed for that call only.  This is the paper's
+factorization of "several checks together within a single ZChaff run": the
+clause database is not reloaded between checks, and what the solver learns
+carries over to later checks.
+
+The solver is right-sized, not kept forever.  A sweeper shared by a whole
+traversal would otherwise hold every cone it ever encoded, and every SAT
+answer would have to assign all of them.  So each top-level operation —
+:meth:`SatSweeper.sweep`, :meth:`SatSweeper.merge_pair_backward` and the
+don't-care phase's :func:`~repro.core.optimize.optimize_disjunction` —
+first calls :meth:`SatSweeper.fit_solver` with its roots.  A fresh mapper
+and solver start whenever the current one holds more than twice the live
+cone of those roots: at the start of the operation, and again if a check's
+encoding pushes it past that bound, so no check of the operation solves on
+a bigger solver.  The rule follows from the cones alone; there is no
+threshold to tune.
 
 Checks yield three verdicts: proven equal (UNSAT), proven different (SAT —
 the model becomes a new simulation pattern), or unknown (conflict budget
@@ -15,6 +27,7 @@ exhausted; the pair is conservatively left unmerged).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.aig.cnf import CnfMapper
@@ -45,6 +58,9 @@ class SatSweeper:
         self._sim_words = sim_words
         self._seed = seed
         self.stats = StatsBag()
+        # Live cone size of the latest operation (see fit_solver); checks
+        # made outside any operation leave the solver unbounded.
+        self._live_nodes: float = math.inf
 
     # ------------------------------------------------------------------ #
     # Primitive checks
@@ -61,9 +77,8 @@ class SatSweeper:
         if a == edge_not(b):
             return False
         self.stats.incr("sat_checks")
+        lit_a, lit_b = self._literals(a, b)
         solver = self.mapper.solver
-        lit_a = self.mapper.lit_for(a)
-        lit_b = self.mapper.lit_for(b)
         selector = solver.new_var()
         # selector -> (a != b)
         solver.add_clause([-selector, lit_a, lit_b])
@@ -90,9 +105,10 @@ class SatSweeper:
         if target == TRUE:
             return False
         self.stats.incr("sat_checks")
-        solver = self.mapper.solver
-        lit = self.mapper.lit_for(target)
-        result = solver.solve([lit], conflict_budget=self.conflict_budget)
+        [lit] = self._literals(target)
+        result = self.mapper.solver.solve(
+            [lit], conflict_budget=self.conflict_budget
+        )
         if result is SolveResult.UNSAT:
             self.stats.incr("proved_constant")
             return True
@@ -112,23 +128,45 @@ class SatSweeper:
         """Input values of the last SAT answer."""
         return self.mapper.model_inputs()
 
-    def signature_table(
-        self, roots: Sequence[int], extend: bool = True
-    ) -> SignatureTable:
-        """The shared signature table, built over ``roots`` if missing.
+    def signature_table(self, roots: Sequence[int]) -> SignatureTable:
+        """The shared signature table, covering the cones of ``roots``.
 
-        An existing table is extended (and re-simulated) to cover the
-        cones of ``roots`` unless ``extend`` is false, which is enough for
-        callers that only read input patterns through
-        :meth:`SignatureTable.patterns`.
+        Built over ``roots`` if missing; an existing table learns just the
+        nodes of those cones it has not seen yet.
         """
         if self.signatures is None:
             self.signatures = SignatureTable(
                 self.aig, roots, words=self._sim_words, seed=self._seed
             )
-        elif extend:
+        else:
             self.signatures.refresh_roots(roots)
         return self.signatures
+
+    def fit_solver(self, roots: Sequence[int]) -> None:
+        """Right-size the solver for an operation checking ``roots``' cones.
+
+        Until the next operation, no check solves on a solver holding more
+        than twice the live cone of ``roots``: a fresh mapper and solver
+        start now if the current one is already past that, and again
+        whenever a check's encoding pushes it past.  Cones encoded for
+        earlier operations are dead weight, as every SAT answer must
+        assign them.
+        """
+        self._live_nodes = len(self.aig.cone(roots))
+        if self.mapper.num_nodes > 2 * self._live_nodes:
+            self._fresh_solver()
+
+    def _fresh_solver(self) -> None:
+        self.mapper = CnfMapper(self.aig, Solver())
+        self.stats.incr("solver_recycles")
+
+    def _literals(self, *edges: int) -> list[int]:
+        """The edges' literals, in a solver within the operation's bound."""
+        lits = [self.mapper.lit_for(edge) for edge in edges]
+        if self.mapper.num_nodes > 2 * self._live_nodes:
+            self._fresh_solver()
+            lits = [self.mapper.lit_for(edge) for edge in edges]
+        return lits
 
     # ------------------------------------------------------------------ #
     # Forward sweeping
@@ -146,6 +184,7 @@ class SatSweeper:
         nodes to their representative edges in the same manager.
         """
         aig = self.aig
+        self.fit_solver(roots)
         signatures = self.signature_table(roots)
         signatures.freeze()  # keys must stay comparable within this sweep
         rebuilt: dict[int, int] = {0: FALSE}
@@ -215,6 +254,7 @@ class SatSweeper:
         ``merge_map`` maps nodes of b's cone to edges into a's cone.
         """
         aig = self.aig
+        self.fit_solver([a, b])
         signatures = self.signature_table([a, b])
         signatures.freeze()
         merge_map: dict[int, int] = {}

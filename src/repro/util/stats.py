@@ -128,6 +128,20 @@ class StatsBag:
             merged.extend(points)
             merged.sort()
 
+    def growth_since(self, snapshot: dict[str, float]) -> "StatsBag":
+        """The counters' growth since ``snapshot``, an earlier :meth:`as_dict`.
+
+        Lets a caller report the share of a long-lived bag (a sweeper's,
+        say) that one of its calls produced, so nothing is counted twice.
+        """
+        grown = StatsBag()
+        for key, value in self._values.items():
+            if key not in self._gauges:
+                delta = value - snapshot.get(key, 0)
+                if delta:
+                    grown.incr(key, delta)
+        return grown
+
     def report(self) -> str:
         lines = [f"{key:<40} {value:g}" for key, value in self]
         return "\n".join(lines)

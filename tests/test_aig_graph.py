@@ -1,5 +1,7 @@
 """Unit tests for the AIG manager: hashing, simplification, cones."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -147,6 +149,23 @@ class TestCone:
         f = aig.and_(aig.and_(a, b), c)
         assert aig.cone_and_count(f) == 2
         assert aig.cone_and_count(a) == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cone_below_known_nodes_is_the_full_walk_minus_them(self, seed):
+        aig, inputs, root = build_random_aig(5, 30, seed=seed)
+        rng = random.Random(seed)
+        nodes = list(inputs) + [root]
+        for _ in range(20):  # a second cone sharing the first one's logic
+            nodes.append(
+                aig.and_(
+                    rng.choice(nodes) ^ rng.randint(0, 1),
+                    rng.choice(nodes) ^ rng.randint(0, 1),
+                )
+            )
+        other = nodes[-1]
+        known = set(aig.cone([root, inputs[0]]))   # closed under fanins
+        full = aig.cone([other])
+        assert aig.cone([other], known) == [n for n in full if n not in known]
 
 
 class TestExtract:

@@ -72,11 +72,15 @@ class TestCandidates:
         aig = Aig()
         a, b = aig.add_inputs(2)
         table = SignatureTable(aig, [a], words=2, seed=3)
+        sig_a = table.node_signature(a >> 1)
         f1 = aig.and_(a, b)
         input_words, words = table.patterns([f1])
         assert words == 2
         assert set(input_words) == {a >> 1, b >> 1}
-        assert table.roots == [a]
+        # Known patterns are kept as they are; the new node is simulated
+        # on them, with the new input's fresh words.
+        assert input_words[a >> 1] == sig_a == table.node_signature(a >> 1)
+        assert table.node_signature(f1 >> 1) == sig_a & input_words[b >> 1]
 
     def test_refuted_candidate_is_dropped(self):
         # f1 is a wide AND: no random pattern sets all its inputs, so f1
