@@ -12,10 +12,9 @@ import pytest
 from repro.aig.graph import edge_not
 from repro.aig.ops import support
 from repro.circuits import generators as G
-from repro.core.partial import PartialQuantifier
+from repro.core.partial import PartialQuantifier, allsat_quantify
 from repro.core.quantify import QuantifyOptions
 from repro.core.substitution import preimage_by_substitution
-from repro.mc.preimage_sat import allsat_quantify
 
 DESIGNS = {
     "arbiter_5": lambda: G.arbiter(5),

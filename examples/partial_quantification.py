@@ -15,7 +15,7 @@ from repro.aig.ops import support
 from repro.circuits import generators
 from repro.core import PartialQuantifier, QuantifyOptions
 from repro.core.substitution import preimage_by_substitution
-from repro.mc.preimage_sat import allsat_quantify
+from repro.core.partial import allsat_quantify
 
 
 def main() -> None:

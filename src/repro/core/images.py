@@ -1,39 +1,57 @@
-"""Pre-image and post-image over AIG state sets (Section 3 support).
+"""Pre-image, post-image and bad states over AIG state sets (Sections 3–4).
 
-``ImageComputer`` binds a netlist to a quantification strategy:
+``ImageComputer`` binds a netlist to a quantification strategy and is the
+one place that decides how variables leave an image.  One
+:class:`~repro.sweep.satsweep.SatSweeper`, created on first use, serves
+every quantification the computer makes, so counterexample-refined
+signatures carry over from one image to the next.
 
 * **pre-image** uses the in-lining rule — compose the next-state functions
   into the state set (no quantifier for next-state variables at all) —
-  then existentially quantifies the primary inputs with the circuit-based
-  engine;
+  conjoins the environment constraints, then eliminates the primary
+  inputs (:meth:`ImageComputer.eliminate_inputs`) in one of three modes:
+
+  - ``"circuit"``: circuit-based quantification, the paper's method;
+  - ``"allsat"``: all-solutions SAT enumeration with circuit cofactoring
+    (:func:`repro.core.partial.allsat_quantify`, Ganai et al.);
+  - ``"hybrid"``: partial circuit quantification, aborting the variables
+    that grow the result beyond ``growth_factor``, then all-SAT on the
+    residual ones (the Section 4 combination).
+
+* **bad states** ``exists i . C AND NOT P`` go through the same input
+  elimination, so backward layers and pre-image fold targets are pure
+  state sets;
 * **post-image** builds the relational product with next-state placeholder
-  variables and quantifies both current state and inputs.  By default the
-  product is *partitioned*: the ``y_k == delta_k`` conjuncts are conjoined
-  in the order chosen by :func:`repro.core.schedule.schedule_variable_order`
-  and every variable is quantified as soon as no later conjunct depends on
-  it — the same plan vocabulary the BDD engine's scheduled image uses
-  (:func:`repro.core.schedule.plan_partitioned_quantification`).  Set
-  ``schedule_image=False`` (or ``partial=True``, which needs the whole
-  product for residual bookkeeping) for the monolithic
-  conjoin-then-quantify pipeline.
+  variables and quantifies both current state and inputs with the
+  circuit-based engine.  The product is *partitioned*: the
+  ``y_k == delta_k`` conjuncts are conjoined in the order chosen by
+  :func:`repro.core.schedule.schedule_variable_order` and every variable
+  is quantified as soon as no later conjunct depends on it — the same plan
+  vocabulary the BDD engine's scheduled image uses
+  (:func:`repro.core.schedule.plan_partitioned_quantification`).
+  ``schedule_image=False`` keeps the monolithic conjoin-then-quantify
+  pipeline as the reference the scheduled product is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.aig.graph import Aig
+from repro.aig.graph import Aig, edge_not
 from repro.aig.ops import and_all, compose, support, xnor
 from repro.circuits.netlist import Netlist
-from repro.core.partial import PartialOutcome, PartialQuantifier
+from repro.core.partial import PartialQuantifier, allsat_quantify
 from repro.core.quantify import QuantifyOptions, quantify_exists
 from repro.core.schedule import (
     plan_partitioned_quantification,
     schedule_variable_order,
 )
 from repro.core.substitution import preimage_by_substitution
+from repro.errors import ModelCheckingError
 from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
+
+ELIMINATION_MODES = ("circuit", "allsat", "hybrid")
 
 
 @dataclass
@@ -41,65 +59,115 @@ class ImageResult:
     """An image computation outcome."""
 
     edge: int
-    quantified: list[int]
-    residual: list[int]          # inputs left unquantified (partial mode)
     stats: StatsBag
 
 
 class ImageComputer:
     """Pre/post-image engine over one netlist.
 
-    With ``partial=True`` the input quantification aborts expensive
-    variables and reports them in ``ImageResult.residual`` — the hook that
-    experiment T6/T7 use to hand residual variables to SAT engines.
+    ``elimination`` picks how :meth:`eliminate_inputs` removes the primary
+    inputs (see the module docstring); ``growth_factor`` is the hybrid
+    mode's abort rule and ``max_cubes`` bounds every all-SAT enumeration.
     """
 
     def __init__(
         self,
         netlist: Netlist,
         options: QuantifyOptions | None = None,
-        partial: bool = False,
+        elimination: str = "circuit",
         growth_factor: float = 2.0,
-        share_solver: bool = True,
+        max_cubes: int | None = None,
         schedule_image: bool = True,
     ) -> None:
+        if elimination not in ELIMINATION_MODES:
+            raise ModelCheckingError(
+                f"unknown input elimination mode: {elimination!r}"
+            )
         netlist.validate()
         self.netlist = netlist
         self.aig: Aig = netlist.aig
         self.options = options if options is not None else QuantifyOptions()
-        self.partial = partial
+        self.elimination = elimination
         self.growth_factor = growth_factor
+        self.max_cubes = max_cubes
         self.schedule_image = schedule_image
-        self._sweeper: SatSweeper | None = (
-            SatSweeper(self.aig) if share_solver else None
-        )
+        self._sweeper: SatSweeper | None = None
         self._next_functions = netlist.next_functions()
         self._placeholders: dict[int, int] | None = None
         # (constraints, plan) for the scheduled product — the transition
         # relation is invariant across calls, only the state set changes.
         self._image_plan: tuple[list[int], list] | None = None
 
+    @property
+    def sweeper(self) -> SatSweeper:
+        """The sweeper every quantification shares (built on first use,
+        so a design without anything to quantify never pays for it)."""
+        if self._sweeper is None:
+            self._sweeper = SatSweeper(self.aig)
+        return self._sweeper
+
     # ------------------------------------------------------------------ #
-    # Pre-image
+    # Input elimination: pre-image and bad states
     # ------------------------------------------------------------------ #
 
     def preimage(self, state_set: int) -> ImageResult:
         """States with *some constrained* input leading into ``state_set``.
 
-        In-lining first (cost: one compose), then input quantification.
+        In-lining first (cost: one compose), then input elimination.
         Environment constraints are conjoined before quantifying, so the
         result is ``exists i . C(s, i) AND S(delta(s, i))``.
         """
         composed = preimage_by_substitution(
             self.aig, state_set, self._next_functions
         )
-        composed = self.aig.and_(composed, self.netlist.constraint_edge())
-        input_nodes = [
-            node
-            for node in self.netlist.input_nodes
-            if node in support(self.aig, composed)
+        return self.eliminate_inputs(
+            self.aig.and_(composed, self.netlist.constraint_edge())
+        )
+
+    def bad_states(self) -> ImageResult:
+        """``exists i . C AND NOT P``: the states where the property can
+        fail under some constrained input."""
+        return self.eliminate_inputs(
+            self.aig.and_(
+                edge_not(self.netlist.property_edge),
+                self.netlist.constraint_edge(),
+            )
+        )
+
+    def eliminate_inputs(self, edge: int) -> ImageResult:
+        """``exists inputs . edge`` by the configured elimination mode."""
+        aig = self.aig
+        # Input-free designs skip the support walk altogether.
+        present = support(aig, edge) if self.netlist.input_nodes else ()
+        inputs = [
+            node for node in self.netlist.input_nodes if node in present
         ]
-        return self._quantify(composed, input_nodes)
+        stats = StatsBag()
+        if not inputs:
+            return ImageResult(edge=edge, stats=stats)
+        if self.elimination == "circuit":
+            outcome = quantify_exists(
+                aig, edge, inputs, self.options, sweeper=self.sweeper
+            )
+            return ImageResult(edge=outcome.edge, stats=outcome.stats)
+        if self.elimination == "hybrid":
+            quantifier = PartialQuantifier(
+                aig,
+                options=self.options,
+                growth_factor=self.growth_factor,
+                sweeper=self.sweeper,
+            )
+            partial = quantifier.quantify(edge, inputs)
+            stats.merge(partial.stats)
+            stats.incr("hybrid_residual_vars", len(partial.aborted))
+            if not partial.aborted:
+                return ImageResult(edge=partial.edge, stats=stats)
+            edge, inputs = partial.edge, partial.aborted
+        result, sat_stats = allsat_quantify(
+            aig, edge, inputs, max_cubes=self.max_cubes
+        )
+        stats.merge(sat_stats)
+        return ImageResult(edge=result, stats=stats)
 
     # ------------------------------------------------------------------ #
     # Post-image
@@ -118,9 +186,9 @@ class ImageComputer:
 
         Relational product: ``exists s, i . S(s) AND AND_k (y_k == delta_k)``
         followed by renaming y back to the state variables.  Unless
-        ``schedule_image`` is off (or ``partial`` is on), the product is
-        conjoined partition by partition with early quantification along
-        the shared image-scheduling plan.
+        ``schedule_image`` is off, the product is conjoined partition by
+        partition with early quantification along the shared
+        image-scheduling plan.
         """
         placeholders = self._next_placeholders()
         constraints = [
@@ -128,29 +196,29 @@ class ImageComputer:
             for node, fn in self._next_functions.items()
         ]
         constraints.append(self.netlist.constraint_edge())
-        if self.schedule_image and not self.partial:
+        if self.schedule_image:
             result = self._scheduled_product(state_set, constraints)
         else:
             product = self.aig.and_(state_set, and_all(self.aig, constraints))
+            present = support(self.aig, product)
             to_quantify = [
                 node
                 for node in (
                     self.netlist.latch_nodes + self.netlist.input_nodes
                 )
-                if node in support(self.aig, product)
+                if node in present
             ]
-            result = self._quantify(product, to_quantify)
+            outcome = quantify_exists(
+                self.aig, product, to_quantify, self.options,
+                sweeper=self.sweeper,
+            )
+            result = ImageResult(edge=outcome.edge, stats=outcome.stats)
         renamed = compose(
             self.aig,
             result.edge,
             {y: 2 * node for node, y in placeholders.items()},
         )
-        return ImageResult(
-            edge=renamed,
-            quantified=result.quantified,
-            residual=result.residual,
-            stats=result.stats,
-        )
+        return ImageResult(edge=renamed, stats=result.stats)
 
     def _scheduled_product(
         self, state_set: int, constraints: list[int]
@@ -189,7 +257,6 @@ class ImageComputer:
         constraints, plan = self._image_plan
         stats = StatsBag()
         product = state_set
-        quantified: list[int] = []
         for step in plan:
             for index in step.conjoin:
                 product = aig.and_(product, constraints[index])
@@ -199,41 +266,9 @@ class ImageComputer:
                     product,
                     step.quantify,
                     self.options,
-                    sweeper=self._sweeper,
+                    sweeper=self.sweeper,
                     order=step.quantify,
                 )
                 product = outcome.edge
-                quantified.extend(outcome.quantified)
                 stats.merge(outcome.stats)
-        return ImageResult(
-            edge=product, quantified=quantified, residual=[], stats=stats
-        )
-
-    # ------------------------------------------------------------------ #
-    # Shared quantification entry
-    # ------------------------------------------------------------------ #
-
-    def _quantify(self, edge: int, variables: list[int]) -> ImageResult:
-        if self.partial:
-            quantifier = PartialQuantifier(
-                self.aig,
-                options=self.options,
-                growth_factor=self.growth_factor,
-                sweeper=self._sweeper,
-            )
-            outcome: PartialOutcome = quantifier.quantify(edge, variables)
-            return ImageResult(
-                edge=outcome.edge,
-                quantified=outcome.quantified,
-                residual=outcome.aborted,
-                stats=outcome.stats,
-            )
-        full = quantify_exists(
-            self.aig, edge, variables, self.options, sweeper=self._sweeper
-        )
-        return ImageResult(
-            edge=full.edge,
-            quantified=full.quantified,
-            residual=[],
-            stats=full.stats,
-        )
+        return ImageResult(edge=product, stats=stats)

@@ -10,6 +10,16 @@ reported as residual.  Downstream engines (all-solutions SAT pre-image,
 BMC, induction) then treat only the residual variables as decision
 variables, which is exactly how the paper combines circuit quantification
 with SAT-based methods.
+
+:func:`allsat_quantify` is that all-solutions SAT engine (Ganai et al.
+[2]): a SAT solver produces one satisfying assignment at a time; instead
+of blocking just that minterm, the circuit is *cofactored* with respect to
+the assignment of the quantified variables — capturing every compatible
+assignment of the others in one shot — and the cofactor is disjoined into
+the result and blocked.  Section 4 plugs circuit quantification in front
+of it: quantifying the cheap variables first "dramatically decreases the
+amount of decision (input) variables to be processed by SAT based
+pre-image".
 """
 
 from __future__ import annotations
@@ -18,9 +28,12 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.aig.analysis import cone_size
-from repro.aig.graph import Aig
-from repro.aig.ops import support
+from repro.aig.cnf import CnfMapper
+from repro.aig.graph import FALSE, TRUE, Aig
+from repro.aig.ops import or_, support
 from repro.core.quantify import QuantifyOptions, quantify_exists_one
+from repro.errors import ResourceLimit
+from repro.sat.solver import SolveResult, Solver
 from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
 
@@ -33,11 +46,6 @@ class PartialOutcome:
     quantified: list[int]
     aborted: list[int]
     stats: StatsBag = field(default_factory=StatsBag)
-
-    @property
-    def residual_variables(self) -> list[int]:
-        """Variables the caller still has to handle (aborted ones)."""
-        return list(self.aborted)
 
 
 class PartialQuantifier:
@@ -111,3 +119,54 @@ class PartialQuantifier:
         return PartialOutcome(
             edge=current, quantified=quantified, aborted=aborted, stats=stats
         )
+
+
+def allsat_quantify(
+    aig: Aig,
+    edge: int,
+    variables: list[int],
+    max_cubes: int | None = None,
+    solver: Solver | None = None,
+) -> tuple[int, StatsBag]:
+    """``exists {variables} . edge`` by circuit-cofactoring enumeration.
+
+    Returns ``(result_edge, stats)``; ``stats["cubes"]`` counts the
+    enumeration iterations (the decision-variable cost metric of the
+    paper's Section 4 discussion).  Raises :class:`ResourceLimit` if
+    ``max_cubes`` is hit.
+    """
+    stats = StatsBag()
+    present = support(aig, edge)
+    variables = [v for v in variables if v in present]
+    stats.set("decision_vars", len(variables))
+    if not variables:
+        stats.set("cubes", 0)
+        return edge, stats
+    mapper = CnfMapper(aig, solver if solver is not None else Solver())
+    target_lit = mapper.lit_for(edge)
+    result = FALSE
+    cubes = 0
+    while True:
+        if mapper.solver.solve([target_lit]) is not SolveResult.SAT:
+            break
+        if max_cubes is not None and cubes >= max_cubes:
+            raise ResourceLimit(
+                f"all-SAT pre-image exceeded {max_cubes} cubes"
+            )
+        model = mapper.model_inputs()
+        assignment = {
+            node: TRUE if model.get(node, False) else FALSE
+            for node in variables
+        }
+        # Circuit cofactoring: everything compatible with this assignment.
+        cofactored = aig.rebuild(edge, assignment)
+        result = or_(aig, result, cofactored)
+        cubes += 1
+        if cofactored == TRUE:
+            break
+        # Block everything the cofactor covers.
+        block_lit = mapper.lit_for(cofactored)
+        if not mapper.solver.add_clause([-block_lit]):
+            break
+    stats.set("cubes", cubes)
+    return result, stats

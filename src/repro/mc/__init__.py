@@ -8,10 +8,12 @@ named in the paper:
 * :mod:`repro.mc.reach_bdd` — classical BDD reachability (the canonical
   representation whose memory explosion motivates the work);
 * :mod:`repro.mc.bmc` — bounded model checking (Biere et al. [1]);
-* :mod:`repro.mc.induction` — k-induction (Sheeran et al. [5]);
-* :mod:`repro.mc.preimage_sat` — all-solutions SAT pre-image with circuit
-  cofactoring (Ganai et al. [2]), optionally fed by partial quantification
-  exactly as Section 4 proposes.
+* :mod:`repro.mc.induction` — k-induction (Sheeran et al. [5]).
+
+The all-solutions SAT pre-image with circuit cofactoring (Ganai et al.
+[2]), alone or fed by partial quantification as Section 4 proposes, is an
+input-elimination mode of :class:`repro.core.images.ImageComputer`; the
+``reach_aig_allsat`` and ``reach_aig_hybrid`` engines run it.
 
 :func:`repro.mc.engine.verify` dispatches them behind one interface.
 """
@@ -31,7 +33,6 @@ from repro.mc.reach_bdd import (
 )
 from repro.mc.bmc import BmcOptions, bmc
 from repro.mc.induction import KInductionOptions, k_induction
-from repro.mc.preimage_sat import allsat_preimage
 from repro.mc.engine import verify
 from repro.mc.minimize import MinimizedTrace, minimize_trace
 
@@ -51,7 +52,6 @@ __all__ = [
     "bmc",
     "KInductionOptions",
     "k_induction",
-    "allsat_preimage",
     "verify",
     "MinimizedTrace",
     "minimize_trace",

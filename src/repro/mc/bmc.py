@@ -52,23 +52,7 @@ def bmc(
     """
     netlist.validate()
     stats = StatsBag()
-    options = (
-        quantify_options
-        if quantify_options is not None
-        else QuantifyOptions.preset("full")
-    )
-    targets = [edge_not(netlist.property_edge)]
-    if preimage_folds:
-        # The fold targets must be pure *state* sets: quantify the property's
-        # own input references first, otherwise the fold would conflate the
-        # violation-step inputs with the transition inputs.
-        targets = [_bad_states(netlist, options)]
-        computer = ImageComputer(netlist, options=options)
-        for _ in range(preimage_folds):
-            result = computer.preimage(targets[-1])
-            targets.append(result.edge)
-            stats.merge(result.stats)
-        stats.set("fold_target_size", netlist.aig.cone_and_count(targets[-1]))
+    targets = fold_targets(netlist, preimage_folds, quantify_options, stats)
     target = targets[-1]
     unroller = Unroller(netlist, solver)
     unroller.assert_initial_state()
@@ -79,7 +63,7 @@ def bmc(
         stats.incr("sat_calls")
         lit = unroller.edge_lit_in(unroller.frame(0), targets[fold_depth])
         if unroller.solver.solve([lit]) is SolveResult.SAT:
-            trace = _extract_trace(
+            trace = extract_trace(
                 netlist, unroller, 0, targets[: fold_depth + 1], folded=True
             )
             stats.set("cnf_vars", unroller.solver.num_vars)
@@ -96,7 +80,7 @@ def bmc(
         stats.incr("sat_calls")
         outcome = unroller.solver.solve([bad_lit])
         if outcome is SolveResult.SAT:
-            trace = _extract_trace(
+            trace = extract_trace(
                 netlist, unroller, depth, targets,
                 folded=preimage_folds > 0,
             )
@@ -119,25 +103,34 @@ def bmc(
     )
 
 
-def _bad_states(netlist: Netlist, options: QuantifyOptions) -> int:
-    """``exists inputs . C AND NOT P`` — the pure-state bad set."""
-    from repro.aig.ops import support
-    from repro.core.quantify import quantify_exists
+def fold_targets(
+    netlist: Netlist,
+    folds: int,
+    options: QuantifyOptions | None,
+    stats: StatsBag,
+) -> list[int]:
+    """``[bad, pre(bad), ..., pre^folds(bad)]``, or ``[NOT P]`` unfolded.
 
-    bad = netlist.aig.and_(
-        edge_not(netlist.property_edge), netlist.constraint_edge()
+    The fold targets must be pure *state* sets: the bad states quantify
+    the property's own input references first, otherwise the fold would
+    conflate the violation-step inputs with the transition inputs.
+    """
+    if not folds:
+        return [edge_not(netlist.property_edge)]
+    computer = ImageComputer(
+        netlist,
+        options if options is not None else QuantifyOptions.preset("full"),
     )
-    present = [
-        node
-        for node in netlist.input_nodes
-        if node in support(netlist.aig, bad)
-    ]
-    if not present:
-        return bad
-    return quantify_exists(netlist.aig, bad, present, options).edge
+    targets = [computer.bad_states().edge]
+    for _ in range(folds):
+        result = computer.preimage(targets[-1])
+        targets.append(result.edge)
+        stats.merge(result.stats)
+    stats.set("fold_target_size", netlist.aig.cone_and_count(targets[-1]))
+    return targets
 
 
-def _extract_trace(
+def extract_trace(
     netlist: Netlist,
     unroller: Unroller,
     depth: int,

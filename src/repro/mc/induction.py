@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.aig.graph import edge_not
 from repro.circuits.netlist import Netlist
-from repro.core.images import ImageComputer
 from repro.core.quantify import QuantifyOptions
-from repro.mc.result import Status, Trace, VerificationResult
-from repro.mc.trace import concretize_suffix, find_violation_inputs
+from repro.mc.bmc import extract_trace, fold_targets
+from repro.mc.result import Status, VerificationResult
 from repro.mc.unroll import Unroller
 from repro.sat.solver import SolveResult, Solver
 from repro.util.stats import StatsBag
@@ -51,21 +49,7 @@ def k_induction(
     """
     netlist.validate()
     stats = StatsBag()
-    options = (
-        quantify_options
-        if quantify_options is not None
-        else QuantifyOptions.preset("full")
-    )
-    targets = [edge_not(netlist.property_edge)]
-    if preimage_folds:
-        from repro.mc.bmc import _bad_states
-
-        targets = [_bad_states(netlist, options)]
-        computer = ImageComputer(netlist, options=options)
-        for _ in range(preimage_folds):
-            result = computer.preimage(targets[-1])
-            targets.append(result.edge)
-        stats.set("fold_target_size", netlist.aig.cone_and_count(targets[-1]))
+    targets = fold_targets(netlist, preimage_folds, quantify_options, stats)
     target = targets[-1]
     stats.set("folds", preimage_folds)
 
@@ -81,20 +65,11 @@ def k_induction(
         stats.incr("base_sat_calls")
         lit = base.edge_lit_in(base.frame(0), targets[fold_depth])
         if base.solver.solve([lit]) is SolveResult.SAT:
-            start = base.read_state(0)
-            extra_states, extra_inputs = concretize_suffix(
-                netlist, start, targets[: fold_depth + 1]
-            )
-            all_states = [start] + extra_states
             return VerificationResult(
                 status=Status.FAILED,
                 engine="k_induction",
-                trace=Trace(
-                    states=all_states,
-                    inputs=extra_inputs,
-                    violation_inputs=find_violation_inputs(
-                        netlist, all_states[-1]
-                    ),
+                trace=extract_trace(
+                    netlist, base, 0, targets[: fold_depth + 1], folded=True
                 ),
                 iterations=fold_depth,
                 stats=stats,
@@ -105,22 +80,11 @@ def k_induction(
         stats.incr("base_sat_calls")
         bad_lit = base.edge_lit_in(base.frame(k), target)
         if base.solver.solve([bad_lit]) is SolveResult.SAT:
-            states = [base.read_state(i) for i in range(k + 1)]
-            inputs = [base.read_inputs(i) for i in range(k)]
-            if len(targets) > 1:
-                extra_states, extra_inputs = concretize_suffix(
-                    netlist, states[-1], targets
-                )
-                states.extend(extra_states)
-                inputs.extend(extra_inputs)
-                violation = find_violation_inputs(netlist, states[-1])
-            else:
-                violation = base.read_inputs(k)
             return VerificationResult(
                 status=Status.FAILED,
                 engine="k_induction",
-                trace=Trace(
-                    states=states, inputs=inputs, violation_inputs=violation
+                trace=extract_trace(
+                    netlist, base, k, targets, folded=preimage_folds > 0
                 ),
                 iterations=k + preimage_folds,
                 stats=stats,

@@ -8,10 +8,13 @@ counter-example.  In our implementation all state sets are represented and
 manipulated using AIGs instead of BDDs.  Operations on AIGs, e.g.,
 equivalence, are performed using a SAT engine."
 
-The engine keeps a private clone of the netlist, computes pre-images by
-in-lining + circuit-based input quantification (or all-SAT / the hybrid
-partial+all-SAT combination of Section 4), checks frontier emptiness and
-init intersection with SAT, and periodically compacts its manager.
+The engine keeps a private clone of the netlist, takes its bad states and
+pre-images from :class:`~repro.core.images.ImageComputer` (in-lining, then
+circuit-based input quantification, all-SAT, or the hybrid partial+all-SAT
+combination of Section 4), checks frontier emptiness and init
+intersection with SAT, and periodically compacts its manager.
+:class:`AigTraversal` holds what it shares with the forward engine of
+:mod:`repro.mc.reach_aig_fwd`.
 """
 
 from __future__ import annotations
@@ -21,17 +24,20 @@ from dataclasses import dataclass, field
 from repro.aig.analysis import cone_size
 from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, edge_not
-from repro.aig.ops import or_, support
+from repro.aig.ops import or_
 from repro.circuits.netlist import Netlist
-from repro.core.partial import PartialQuantifier
-from repro.core.quantify import QuantifyOptions, quantify_exists
-from repro.core.substitution import preimage_by_substitution
+from repro.core.images import ImageComputer
+from repro.core.quantify import QuantifyOptions
 from repro.errors import ModelCheckingError, ResourceLimit
-from repro.mc.preimage_sat import allsat_quantify
 from repro.mc.result import Status, Trace, VerificationResult
 from repro.mc.trace import concretize_suffix, find_violation_inputs
 from repro.sat.solver import SolveResult, Solver
 from repro.util.stats import StatsBag
+
+# Unused here (ImageComputer in-lines and quantifies); perfbench/tracing.py
+# patches these names on this module.
+from repro.core.quantify import quantify_exists  # noqa: F401
+from repro.core.substitution import preimage_by_substitution  # noqa: F401
 
 
 @dataclass
@@ -56,104 +62,133 @@ class ReachOptions:
     fraig_compaction: bool = False
 
 
-class BackwardReachability:
-    """The paper's traversal routine over one netlist."""
+class AigTraversal:
+    """What the backward and forward AIG traversals share.
 
-    def __init__(
-        self, netlist: Netlist, options: ReachOptions | None = None
-    ) -> None:
+    A validated private clone of the netlist — traversal adds heaps of
+    nodes and must not pollute (or be confused by) the caller's manager —
+    with the :class:`~repro.core.images.ImageComputer` over it, the SAT
+    query for a latch assignment of a state set, per-iteration frontier
+    stats, the manager node budget, and the mapping of traces and results
+    back to the caller's netlist.  Subclasses set ``direction`` and
+    ``engine`` and define ``_new_images`` and ``run`` (on the subclass
+    itself: perfbench/tracing.py wraps ``run`` per class).
+    """
+
+    direction: str
+    engine: str
+
+    def __init__(self, netlist: Netlist, options) -> None:
         netlist.validate()
         if not netlist.has_property:
-            raise ModelCheckingError("backward reachability needs a property")
-        self.original = netlist
-        self.options = options if options is not None else ReachOptions()
-        if self.options.input_elimination not in ("circuit", "allsat", "hybrid"):
             raise ModelCheckingError(
-                f"unknown input elimination mode: "
-                f"{self.options.input_elimination!r}"
+                f"{self.direction} reachability needs a property"
             )
-        # Private working copy: traversal adds heaps of nodes and must not
-        # pollute (or be confused by) the caller's manager.
+        self.original = netlist
+        self.options = options
         self.model, _, node_map = netlist.clone()
-        self._to_original = {
-            new: old for old, new in node_map.items()
-        }
+        self._to_original = {new: old for old, new in node_map.items()}
         self.stats = StatsBag()
+        self.images = self._new_images()
 
-    # ------------------------------------------------------------------ #
-    # SAT helpers on the working model
-    # ------------------------------------------------------------------ #
+    def _new_images(self) -> ImageComputer:
+        raise NotImplementedError
 
-    def _satisfiable(self, edge: int) -> dict[int, bool] | None:
-        """SAT model of an edge over the working model, or None."""
+    def _solve(self, edge: int) -> dict[int, bool] | None:
+        """Input and latch values of a SAT model of ``edge``, or None."""
         if edge == FALSE:
             return None
         mapper = CnfMapper(self.model.aig, Solver())
         lit = mapper.lit_for(edge)
         if mapper.solver.solve([lit]) is not SolveResult.SAT:
             return None
-        model = mapper.model_inputs()
+        return mapper.model_inputs()
+
+    def _satisfiable_state(self, edge: int) -> dict[int, bool] | None:
+        """Latch assignment of a SAT model of ``edge``, or None."""
+        model = self._solve(edge)
+        if model is None:
+            return None
         return {
             node: model.get(node, False) for node in self.model.latch_nodes
         }
 
-    # ------------------------------------------------------------------ #
-    # Pre-image with the configured input elimination
-    # ------------------------------------------------------------------ #
-
-    def _preimage(self, state_set: int) -> int:
-        composed = preimage_by_substitution(
-            self.model.aig, state_set, self.model.next_functions()
-        )
-        # Environment constraints gate every transition: only inputs with
-        # C(s, i) may justify membership in the pre-image.
-        composed = self.model.aig.and_(
-            composed, self.model.constraint_edge()
-        )
-        return self._eliminate_inputs(composed)
-
-    def _eliminate_inputs(self, composed: int) -> int:
-        """Existentially remove primary inputs per the configured mode."""
+    def _record_frontier(
+        self, iteration: int, frontier: int, reached: int
+    ) -> None:
         aig = self.model.aig
-        inputs = [
-            node
-            for node in self.model.input_nodes
-            if node in support(aig, composed)
-        ]
-        mode = self.options.input_elimination
-        if not inputs:
-            return composed
-        if mode == "circuit":
-            outcome = quantify_exists(
-                aig, composed, inputs, self.options.quantify
-            )
-            self.stats.merge(outcome.stats)
-            return outcome.edge
-        if mode == "allsat":
-            result, sat_stats = allsat_quantify(
-                aig, composed, inputs, max_cubes=self.options.allsat_max_cubes
-            )
-            self.stats.merge(sat_stats)
-            return result
-        # hybrid: partial circuit quantification, residual to all-SAT.
-        quantifier = PartialQuantifier(
-            aig,
-            options=self.options.quantify,
-            growth_factor=self.options.partial_growth_factor,
+        size = cone_size(aig, frontier)
+        self.stats.set(f"frontier_size_{iteration}", size)
+        self.stats.max("peak_frontier_size", size)
+        self.stats.max("peak_reached_size", cone_size(aig, reached))
+
+    def _check_budget(self) -> None:
+        limit = self.options.max_manager_nodes
+        if self.model.aig.num_nodes > limit:
+            raise ResourceLimit(f"AIG manager exceeded {limit} nodes")
+
+    def _result(
+        self, status: Status, iterations: int, trace: Trace | None = None
+    ) -> VerificationResult:
+        if status is not Status.UNKNOWN:
+            self.stats.set("iterations", iterations)
+        return VerificationResult(
+            status=status,
+            engine=self.engine,
+            trace=trace,
+            iterations=iterations,
+            stats=self.stats,
         )
-        outcome = quantifier.quantify(composed, inputs)
-        self.stats.merge(outcome.stats)
-        self.stats.incr("hybrid_residual_vars", len(outcome.aborted))
-        if not outcome.aborted:
-            return outcome.edge
-        result, sat_stats = allsat_quantify(
-            aig,
-            outcome.edge,
-            outcome.aborted,
-            max_cubes=self.options.allsat_max_cubes,
+
+    def _failed(
+        self,
+        states: list[dict[int, bool]],
+        inputs: list[dict[int, bool]],
+        iterations: int,
+    ) -> VerificationResult:
+        """The FAILED result of a concrete path ending in a bad state."""
+        violation = find_violation_inputs(self.model, states[-1])
+        trace = Trace(
+            states=[self._map_assignment(s) for s in states],
+            inputs=[self._map_assignment(i) for i in inputs],
+            violation_inputs=(
+                self._map_assignment(violation)
+                if violation is not None
+                else None
+            ),
         )
-        self.stats.merge(sat_stats)
-        return result
+        return self._result(Status.FAILED, iterations, trace)
+
+    def _map_assignment(self, values: dict[int, bool]) -> dict[int, bool]:
+        return {
+            self._to_original.get(node, node): value
+            for node, value in values.items()
+        }
+
+
+class BackwardReachability(AigTraversal):
+    """The paper's traversal routine over one netlist."""
+
+    direction = "backward"
+
+    def __init__(
+        self, netlist: Netlist, options: ReachOptions | None = None
+    ) -> None:
+        options = options if options is not None else ReachOptions()
+        super().__init__(netlist, options)
+        mode = options.input_elimination
+        self.engine = "reach_aig" if mode == "circuit" else f"reach_aig_{mode}"
+
+    def _new_images(self) -> ImageComputer:
+        """An image computer over the current working model."""
+        options = self.options
+        return ImageComputer(
+            self.model,
+            options.quantify,
+            elimination=options.input_elimination,
+            growth_factor=options.partial_growth_factor,
+            max_cubes=options.allsat_max_cubes,
+        )
 
     # ------------------------------------------------------------------ #
     # The traversal
@@ -161,15 +196,14 @@ class BackwardReachability:
 
     def run(self) -> VerificationResult:
         options = self.options
-        model = self.model
-        aig = model.aig
+        aig = self.model.aig
         # The bad *states*: inputs of an input-dependent property are
         # existentially quantified away so every layer is a pure state set.
         # The violating step must itself satisfy the constraints.
-        bad = self._eliminate_inputs(
-            aig.and_(edge_not(model.property_edge), model.constraint_edge())
-        )
-        init = model.init_state_edge()
+        image = self.images.bad_states()
+        self.stats.merge(image.stats)
+        bad = image.edge
+        init = self.model.init_state_edge()
         # Distance layers for trace reconstruction: layers[k] = states at
         # backward distance k from the violation.
         layers: list[int] = [bad]
@@ -181,21 +215,13 @@ class BackwardReachability:
         iteration = 0
         while iteration < options.max_iterations:
             iteration += 1
-            preimage = self._preimage(frontier)
-            new_frontier = aig.and_(preimage, edge_not(reached))
-            self.stats.set(f"frontier_size_{iteration}", cone_size(aig, new_frontier))
-            self.stats.max("peak_frontier_size", cone_size(aig, new_frontier))
-            self.stats.max("peak_reached_size", cone_size(aig, reached))
-            witness = self._satisfiable(new_frontier)
-            if witness is None:
+            image = self.images.preimage(frontier)
+            self.stats.merge(image.stats)
+            new_frontier = aig.and_(image.edge, edge_not(reached))
+            self._record_frontier(iteration, new_frontier, reached)
+            if self._satisfiable_state(new_frontier) is None:
                 # Fix-point: no newly reached states.
-                self.stats.set("iterations", iteration)
-                return VerificationResult(
-                    status=Status.PROVED,
-                    engine="reach_aig",
-                    iterations=iteration,
-                    stats=self.stats,
-                )
+                return self._result(Status.PROVED, iteration)
             layers.append(new_frontier)
             reached = or_(aig, reached, new_frontier)
             frontier = new_frontier
@@ -209,22 +235,13 @@ class BackwardReachability:
                 layers, reached, frontier, init, bad = self._compact(
                     layers, reached, frontier, init, bad
                 )
-                model = self.model      # compaction swapped the working copy
-                aig = model.aig
-            if aig.num_nodes > options.max_manager_nodes:
-                raise ResourceLimit(
-                    f"AIG manager exceeded {options.max_manager_nodes} nodes"
-                )
-        return VerificationResult(
-            status=Status.UNKNOWN,
-            engine="reach_aig",
-            iterations=options.max_iterations,
-            stats=self.stats,
-        )
+                aig = self.model.aig   # compaction swapped the working copy
+            self._check_budget()
+        return self._result(Status.UNKNOWN, options.max_iterations)
 
     def _check_init(self, init: int, frontier: int) -> dict[int, bool] | None:
         """Does the frontier contain the initial state?"""
-        return self._satisfiable(self.model.aig.and_(init, frontier))
+        return self._satisfiable_state(self.model.aig.and_(init, frontier))
 
     def _counterexample(
         self,
@@ -233,39 +250,12 @@ class BackwardReachability:
         iterations: int,
     ) -> VerificationResult:
         """Walk the initial state down the distance layers to the bug."""
-        states = [dict(start_state)]
         suffix_states, inputs = concretize_suffix(
             self.model, start_state, layers
         )
-        states.extend(suffix_states)
-        violation = find_violation_inputs(self.model, states[-1])
-        trace = Trace(
-            states=[self._map_state(s) for s in states],
-            inputs=[self._map_inputs(i) for i in inputs],
-            violation_inputs=(
-                self._map_inputs(violation) if violation is not None else None
-            ),
+        return self._failed(
+            [dict(start_state)] + suffix_states, inputs, iterations
         )
-        self.stats.set("iterations", iterations)
-        return VerificationResult(
-            status=Status.FAILED,
-            engine="reach_aig",
-            trace=trace,
-            iterations=iterations,
-            stats=self.stats,
-        )
-
-    def _map_state(self, state: dict[int, bool]) -> dict[int, bool]:
-        return {
-            self._to_original.get(node, node): value
-            for node, value in state.items()
-        }
-
-    def _map_inputs(self, inputs: dict[int, bool]) -> dict[int, bool]:
-        return {
-            self._to_original.get(node, node): value
-            for node, value in inputs.items()
-        }
 
     def _compact(
         self,
@@ -275,7 +265,11 @@ class BackwardReachability:
         init: int,
         bad: int,
     ) -> tuple[list[int], int, int, int, int]:
-        """Shrink the working manager, transferring the live state sets."""
+        """Shrink the working manager, transferring the live state sets.
+
+        The image computer (and its sweeper) is rebuilt over the new
+        manager: one sweeper per compaction epoch.
+        """
         before = self.model.aig.num_nodes
         extras = list(layers) + [reached, frontier, init, bad]
         if self.options.fraig_compaction:
@@ -288,6 +282,7 @@ class BackwardReachability:
             )
         new_model, moved, node_map = self.model.clone(extras)
         self.model = new_model
+        self.images = self._new_images()
         # Chain the original-node mapping through the new clone.
         self._to_original = {
             new: self._to_original.get(old, old)
@@ -297,10 +292,3 @@ class BackwardReachability:
         self.stats.incr("compaction_nodes_freed", before - new_model.aig.num_nodes)
         n = len(layers)
         return list(moved[:n]), moved[n], moved[n + 1], moved[n + 2], moved[n + 3]
-
-
-def backward_reachability(
-    netlist: Netlist, options: ReachOptions | None = None
-) -> VerificationResult:
-    """Convenience wrapper: build the engine and run it."""
-    return BackwardReachability(netlist, options).run()

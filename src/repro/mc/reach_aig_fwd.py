@@ -23,18 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.aig.analysis import cone_size
-from repro.aig.cnf import CnfMapper
-from repro.aig.graph import FALSE, edge_not
-from repro.aig.ops import or_, xnor
+from repro.aig.graph import edge_not
+from repro.aig.ops import or_
 from repro.circuits.netlist import Netlist
 from repro.core.images import ImageComputer
 from repro.core.quantify import QuantifyOptions
-from repro.errors import ModelCheckingError, ResourceLimit
-from repro.mc.result import Status, Trace, VerificationResult
-from repro.mc.trace import find_violation_inputs
-from repro.sat.solver import SolveResult, Solver
-from repro.util.stats import StatsBag
+from repro.errors import ModelCheckingError
+from repro.mc.reach_aig import AigTraversal
+from repro.mc.result import Status, VerificationResult
+
+# Unused here (AigTraversal maps the violation); perfbench/tracing.py
+# patches this name on this module.
+from repro.mc.trace import find_violation_inputs  # noqa: F401
 
 
 @dataclass
@@ -48,23 +48,24 @@ class ForwardReachOptions:
     max_manager_nodes: int = 2_000_000
 
 
-class ForwardReachability:
+class ForwardReachability(AigTraversal):
     """Breadth-first forward traversal over one netlist."""
+
+    direction = "forward"
+    engine = "reach_aig_fwd"
 
     def __init__(
         self,
         netlist: Netlist,
         options: ForwardReachOptions | None = None,
     ) -> None:
-        netlist.validate()
-        if not netlist.has_property:
-            raise ModelCheckingError("forward reachability needs a property")
-        self.original = netlist
-        self.options = options if options is not None else ForwardReachOptions()
-        self.model, _, node_map = netlist.clone()
-        self._to_original = {new: old for old, new in node_map.items()}
-        self.stats = StatsBag()
-        self._images = ImageComputer(self.model, self.options.quantify)
+        super().__init__(
+            netlist,
+            options if options is not None else ForwardReachOptions(),
+        )
+
+    def _new_images(self) -> ImageComputer:
+        return ImageComputer(self.model, self.options.quantify)
 
     # ------------------------------------------------------------------ #
     # SAT helpers
@@ -82,18 +83,6 @@ class ForwardReachability:
         bad = self.model.aig.and_(bad, self.model.constraint_edge())
         return self._satisfiable_state(bad)
 
-    def _satisfiable_state(self, edge: int) -> dict[int, bool] | None:
-        if edge == FALSE:
-            return None
-        mapper = CnfMapper(self.model.aig, Solver())
-        lit = mapper.lit_for(edge)
-        if mapper.solver.solve([lit]) is not SolveResult.SAT:
-            return None
-        model = mapper.model_inputs()
-        return {
-            node: model.get(node, False) for node in self.model.latch_nodes
-        }
-
     def _predecessor_in(
         self, source_set: int, target_state: dict[int, bool]
     ) -> tuple[dict[int, bool], dict[int, bool]]:
@@ -107,13 +96,11 @@ class ForwardReachability:
                 constraint,
                 next_edge if want else edge_not(next_edge),
             )
-        mapper = CnfMapper(aig, Solver())
-        lit = mapper.lit_for(constraint)
-        if mapper.solver.solve([lit]) is not SolveResult.SAT:
+        model = self._solve(constraint)
+        if model is None:
             raise ModelCheckingError(
                 "onion-ring state has no predecessor (engine bug)"
             )
-        model = mapper.model_inputs()
         state = {
             node: model.get(node, False) for node in self.model.latch_nodes
         }
@@ -139,40 +126,20 @@ class ForwardReachability:
         iteration = 0
         while iteration < options.max_iterations:
             iteration += 1
-            image = self._images.postimage(frontier)
+            image = self.images.postimage(frontier)
             self.stats.merge(image.stats)
             new_frontier = aig.and_(image.edge, edge_not(reached))
-            self.stats.set(
-                f"frontier_size_{iteration}", cone_size(aig, new_frontier)
-            )
-            self.stats.max(
-                "peak_frontier_size", cone_size(aig, new_frontier)
-            )
+            self._record_frontier(iteration, new_frontier, reached)
             if self._satisfiable_state(new_frontier) is None:
-                self.stats.set("iterations", iteration)
-                return VerificationResult(
-                    status=Status.PROVED,
-                    engine="reach_aig_fwd",
-                    iterations=iteration,
-                    stats=self.stats,
-                )
+                return self._result(Status.PROVED, iteration)
             rings.append(new_frontier)
             reached = or_(aig, reached, new_frontier)
             frontier = new_frontier
             violating = self._violating_state(new_frontier)
             if violating is not None:
-                self.stats.set("iterations", iteration)
                 return self._counterexample(violating, rings)
-            if aig.num_nodes > options.max_manager_nodes:
-                raise ResourceLimit(
-                    f"AIG manager exceeded {options.max_manager_nodes} nodes"
-                )
-        return VerificationResult(
-            status=Status.UNKNOWN,
-            engine="reach_aig_fwd",
-            iterations=options.max_iterations,
-            stats=self.stats,
-        )
+            self._check_budget()
+        return self._result(Status.UNKNOWN, options.max_iterations)
 
     # ------------------------------------------------------------------ #
     # Trace reconstruction (backwards through the onion rings)
@@ -189,29 +156,7 @@ class ForwardReachability:
             )
             states.insert(0, predecessor)
             inputs.insert(0, step_inputs)
-        violation = find_violation_inputs(self.model, states[-1])
-        trace = Trace(
-            states=[self._map_assignment(s) for s in states],
-            inputs=[self._map_assignment(i) for i in inputs],
-            violation_inputs=(
-                self._map_assignment(violation)
-                if violation is not None
-                else None
-            ),
-        )
-        return VerificationResult(
-            status=Status.FAILED,
-            engine="reach_aig_fwd",
-            trace=trace,
-            iterations=len(rings) - 1,
-            stats=self.stats,
-        )
-
-    def _map_assignment(self, values: dict[int, bool]) -> dict[int, bool]:
-        return {
-            self._to_original.get(node, node): value
-            for node, value in values.items()
-        }
+        return self._failed(states, inputs, len(rings) - 1)
 
 
 def forward_reachability(

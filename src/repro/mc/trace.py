@@ -94,33 +94,3 @@ def concretize_suffix(
         states.append(dict(current))
     return states, inputs
 
-
-def trace_from_layers(
-    netlist: Netlist,
-    initial_state: dict[int, bool],
-    layers: list[int],
-) -> "Trace":
-    """Build a full trace from backward-reachability distance layers.
-
-    ``layers[k]`` holds states at backward distance k from the bad states
-    (``layers[0]`` = bad).  ``initial_state`` must satisfy some layer; the
-    deepest (largest-k) layer containing it is located and walked down.
-    """
-    from repro.aig.simulate import eval_edge
-    from repro.mc.result import Trace
-
-    aig = netlist.aig
-    member_layers = [
-        k for k, edge in enumerate(layers)
-        if eval_edge(aig, edge, initial_state)
-    ]
-    if not member_layers:
-        raise ModelCheckingError("initial state is not in any layer")
-    start = min(member_layers)  # shortest counterexample
-    suffix_states, suffix_inputs = concretize_suffix(
-        netlist, initial_state, layers[: start + 1]
-    )
-    return Trace(
-        states=[dict(initial_state)] + suffix_states,
-        inputs=suffix_inputs,
-    )

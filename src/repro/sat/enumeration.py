@@ -8,7 +8,8 @@ is blocked by adding the negation of its projected cube.
 Cube *generalization* at the CNF level is optional literal dropping: a
 literal can be removed from the blocking cube when the remaining cube still
 cannot be extended to a new solution class.  The stronger circuit-cofactoring
-generalization lives at the AIG level in :mod:`repro.mc.preimage_sat`.
+generalization lives at the AIG level in
+:func:`repro.core.partial.allsat_quantify`.
 """
 
 from __future__ import annotations

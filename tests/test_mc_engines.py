@@ -5,13 +5,13 @@ import pytest
 from repro.aig.graph import TRUE, edge_not
 from repro.aig.ops import support
 from repro.circuits import generators as G
-from repro.core.partial import PartialQuantifier
+from repro.core.images import ImageComputer
+from repro.core.partial import PartialQuantifier, allsat_quantify
 from repro.core.quantify import QuantifyOptions
 from repro.core.substitution import preimage_by_substitution
 from repro.errors import ModelCheckingError, ResourceLimit
 from repro.mc.bmc import bmc
 from repro.mc.induction import k_induction
-from repro.mc.preimage_sat import allsat_preimage, allsat_quantify
 from repro.mc.result import Status
 from repro.mc.unroll import Unroller
 from repro.sat.solver import SolveResult
@@ -181,10 +181,12 @@ class TestKInduction:
 
 
 class TestAllSatPreimage:
+    """``ImageComputer(elimination="allsat")``: Ganai-style enumeration."""
+
     def test_matches_circuit_preimage(self):
         net = G.fifo_level(3, safe=True)
         bad = edge_not(net.property_edge)
-        sat_result, stats = allsat_preimage(net, bad)
+        sat_result = ImageComputer(net, elimination="allsat").preimage(bad)
         # Reference: circuit-based quantification of the same composition.
         from repro.core.quantify import quantify_exists
 
@@ -195,31 +197,32 @@ class TestAllSatPreimage:
             net.aig, composed, net.input_nodes
         )
         nodes = net.latch_nodes + net.input_nodes
-        assert edges_equivalent(net.aig, sat_result, reference.edge, nodes)
+        assert edges_equivalent(
+            net.aig, sat_result.edge, reference.edge, nodes
+        )
 
     def test_cube_count_reported(self):
         net = G.fifo_level(3, safe=True)
         bad = edge_not(net.property_edge)
-        _, stats = allsat_preimage(net, bad)
-        assert stats.get("cubes") >= 1
+        result = ImageComputer(net, elimination="allsat").preimage(bad)
+        assert result.stats.get("cubes") >= 1
 
     def test_no_inputs_noop(self):
         net = G.mod_counter(3, 6)   # no primary inputs
         bad = edge_not(net.property_edge)
-        result, stats = allsat_preimage(net, bad)
-        assert stats.get("cubes") == 0
+        result = ImageComputer(net, elimination="allsat").preimage(bad)
+        assert result.stats.get("cubes") == 0
 
     def test_max_cubes_limit(self):
         net = G.arbiter(4, safe=False)
         bad = edge_not(net.property_edge)
+        computer = ImageComputer(net, elimination="allsat", max_cubes=0)
         with pytest.raises(ResourceLimit):
-            allsat_preimage(net, bad, max_cubes=0)
+            computer.preimage(bad)
 
-    def test_foreign_variable_rejected(self):
-        net = G.fifo_level(2)
-        bad = edge_not(net.property_edge)
+    def test_unknown_mode_rejected(self):
         with pytest.raises(ModelCheckingError):
-            allsat_preimage(net, bad, inputs_to_quantify=[99])
+            ImageComputer(G.fifo_level(2), elimination="quantum")
 
     def test_partial_then_allsat_combination(self):
         """Section 4: partial quantification shrinks the all-SAT job."""

@@ -7,6 +7,7 @@ shortest-path (reachability) or depth-incremental (BMC, induction base).
 
 import pytest
 
+from repro.api.registry import iter_engines
 from repro.circuits import generators as G
 from repro.mc import Status, verify
 from repro.mc.result import Trace
@@ -60,6 +61,19 @@ class TestVerdictMatrix:
         net = G.mod_counter(3, 5, safe=False)
         bogus = Trace(states=[{n: True for n in net.latch_nodes}], inputs=[])
         assert not bogus.validate(net)
+
+
+class TestEngineNames:
+    @pytest.mark.parametrize(
+        "spec",
+        [spec for spec in iter_engines() if not spec.composite],
+        ids=lambda spec: spec.name,
+    )
+    def test_result_names_its_engine(self, spec):
+        """Forced-option variants report their own name, not the base's."""
+        result = verify(G.fifo_level(3, safe=False), method=spec.name)
+        assert result.status is Status.FAILED
+        assert result.engine == spec.name
 
 
 class TestTraceProperties:
