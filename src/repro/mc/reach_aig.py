@@ -12,7 +12,9 @@ The engine keeps a private clone of the netlist, takes its bad states and
 pre-images from :class:`~repro.core.images.ImageComputer` (in-lining, then
 circuit-based input quantification, all-SAT, or the hybrid partial+all-SAT
 combination of Section 4), checks frontier emptiness and init
-intersection with SAT, and periodically compacts its manager.
+intersection with SAT, and periodically compacts its manager.  All SAT
+queries of one compaction epoch run on a single incremental solver, so
+each AIG node is Tseitin-encoded at most once per epoch.
 :class:`AigTraversal` holds what it shares with the forward engine of
 :mod:`repro.mc.reach_aig_fwd`.
 """
@@ -70,9 +72,23 @@ class AigTraversal:
     with the :class:`~repro.core.images.ImageComputer` over it, the SAT
     query for a latch assignment of a state set, per-iteration frontier
     stats, the manager node budget, and the mapping of traces and results
-    back to the caller's netlist.  Subclasses set ``direction`` and
-    ``engine`` and define ``_new_images`` and ``run`` (on the subclass
-    itself: perfbench/tracing.py wraps ``run`` per class).
+    back to the caller's netlist.
+
+    Every SAT query — frontier emptiness, init intersection or violation,
+    and the counterexample walk — runs with assumptions on one
+    :class:`~repro.aig.cnf.CnfMapper` bound to the working manager, the
+    paper's "load the clause database once and for-all".  Successive
+    state sets share most of their cone (``reached`` recurs in every
+    frontier), so each node is encoded at most once per *epoch*: the
+    span between two compactions.  A compaction replaces the manager
+    and so starts a new epoch with a new solver; an engine that never
+    compacts keeps one solver for the whole run.  ``check_solvers`` and
+    ``check_cnf_nodes`` in the stats count the solvers and the nodes
+    they encoded.
+
+    Subclasses set ``direction`` and ``engine`` and define
+    ``_new_images`` and ``run`` (on the subclass itself:
+    perfbench/tracing.py wraps ``run`` per class).
     """
 
     direction: str
@@ -90,15 +106,33 @@ class AigTraversal:
         self._to_original = {new: old for old, new in node_map.items()}
         self.stats = StatsBag()
         self.images = self._new_images()
+        self._epoch_mapper: CnfMapper | None = None
 
     def _new_images(self) -> ImageComputer:
         raise NotImplementedError
 
+    def _mapper(self) -> CnfMapper:
+        """The epoch's CNF mapper over the working manager (made lazily)."""
+        if self._epoch_mapper is None:
+            self._epoch_mapper = CnfMapper(self.model.aig, Solver())
+            self.stats.incr("check_solvers")
+        return self._epoch_mapper
+
+    def _end_epoch(self) -> None:
+        """Drop the epoch's solver, counting the nodes it encoded."""
+        if self._epoch_mapper is not None:
+            self.stats.incr("check_cnf_nodes", self._epoch_mapper.num_nodes)
+            self._epoch_mapper = None
+
     def _solve(self, edge: int) -> dict[int, bool] | None:
-        """Input and latch values of a SAT model of ``edge``, or None."""
+        """Input and latch values of a SAT model of ``edge``, or None.
+
+        Inputs outside the cone of ``edge`` are free; they keep whatever
+        value the epoch solver gives them.
+        """
         if edge == FALSE:
             return None
-        mapper = CnfMapper(self.model.aig, Solver())
+        mapper = self._mapper()
         lit = mapper.lit_for(edge)
         if mapper.solver.solve([lit]) is not SolveResult.SAT:
             return None
@@ -130,6 +164,7 @@ class AigTraversal:
     def _result(
         self, status: Status, iterations: int, trace: Trace | None = None
     ) -> VerificationResult:
+        self._end_epoch()
         if status is not Status.UNKNOWN:
             self.stats.set("iterations", iterations)
         return VerificationResult(
@@ -147,7 +182,9 @@ class AigTraversal:
         iterations: int,
     ) -> VerificationResult:
         """The FAILED result of a concrete path ending in a bad state."""
-        violation = find_violation_inputs(self.model, states[-1])
+        violation = find_violation_inputs(
+            self.model, states[-1], mapper=self._mapper()
+        )
         trace = Trace(
             states=[self._map_assignment(s) for s in states],
             inputs=[self._map_assignment(i) for i in inputs],
@@ -251,7 +288,7 @@ class BackwardReachability(AigTraversal):
     ) -> VerificationResult:
         """Walk the initial state down the distance layers to the bug."""
         suffix_states, inputs = concretize_suffix(
-            self.model, start_state, layers
+            self.model, start_state, layers, mapper=self._mapper()
         )
         return self._failed(
             [dict(start_state)] + suffix_states, inputs, iterations
@@ -267,9 +304,11 @@ class BackwardReachability(AigTraversal):
     ) -> tuple[list[int], int, int, int, int]:
         """Shrink the working manager, transferring the live state sets.
 
-        The image computer (and its sweeper) is rebuilt over the new
-        manager: one sweeper per compaction epoch.
+        The image computer (and its sweeper) and the SAT solver of the
+        checks are rebuilt over the new manager: one of each per
+        compaction epoch.
         """
+        self._end_epoch()
         before = self.model.aig.num_nodes
         extras = list(layers) + [reached, frontier, init, bad]
         if self.options.fraig_compaction:

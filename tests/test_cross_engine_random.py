@@ -141,3 +141,7 @@ class TestCrossEngine:
         assert backward.status == forward.status
         if backward.status is Status.FAILED:
             assert backward.trace.depth == forward.trace.depth
+            # Models come from one solver per traversal epoch: latches
+            # outside a query's cone take that solver's values.
+            for result in (backward, forward):
+                assert result.trace.validate(random_netlist(seed)), seed

@@ -1,16 +1,25 @@
 """Tests for the traversal engines: AIG backward (the paper) vs BDD."""
 
+import random
+
 import pytest
 
+import repro.mc.reach_aig as reach_aig
+from repro.aig.cnf import CnfMapper
+from repro.aig.graph import FALSE, edge_not
+from repro.aig.ops import xor
+from repro.aig.simulate import eval_edge
 from repro.circuits import generators as G
 from repro.core.quantify import QuantifyOptions
 from repro.errors import ModelCheckingError
 from repro.mc.reach_aig import BackwardReachability, ReachOptions
+from repro.mc.reach_aig_fwd import ForwardReachability
 from repro.mc.reach_bdd import (
     bdd_backward_reachability,
     bdd_forward_reachability,
 )
 from repro.mc.result import Status
+from repro.sat.solver import SolveResult
 
 
 SAFE_CASES = [
@@ -105,6 +114,104 @@ class TestAigBackward:
         net = G.mod_counter(4, 12, safe=False)
         result = BackwardReachability(net).run()
         assert "frontier_size_1" in result.stats
+
+
+class TestEpochSolver:
+    """One incremental SAT solver per compaction epoch."""
+
+    # (design, verdict, iterations, trace depth, peak_frontier_size),
+    # pinned: sharing the check solver must not change the search.
+    EPOCH_CASES = [
+        ("bug30", lambda: G.bug_at_depth(30), Status.FAILED, 30, 30, 1745),
+        ("johnson14", lambda: G.johnson_counter(14), Status.PROVED, 18,
+         None, 1628),
+    ]
+
+    @pytest.mark.parametrize(
+        "name,build,status,iterations,depth,peak", EPOCH_CASES
+    )
+    def test_encoding_bound(
+        self, monkeypatch, name, build, status, iterations, depth, peak
+    ):
+        mappers: list[CnfMapper] = []
+
+        class RecordingMapper(CnfMapper):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                mappers.append(self)
+
+        monkeypatch.setattr(reach_aig, "CnfMapper", RecordingMapper)
+        traversal = BackwardReachability(build())
+        result = traversal.run()
+        assert result.status is status, name
+        assert result.iterations == iterations, name
+        assert (result.trace.depth if result.trace else None) == depth
+        assert result.stats.get("peak_frontier_size") == peak, name
+        solvers = result.stats.get("check_solvers")
+        assert solvers == len(mappers), name
+        assert solvers <= iterations // 4 + 2, name
+        encoded = result.stats.get("check_cnf_nodes")
+        assert encoded == sum(mapper.num_nodes for mapper in mappers)
+        epochs = result.stats.get("compactions") + 1
+        assert encoded <= epochs * traversal.model.aig.num_nodes, name
+
+    def test_counts_repeat_exactly(self):
+        runs = [BackwardReachability(G.bug_at_depth(12)).run()
+                for _ in range(2)]
+        for key in ("check_solvers", "check_cnf_nodes"):
+            assert runs[0].stats.get(key) == runs[1].stats.get(key) > 0
+
+    def test_forward_engine_keeps_one_solver(self):
+        result = ForwardReachability(G.bug_at_depth(6)).run()
+        assert result.status is Status.FAILED
+        assert result.stats.get("check_solvers") == 1
+
+    @staticmethod
+    def _fresh_answer(aig, edge: int) -> bool:
+        mapper = CnfMapper(aig)
+        return mapper.solver.solve([mapper.lit_for(edge)]) is SolveResult.SAT
+
+    def _check(self, traversal, edge: int) -> bool:
+        """Solve ``edge`` on the epoch solver; validate any model."""
+        aig = traversal.model.aig
+        state = traversal._satisfiable_state(edge)
+        assert (state is not None) == self._fresh_answer(aig, edge)
+        if state is not None:
+            assert eval_edge(aig, edge, state)
+        return state is not None
+
+    def test_interleaved_queries_match_fresh_solvers(self):
+        traversal = BackwardReachability(G.johnson_counter(6))
+        aig = traversal.model.aig
+        a, b, c, d = (2 * node for node in traversal.model.latch_nodes[:4])
+        left = xor(aig, xor(aig, a, b), c)
+        right = xor(aig, a, xor(aig, b, c))
+        differ = aig.and_(left, edge_not(right))
+        assert differ != FALSE   # not refuted by structural hashing
+        assert self._check(traversal, aig.and_(left, d))
+        assert not self._check(traversal, differ)
+        # Shares the refuted cone: learned clauses must not block it.
+        assert self._check(traversal, aig.and_(right, left))
+        assert self._check(traversal, aig.and_(edge_not(right), edge_not(d)))
+        assert traversal.stats.get("check_solvers") == 1
+
+    def test_random_queries_match_fresh_solvers(self):
+        traversal = BackwardReachability(G.johnson_counter(6))
+        aig = traversal.model.aig
+        rng = random.Random(7)
+        pool = [2 * node for node in traversal.model.latch_nodes]
+        answers = set()
+        for _ in range(60):
+            x = rng.choice(pool) ^ rng.randint(0, 1)
+            y = rng.choice(pool) ^ rng.randint(0, 1)
+            pool.append(
+                aig.and_(x, y) if rng.randint(0, 1) else xor(aig, x, y)
+            )
+            edge = aig.and_(pool[-1], rng.choice(pool) ^ rng.randint(0, 1))
+            if edge != FALSE:
+                answers.add(self._check(traversal, edge))
+        assert answers == {True, False}
+        assert traversal.stats.get("check_solvers") == 1
 
 
 class TestInputEliminationModes:
