@@ -64,7 +64,8 @@ def bmc(
         lit = unroller.edge_lit_in(unroller.frame(0), targets[fold_depth])
         if unroller.solver.solve([lit]) is SolveResult.SAT:
             trace = extract_trace(
-                netlist, unroller, 0, targets[: fold_depth + 1], folded=True
+                netlist, unroller, 0, targets[: fold_depth + 1], folded=True,
+                stats=stats,
             )
             stats.set("cnf_vars", unroller.solver.num_vars)
             return VerificationResult(
@@ -82,7 +83,7 @@ def bmc(
         if outcome is SolveResult.SAT:
             trace = extract_trace(
                 netlist, unroller, depth, targets,
-                folded=preimage_folds > 0,
+                folded=preimage_folds > 0, stats=stats,
             )
             stats.set("cnf_vars", unroller.solver.num_vars)
             stats.set("frames_unrolled", unroller.num_frames)
@@ -136,25 +137,27 @@ def extract_trace(
     depth: int,
     targets: list[int],
     folded: bool,
+    stats: StatsBag | None = None,
 ) -> Trace:
     """Read the unrolled prefix, then concretize the folded suffix.
 
     ``folded`` distinguishes the two target semantics: fold targets are
     pure state sets (frame inputs are unconstrained by the query, so the
     violation witness must be recomputed), whereas the raw ``NOT P``
-    target constrains the final frame's own inputs.
+    target constrains the final frame's own inputs.  ``stats`` receives
+    the walk's and the violation query's counts.
     """
     states = [unroller.read_state(k) for k in range(depth + 1)]
     inputs = [unroller.read_inputs(k) for k in range(depth)]
-    if len(targets) > 1:
-        # states[-1] satisfies pre^j(bad); walk it down to bad itself.
-        suffix_states, suffix_inputs = concretize_suffix(
-            netlist, states[-1], targets
-        )
-        states.extend(suffix_states)
-        inputs.extend(suffix_inputs)
+    # states[-1] satisfies pre^j(bad); walk it down to bad itself (no
+    # step at all when unfolded, j = 0).
+    suffix_states, suffix_inputs = concretize_suffix(
+        netlist, states[-1], targets, stats=stats
+    )
+    states.extend(suffix_states)
+    inputs.extend(suffix_inputs)
     if folded:
-        violation = find_violation_inputs(netlist, states[-1])
+        violation = find_violation_inputs(netlist, states[-1], stats=stats)
     else:
         # The violation lives in the last unrolled frame; its inputs are
         # the frame's own input assignment.

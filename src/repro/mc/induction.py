@@ -69,7 +69,8 @@ def k_induction(
                 status=Status.FAILED,
                 engine="k_induction",
                 trace=extract_trace(
-                    netlist, base, 0, targets[: fold_depth + 1], folded=True
+                    netlist, base, 0, targets[: fold_depth + 1], folded=True,
+                    stats=stats,
                 ),
                 iterations=fold_depth,
                 stats=stats,
@@ -84,7 +85,8 @@ def k_induction(
                 status=Status.FAILED,
                 engine="k_induction",
                 trace=extract_trace(
-                    netlist, base, k, targets, folded=preimage_folds > 0
+                    netlist, base, k, targets, folded=preimage_folds > 0,
+                    stats=stats,
                 ),
                 iterations=k + preimage_folds,
                 stats=stats,

@@ -183,7 +183,7 @@ class AigTraversal:
     ) -> VerificationResult:
         """The FAILED result of a concrete path ending in a bad state."""
         violation = find_violation_inputs(
-            self.model, states[-1], mapper=self._mapper()
+            self.model, states[-1], mapper=self._mapper(), stats=self.stats
         )
         trace = Trace(
             states=[self._map_assignment(s) for s in states],
@@ -288,7 +288,8 @@ class BackwardReachability(AigTraversal):
     ) -> VerificationResult:
         """Walk the initial state down the distance layers to the bug."""
         suffix_states, inputs = concretize_suffix(
-            self.model, start_state, layers, mapper=self._mapper()
+            self.model, start_state, layers, mapper=self._mapper(),
+            stats=self.stats,
         )
         return self._failed(
             [dict(start_state)] + suffix_states, inputs, iterations

@@ -2,89 +2,180 @@
 
 Backward reachability and pre-image folding both end with an initial (or
 unrolled) state known to lie in ``pre^j(bad)``: the concrete input choices
-of the remaining ``j`` steps still have to be found.  Each step is a small
-SAT problem — fix the current state, ask for inputs steering into the next
-distance layer — posed with assumptions on one incremental solver.  The
-distance layers share their cones, so the walk encodes each node once:
-a traversal hands in the :class:`~repro.aig.cnf.CnfMapper` of its epoch
-(which has most of the layers encoded already), and other callers get one
-fresh mapper for the whole walk.
+of the remaining ``j`` steps still have to be found.  Each step asks, for
+the fixed current state ``s``, for inputs ``i`` with
+``target(delta(s, i)) AND C(s, i)``.
+
+Simulation answers first, as in the paper's sweeping, where simulation
+does the cheap work and SAT only decides what simulation cannot.  One
+packed-int pass over the next-state functions and the constraints, with
+``s`` pinned in every pattern and 64 random input patterns drawn from
+``random.Random(step index)``, gives the successors; a second pass
+evaluates the target layer on them.  A set bit is a concrete witness of
+exactly the formula above, so a hit is an exact membership test, not a
+guess, and the walk takes the lowest one.  Seeds come from the step
+index, so a walk repeats exactly.
+
+Only on a miss does SAT decide, over the state-cofactored query: the
+next-state functions and the constraints are composed with ``s``'s
+constants, so structural hashing propagates them, and the target layer
+is composed through the result.  The query covers the input cone only
+and needs no state assumptions.  It is posed on the
+:class:`~repro.aig.cnf.CnfMapper` the caller hands in (a traversal's
+epoch mapper), or on one fresh mapper for the whole walk, made on the
+first miss.  The violation inputs of the final state (``NOT P AND C``)
+are found in the same order.
 """
 
 from __future__ import annotations
 
+import random
+from typing import Mapping
+
 from repro.aig.cnf import CnfMapper
+from repro.aig.graph import FALSE, TRUE
+from repro.aig.ops import compose
+from repro.aig.simulate import simulate, word_mask
 from repro.circuits.netlist import Netlist
-from repro.core.substitution import preimage_by_substitution
 from repro.errors import ModelCheckingError
 from repro.sat.solver import SolveResult, Solver
+from repro.util.stats import StatsBag
+
+# One 64-pattern word per input; an input-free design has one pattern,
+# since every word is then all-ones or all-zero.
+_MASK = word_mask(1)
 
 
-def _state_assumptions(
-    mapper: CnfMapper, lit: int, state: dict[int, bool]
-) -> list[int]:
-    """``lit`` plus one assumption pinning each state variable."""
-    assumptions = [lit]
+def _pattern_words(
+    netlist: Netlist, state: Mapping[int, bool], seed: int
+) -> dict[int, int]:
+    """Seeded random input words, with ``state`` pinned in every pattern."""
+    rng = random.Random(seed)
+    words = {node: rng.getrandbits(64) for node in netlist.input_nodes}
     for node, value in state.items():
-        input_lit = mapper.input_literal(node)
-        assumptions.append(input_lit if value else -input_lit)
-    return assumptions
+        words[node] = _MASK if value else 0
+    return words
 
 
-def step_into(
-    netlist: Netlist,
-    state: dict[int, bool],
-    target_edge: int,
-    mapper: CnfMapper,
-) -> tuple[dict[int, bool], dict[int, bool]]:
-    """Find inputs taking ``state`` into ``target_edge`` in one step.
+def _lowest_pattern(
+    words: Mapping[int, int], hits: int, nodes
+) -> dict[int, bool]:
+    """The values of ``nodes`` in the lowest pattern set in ``hits``."""
+    bit = (hits & -hits).bit_length() - 1
+    return {node: bool(words[node] >> bit & 1) for node in nodes}
 
-    Returns ``(inputs, next_state)``.  Raises if no such input exists —
-    callers only invoke this when membership in the pre-image is known.
-    The query is posed on ``mapper``, which must be over ``netlist.aig``.
-    """
-    aig = netlist.aig
-    # target(delta(s, i)) with s fixed must be satisfiable over i, under
-    # the environment constraints.
-    shifted = preimage_by_substitution(aig, target_edge, netlist.next_functions())
-    shifted = aig.and_(shifted, netlist.constraint_edge())
-    assumptions = _state_assumptions(mapper, mapper.lit_for(shifted), state)
-    if mapper.solver.solve(assumptions) is not SolveResult.SAT:
-        raise ModelCheckingError(
-            "state claimed to be in the pre-image has no successor in the "
-            "target set (engine bug)"
-        )
+
+def _cofactor(
+    netlist: Netlist, edges: list[int], state: Mapping[int, bool]
+) -> list[int]:
+    """``edges`` with every state variable fixed to its value in ``state``."""
+    constants = {node: TRUE if value else FALSE for node, value in state.items()}
+    cache: dict[int, int] = {}
+    return [compose(netlist.aig, edge, constants, cache) for edge in edges]
+
+
+def _model_inputs(netlist: Netlist, mapper: CnfMapper) -> dict[int, bool]:
     model = mapper.model_inputs()
-    inputs = {
-        node: model.get(node, False) for node in netlist.input_nodes
-    }
-    next_state = netlist.simulate_step(state, inputs)
-    return inputs, next_state
+    return {node: model.get(node, False) for node in netlist.input_nodes}
+
+
+class _Walk:
+    """One counterexample walk: what its steps share.
+
+    The second simulation pass of every step runs on one plan over all
+    the walk's layers: a backward layer's cone holds the reached set and
+    so every layer below it, and one plan over their union costs less
+    than building a plan per layer.
+    """
+
+    def __init__(
+        self, netlist: Netlist, layers: list[int], mapper: CnfMapper | None
+    ) -> None:
+        self.netlist = netlist
+        self.layers = layers
+        self.next_functions = netlist.next_functions()
+        self.constraint = netlist.constraint_edge()
+        self.mapper = mapper
+
+    def simulate_into(
+        self, state: dict[int, bool], layer: int, seed: int
+    ) -> tuple[dict[int, bool], dict[int, bool]] | None:
+        """``(inputs, next_state)`` of a simulated witness, or None."""
+        netlist, next_functions = self.netlist, self.next_functions
+        words = _pattern_words(netlist, state, seed)
+        values = simulate(
+            netlist.aig, words, [*next_functions.values(), self.constraint], 1
+        )
+        successor = dict(words)
+        for node, edge in next_functions.items():
+            successor[node] = values[edge]
+        layers = simulate(netlist.aig, successor, self.layers, 1)
+        hits = values[self.constraint] & layers[self.layers[layer]]
+        if not hits:
+            return None
+        return (
+            _lowest_pattern(words, hits, netlist.input_nodes),
+            _lowest_pattern(successor, hits, next_functions),
+        )
+
+    def solve_into(
+        self, state: dict[int, bool], layer: int
+    ) -> tuple[dict[int, bool], dict[int, bool]]:
+        """``(inputs, next_state)`` from the state-cofactored SAT query."""
+        netlist, aig = self.netlist, self.netlist.aig
+        *successor, constraint = _cofactor(
+            netlist, [*self.next_functions.values(), self.constraint], state
+        )
+        shifted = compose(
+            aig, self.layers[layer], dict(zip(self.next_functions, successor))
+        )
+        if self.mapper is None:
+            self.mapper = CnfMapper(aig, Solver())
+        mapper = self.mapper
+        lit = mapper.lit_for(aig.and_(shifted, constraint))
+        if mapper.solver.solve([lit]) is not SolveResult.SAT:
+            raise ModelCheckingError(
+                "state claimed to be in the pre-image has no successor in the "
+                "target set (engine bug)"
+            )
+        inputs = _model_inputs(netlist, mapper)
+        return inputs, netlist.simulate_step(state, inputs)
 
 
 def find_violation_inputs(
     netlist: Netlist,
     state: dict[int, bool],
     mapper: CnfMapper | None = None,
+    stats: StatsBag | None = None,
 ) -> dict[int, bool] | None:
     """Inputs making the property fail *in* ``state`` (None if impossible).
 
     Needed when the property reads primary inputs: a state can only be
     called bad together with an input vector witnessing the violation.
-    The query is posed on ``mapper`` (over ``netlist.aig``) if given, else
-    on a fresh one.
+    Simulation (seed 0) tries first; on a miss the state-cofactored
+    ``NOT P AND C`` is posed on ``mapper`` (over ``netlist.aig``) if
+    given, else on a fresh one.  ``stats`` counts the two outcomes as
+    ``violation_sim_checks`` and ``violation_sat_checks``.
     """
     aig = netlist.aig
+    prop, constraint = netlist.property_edge, netlist.constraint_edge()
+    words = _pattern_words(netlist, state, 0)
+    values = simulate(aig, words, [prop, constraint], 1)
+    hits = (values[prop] ^ _MASK) & values[constraint]
+    if hits:
+        if stats is not None:
+            stats.incr("violation_sim_checks")
+        return _lowest_pattern(words, hits, netlist.input_nodes)
+    if stats is not None:
+        stats.incr("violation_sat_checks")
+    query = aig.and_(*_cofactor(netlist, [prop ^ 1, constraint], state))
+    if query == FALSE:
+        return None
     if mapper is None:
         mapper = CnfMapper(aig, Solver())
-    lit = mapper.lit_for(
-        aig.and_(netlist.property_edge ^ 1, netlist.constraint_edge())
-    )
-    assumptions = _state_assumptions(mapper, lit, state)
-    if mapper.solver.solve(assumptions) is not SolveResult.SAT:
+    if mapper.solver.solve([mapper.lit_for(query)]) is not SolveResult.SAT:
         return None
-    model = mapper.model_inputs()
-    return {node: model.get(node, False) for node in netlist.input_nodes}
+    return _model_inputs(netlist, mapper)
 
 
 def concretize_suffix(
@@ -92,25 +183,33 @@ def concretize_suffix(
     state: dict[int, bool],
     targets: list[int],
     mapper: CnfMapper | None = None,
+    stats: StatsBag | None = None,
 ) -> tuple[list[dict[int, bool]], list[dict[int, bool]]]:
     """Walk a state through the distance layers down to the bad states.
 
     ``targets[0]`` is the bad-state set and ``targets[j]`` its j-step
     pre-image; ``state`` must satisfy ``targets[-1]``.  Returns the suffix
-    ``(states, inputs)`` excluding the given state itself.  Every step is
-    posed on ``mapper`` (over ``netlist.aig``), by default one fresh
-    mapper for the whole walk.
+    ``(states, inputs)`` excluding the given state itself.  Step ``k``
+    simulates with seed ``k``; a step that simulation misses is posed on
+    ``mapper`` (over ``netlist.aig``), by default one fresh mapper for
+    the whole walk.  ``stats`` counts the steps that simulation answered
+    as ``trace_sim_steps`` and those that fell back to SAT as
+    ``trace_sat_steps``.
     """
-    if mapper is None:
-        mapper = CnfMapper(netlist.aig, Solver())
+    walk = _Walk(netlist, targets[:-1], mapper)
     states: list[dict[int, bool]] = []
     inputs: list[dict[int, bool]] = []
     current = dict(state)
-    for layer in range(len(targets) - 2, -1, -1):
-        step_inputs, current = step_into(
-            netlist, current, targets[layer], mapper
-        )
+    solved = 0
+    for step, layer in enumerate(range(len(targets) - 2, -1, -1)):
+        found = walk.simulate_into(current, layer, step)
+        if found is None:
+            solved += 1
+            found = walk.solve_into(current, layer)
+        step_inputs, current = found
         inputs.append(step_inputs)
-        states.append(dict(current))
+        states.append(current)
+    if stats is not None:
+        stats.incr("trace_sim_steps", len(inputs) - solved)
+        stats.incr("trace_sat_steps", solved)
     return states, inputs
-

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aig.simulate import eval_edge
 from repro.circuits.netlist import Netlist
+from repro.mc.bmc import bmc
 from repro.mc.engine import verify
 from repro.mc.result import Status
 
@@ -121,6 +122,18 @@ class TestCrossEngine:
         else:
             assert result.status is Status.FAILED
             assert result.trace.depth == depth
+            assert result.trace.validate(random_netlist(seed)), seed
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_folded_bmc_traces_replay(self, seed):
+        # Two pre-image folds: the last steps of every trace come from
+        # the counterexample walk, not from the unrolling.
+        safe, depth = explicit_state_check(random_netlist(seed))
+        result = bmc(random_netlist(seed), max_depth=20, preimage_folds=2)
+        if not safe:
+            assert result.status is Status.FAILED
+            assert result.trace.depth == depth
+            assert result.trace.validate(random_netlist(seed)), seed
 
     @pytest.mark.parametrize("seed", range(10))
     def test_induction_is_sound(self, seed):
@@ -132,6 +145,7 @@ class TestCrossEngine:
             assert safe, f"induction proved an unsafe design (seed {seed})"
         if result.status is Status.FAILED:
             assert not safe
+            assert result.trace.validate(random_netlist(100 + seed)), seed
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=1000, max_value=99_999))
