@@ -145,19 +145,19 @@ def extract_trace(
     pure state sets (frame inputs are unconstrained by the query, so the
     violation witness must be recomputed), whereas the raw ``NOT P``
     target constrains the final frame's own inputs.  ``stats`` receives
-    the walk's and the violation query's counts.
+    the fold walk's step counts.
     """
     states = [unroller.read_state(k) for k in range(depth + 1)]
     inputs = [unroller.read_inputs(k) for k in range(depth)]
-    # states[-1] satisfies pre^j(bad); walk it down to bad itself (no
-    # step at all when unfolded, j = 0).
-    suffix_states, suffix_inputs = concretize_suffix(
-        netlist, states[-1], targets, stats=stats
-    )
-    states.extend(suffix_states)
-    inputs.extend(suffix_inputs)
+    if len(targets) > 1:
+        # states[-1] satisfies pre^j(bad); walk it down to bad itself.
+        suffix_states, suffix_inputs = concretize_suffix(
+            netlist, states[-1], targets, stats=stats
+        )
+        states.extend(suffix_states)
+        inputs.extend(suffix_inputs)
     if folded:
-        violation = find_violation_inputs(netlist, states[-1], stats=stats)
+        violation = find_violation_inputs(netlist, states[-1])
     else:
         # The violation lives in the last unrolled frame; its inputs are
         # the frame's own input assignment.

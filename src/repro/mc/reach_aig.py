@@ -183,7 +183,7 @@ class AigTraversal:
     ) -> VerificationResult:
         """The FAILED result of a concrete path ending in a bad state."""
         violation = find_violation_inputs(
-            self.model, states[-1], mapper=self._mapper(), stats=self.stats
+            self.model, states[-1], mapper=self._mapper()
         )
         trace = Trace(
             states=[self._map_assignment(s) for s in states],

@@ -16,15 +16,15 @@ exactly the formula above, so a hit is an exact membership test, not a
 guess, and the walk takes the lowest one.  Seeds come from the step
 index, so a walk repeats exactly.
 
-Only on a miss does SAT decide, over the state-cofactored query: the
-next-state functions and the constraints are composed with ``s``'s
-constants, so structural hashing propagates them, and the target layer
-is composed through the result.  The query covers the input cone only
-and needs no state assumptions.  It is posed on the
-:class:`~repro.aig.cnf.CnfMapper` the caller hands in (a traversal's
-epoch mapper), or on one fresh mapper for the whole walk, made on the
-first miss.  The violation inputs of the final state (``NOT P AND C``)
-are found in the same order.
+Only on a miss does SAT decide: the target layer is in-lined through the
+next-state functions and posed with the state pinned by assumptions on
+one incremental solver.  That query is the same for every state, and the
+distance layers share their cones, so a walk encodes each node once: a
+traversal hands in the :class:`~repro.aig.cnf.CnfMapper` of its epoch
+(which has most of the layers encoded already), and other callers get
+one fresh mapper for the whole walk, made on the first miss.  The
+violation inputs of the final state (``NOT P AND C``) are found in the
+same order.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ import random
 from typing import Mapping
 
 from repro.aig.cnf import CnfMapper
-from repro.aig.graph import FALSE, TRUE
-from repro.aig.ops import compose
 from repro.aig.simulate import simulate, word_mask
 from repro.circuits.netlist import Netlist
+from repro.core.substitution import preimage_by_substitution
 from repro.errors import ModelCheckingError
 from repro.sat.solver import SolveResult, Solver
 from repro.util.stats import StatsBag
@@ -65,13 +64,15 @@ def _lowest_pattern(
     return {node: bool(words[node] >> bit & 1) for node in nodes}
 
 
-def _cofactor(
-    netlist: Netlist, edges: list[int], state: Mapping[int, bool]
+def _state_assumptions(
+    mapper: CnfMapper, lit: int, state: dict[int, bool]
 ) -> list[int]:
-    """``edges`` with every state variable fixed to its value in ``state``."""
-    constants = {node: TRUE if value else FALSE for node, value in state.items()}
-    cache: dict[int, int] = {}
-    return [compose(netlist.aig, edge, constants, cache) for edge in edges]
+    """``lit`` plus one assumption pinning each state variable."""
+    assumptions = [lit]
+    for node, value in state.items():
+        input_lit = mapper.input_literal(node)
+        assumptions.append(input_lit if value else -input_lit)
+    return assumptions
 
 
 def _model_inputs(netlist: Netlist, mapper: CnfMapper) -> dict[int, bool]:
@@ -79,83 +80,70 @@ def _model_inputs(netlist: Netlist, mapper: CnfMapper) -> dict[int, bool]:
     return {node: model.get(node, False) for node in netlist.input_nodes}
 
 
-class _Walk:
-    """One counterexample walk: what its steps share.
+def simulate_into(
+    netlist: Netlist, state: dict[int, bool], target_edge: int, seed: int
+) -> tuple[dict[int, bool], dict[int, bool]] | None:
+    """``(inputs, next_state)`` of a simulated step into ``target_edge``.
 
-    The second simulation pass of every step runs on one plan over all
-    the walk's layers: a backward layer's cone holds the reached set and
-    so every layer below it, and one plan over their union costs less
-    than building a plan per layer.
+    Tries the 64 input patterns drawn from ``random.Random(seed)``;
+    returns None when none of them reaches the target under the
+    constraints.
     """
+    aig, next_functions = netlist.aig, netlist.next_functions()
+    constraint = netlist.constraint_edge()
+    words = _pattern_words(netlist, state, seed)
+    values = simulate(aig, words, [*next_functions.values(), constraint], 1)
+    successor = dict(words)
+    for node, edge in next_functions.items():
+        successor[node] = values[edge]
+    target = simulate(aig, successor, [target_edge], 1)[target_edge]
+    hits = values[constraint] & target
+    if not hits:
+        return None
+    return (
+        _lowest_pattern(words, hits, netlist.input_nodes),
+        _lowest_pattern(successor, hits, next_functions),
+    )
 
-    def __init__(
-        self, netlist: Netlist, layers: list[int], mapper: CnfMapper | None
-    ) -> None:
-        self.netlist = netlist
-        self.layers = layers
-        self.next_functions = netlist.next_functions()
-        self.constraint = netlist.constraint_edge()
-        self.mapper = mapper
 
-    def simulate_into(
-        self, state: dict[int, bool], layer: int, seed: int
-    ) -> tuple[dict[int, bool], dict[int, bool]] | None:
-        """``(inputs, next_state)`` of a simulated witness, or None."""
-        netlist, next_functions = self.netlist, self.next_functions
-        words = _pattern_words(netlist, state, seed)
-        values = simulate(
-            netlist.aig, words, [*next_functions.values(), self.constraint], 1
-        )
-        successor = dict(words)
-        for node, edge in next_functions.items():
-            successor[node] = values[edge]
-        layers = simulate(netlist.aig, successor, self.layers, 1)
-        hits = values[self.constraint] & layers[self.layers[layer]]
-        if not hits:
-            return None
-        return (
-            _lowest_pattern(words, hits, netlist.input_nodes),
-            _lowest_pattern(successor, hits, next_functions),
-        )
+def step_into(
+    netlist: Netlist,
+    state: dict[int, bool],
+    target_edge: int,
+    mapper: CnfMapper,
+) -> tuple[dict[int, bool], dict[int, bool]]:
+    """Find inputs taking ``state`` into ``target_edge`` in one step by SAT.
 
-    def solve_into(
-        self, state: dict[int, bool], layer: int
-    ) -> tuple[dict[int, bool], dict[int, bool]]:
-        """``(inputs, next_state)`` from the state-cofactored SAT query."""
-        netlist, aig = self.netlist, self.netlist.aig
-        *successor, constraint = _cofactor(
-            netlist, [*self.next_functions.values(), self.constraint], state
+    Returns ``(inputs, next_state)``.  Raises if no such input exists —
+    callers only invoke this when membership in the pre-image is known.
+    The query is posed on ``mapper``, which must be over ``netlist.aig``.
+    """
+    aig = netlist.aig
+    # target(delta(s, i)) with s fixed must be satisfiable over i, under
+    # the environment constraints.
+    shifted = preimage_by_substitution(aig, target_edge, netlist.next_functions())
+    shifted = aig.and_(shifted, netlist.constraint_edge())
+    assumptions = _state_assumptions(mapper, mapper.lit_for(shifted), state)
+    if mapper.solver.solve(assumptions) is not SolveResult.SAT:
+        raise ModelCheckingError(
+            "state claimed to be in the pre-image has no successor in the "
+            "target set (engine bug)"
         )
-        shifted = compose(
-            aig, self.layers[layer], dict(zip(self.next_functions, successor))
-        )
-        if self.mapper is None:
-            self.mapper = CnfMapper(aig, Solver())
-        mapper = self.mapper
-        lit = mapper.lit_for(aig.and_(shifted, constraint))
-        if mapper.solver.solve([lit]) is not SolveResult.SAT:
-            raise ModelCheckingError(
-                "state claimed to be in the pre-image has no successor in the "
-                "target set (engine bug)"
-            )
-        inputs = _model_inputs(netlist, mapper)
-        return inputs, netlist.simulate_step(state, inputs)
+    inputs = _model_inputs(netlist, mapper)
+    return inputs, netlist.simulate_step(state, inputs)
 
 
 def find_violation_inputs(
     netlist: Netlist,
     state: dict[int, bool],
     mapper: CnfMapper | None = None,
-    stats: StatsBag | None = None,
 ) -> dict[int, bool] | None:
     """Inputs making the property fail *in* ``state`` (None if impossible).
 
     Needed when the property reads primary inputs: a state can only be
     called bad together with an input vector witnessing the violation.
-    Simulation (seed 0) tries first; on a miss the state-cofactored
-    ``NOT P AND C`` is posed on ``mapper`` (over ``netlist.aig``) if
-    given, else on a fresh one.  ``stats`` counts the two outcomes as
-    ``violation_sim_checks`` and ``violation_sat_checks``.
+    Simulation (seed 0) tries first; on a miss the query is posed on
+    ``mapper`` (over ``netlist.aig``) if given, else on a fresh one.
     """
     aig = netlist.aig
     prop, constraint = netlist.property_edge, netlist.constraint_edge()
@@ -163,17 +151,12 @@ def find_violation_inputs(
     values = simulate(aig, words, [prop, constraint], 1)
     hits = (values[prop] ^ _MASK) & values[constraint]
     if hits:
-        if stats is not None:
-            stats.incr("violation_sim_checks")
         return _lowest_pattern(words, hits, netlist.input_nodes)
-    if stats is not None:
-        stats.incr("violation_sat_checks")
-    query = aig.and_(*_cofactor(netlist, [prop ^ 1, constraint], state))
-    if query == FALSE:
-        return None
     if mapper is None:
         mapper = CnfMapper(aig, Solver())
-    if mapper.solver.solve([mapper.lit_for(query)]) is not SolveResult.SAT:
+    lit = mapper.lit_for(aig.and_(prop ^ 1, constraint))
+    assumptions = _state_assumptions(mapper, lit, state)
+    if mapper.solver.solve(assumptions) is not SolveResult.SAT:
         return None
     return _model_inputs(netlist, mapper)
 
@@ -196,16 +179,17 @@ def concretize_suffix(
     as ``trace_sim_steps`` and those that fell back to SAT as
     ``trace_sat_steps``.
     """
-    walk = _Walk(netlist, targets[:-1], mapper)
     states: list[dict[int, bool]] = []
     inputs: list[dict[int, bool]] = []
     current = dict(state)
     solved = 0
     for step, layer in enumerate(range(len(targets) - 2, -1, -1)):
-        found = walk.simulate_into(current, layer, step)
+        found = simulate_into(netlist, current, targets[layer], step)
         if found is None:
+            if mapper is None:
+                mapper = CnfMapper(netlist.aig, Solver())
             solved += 1
-            found = walk.solve_into(current, layer)
+            found = step_into(netlist, current, targets[layer], mapper)
         step_inputs, current = found
         inputs.append(step_inputs)
         states.append(current)
