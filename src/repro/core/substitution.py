@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.aig.graph import Aig
-from repro.aig.ops import and_all, compose, support, xnor
+from repro.aig.ops import and_all, compose, xnor
 from repro.errors import AigError
 
 
@@ -35,13 +35,10 @@ def preimage_by_substitution(
     ``next_state_functions`` maps each state-variable input node of the
     state set to its next-state function edge (over current-state and
     primary-input variables).  Variables of the state set missing from the
-    map are left untouched.
+    map are left untouched, and entries outside its cone are never read:
+    the rebuild visits the cone only.
     """
-    present = support(aig, state_set)
-    substitution = {
-        node: fn for node, fn in next_state_functions.items() if node in present
-    }
-    return compose(aig, state_set, substitution)
+    return compose(aig, state_set, next_state_functions)
 
 
 def preimage_relational(

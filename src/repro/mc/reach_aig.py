@@ -79,12 +79,25 @@ class AigTraversal:
     :class:`~repro.aig.cnf.CnfMapper` bound to the working manager, the
     paper's "load the clause database once and for-all".  Successive
     state sets share most of their cone (``reached`` recurs in every
-    frontier), so each node is encoded at most once per *epoch*: the
-    span between two compactions.  A compaction replaces the manager
-    and so starts a new epoch with a new solver; an engine that never
-    compacts keeps one solver for the whole run.  ``check_solvers`` and
+    emptiness test), so each node is encoded at most once per *epoch*:
+    the span between two compactions.  A compaction replaces the
+    manager and so starts a new epoch with a new solver; an engine that
+    never compacts keeps one solver for the whole run.  ``check_solvers`` and
     ``check_cnf_nodes`` in the stats count the solvers and the nodes
     they encoded.
+
+    The traversal stops "as soon as no newly reached states are found",
+    a test on ``image ∧ ¬reached`` only.  The set handed to the next
+    image may be any F with ``image ∧ ¬reached ⊆ F ⊆ image ∨ reached``;
+    :meth:`_next_frontier` takes ``image ∧ ¬previous``, ``previous`` being
+    the last iteration's raw image (the bad or initial states at first).
+    Every earlier image lies in ``reached``, so ``image ∧ ¬reached ⊆ F
+    ⊆ image``: the reached sets, iterations and verdicts are those of
+    the exact frontier, and each stored layer or ring still lies in the
+    image of the one before, so traces keep their length.  What changes
+    is the circuit: F no longer in-lines the whole ``reached`` cone into
+    every image, check and frontier stat.  ``image ∧ ¬reached`` survives
+    only as the emptiness test.
 
     Subclasses set ``direction`` and ``engine`` and define
     ``_new_images`` and ``run`` (on the subclass itself:
@@ -147,14 +160,23 @@ class AigTraversal:
             node: model.get(node, False) for node in self.model.latch_nodes
         }
 
-    def _record_frontier(
-        self, iteration: int, frontier: int, reached: int
-    ) -> None:
-        aig = self.model.aig
-        size = cone_size(aig, frontier)
+    def _record_frontier(self, iteration: int, frontier: int) -> None:
+        """``frontier_size_N`` and ``peak_frontier_size``: AND-node cone
+        sizes of the frontier handed to the next image."""
+        size = cone_size(self.model.aig, frontier)
         self.stats.set(f"frontier_size_{iteration}", size)
         self.stats.max("peak_frontier_size", size)
-        self.stats.max("peak_reached_size", cone_size(aig, reached))
+
+    def _next_frontier(
+        self, iteration: int, image: int, previous: int, reached: int
+    ) -> int | None:
+        """The frontier ``image ∧ ¬previous``, or None at the fix point."""
+        aig = self.model.aig
+        frontier = aig.and_(image, edge_not(previous))
+        self._record_frontier(iteration, frontier)
+        if self._satisfiable_state(aig.and_(image, edge_not(reached))) is None:
+            return None   # no newly reached states
+        return frontier
 
     def _check_budget(self) -> None:
         limit = self.options.max_manager_nodes
@@ -233,7 +255,6 @@ class BackwardReachability(AigTraversal):
 
     def run(self) -> VerificationResult:
         options = self.options
-        aig = self.model.aig
         # The bad *states*: inputs of an input-dependent property are
         # existentially quantified away so every layer is a pure state set.
         # The violating step must itself satisfy the constraints.
@@ -241,38 +262,38 @@ class BackwardReachability(AigTraversal):
         self.stats.merge(image.stats)
         bad = image.edge
         init = self.model.init_state_edge()
-        # Distance layers for trace reconstruction: layers[k] = states at
-        # backward distance k from the violation.
+        # Layers for trace reconstruction: layers[k] holds every state at
+        # backward distance k from the violation, perhaps some nearer
+        # ones too, and lies in the pre-image of layers[k-1].
         layers: list[int] = [bad]
         reached = bad
-        frontier = bad
+        previous = bad
         init_hit = self._check_init(init, bad)
         if init_hit is not None:
             return self._counterexample(init_hit, layers, iterations=0)
         iteration = 0
         while iteration < options.max_iterations:
             iteration += 1
-            image = self.images.preimage(frontier)
+            image = self.images.preimage(layers[-1])
             self.stats.merge(image.stats)
-            new_frontier = aig.and_(image.edge, edge_not(reached))
-            self._record_frontier(iteration, new_frontier, reached)
-            if self._satisfiable_state(new_frontier) is None:
-                # Fix-point: no newly reached states.
+            frontier = self._next_frontier(
+                iteration, image.edge, previous, reached
+            )
+            if frontier is None:
                 return self._result(Status.PROVED, iteration)
-            layers.append(new_frontier)
-            reached = or_(aig, reached, new_frontier)
-            frontier = new_frontier
-            init_hit = self._check_init(init, new_frontier)
+            layers.append(frontier)
+            reached = or_(self.model.aig, reached, image.edge)
+            previous = image.edge
+            init_hit = self._check_init(init, frontier)
             if init_hit is not None:
                 return self._counterexample(init_hit, layers, iterations=iteration)
             if (
                 options.compact_every
                 and iteration % options.compact_every == 0
             ):
-                layers, reached, frontier, init, bad = self._compact(
-                    layers, reached, frontier, init, bad
+                layers, reached, previous, init, bad = self._compact(
+                    layers, reached, previous, init, bad
                 )
-                aig = self.model.aig   # compaction swapped the working copy
             self._check_budget()
         return self._result(Status.UNKNOWN, options.max_iterations)
 
@@ -299,7 +320,7 @@ class BackwardReachability(AigTraversal):
         self,
         layers: list[int],
         reached: int,
-        frontier: int,
+        previous: int,
         init: int,
         bad: int,
     ) -> tuple[list[int], int, int, int, int]:
@@ -311,7 +332,7 @@ class BackwardReachability(AigTraversal):
         """
         self._end_epoch()
         before = self.model.aig.num_nodes
-        extras = list(layers) + [reached, frontier, init, bad]
+        extras = list(layers) + [reached, previous, init, bad]
         if self.options.fraig_compaction:
             from repro.sweep.fraig import fraig_in_place
 

@@ -117,25 +117,29 @@ class ForwardReachability(AigTraversal):
         options = self.options
         aig = self.model.aig
         init = self.model.init_state_edge()
+        # Onion rings: rings[k] holds every state first reached at step k,
+        # perhaps some earlier ones too, and lies in the post-image of
+        # rings[k-1].
         rings: list[int] = [init]
         reached = init
-        frontier = init
-        violating = self._violating_state(frontier)
+        previous = init
+        violating = self._violating_state(init)
         if violating is not None:
             return self._counterexample(violating, rings)
         iteration = 0
         while iteration < options.max_iterations:
             iteration += 1
-            image = self.images.postimage(frontier)
+            image = self.images.postimage(rings[-1])
             self.stats.merge(image.stats)
-            new_frontier = aig.and_(image.edge, edge_not(reached))
-            self._record_frontier(iteration, new_frontier, reached)
-            if self._satisfiable_state(new_frontier) is None:
+            frontier = self._next_frontier(
+                iteration, image.edge, previous, reached
+            )
+            if frontier is None:
                 return self._result(Status.PROVED, iteration)
-            rings.append(new_frontier)
-            reached = or_(aig, reached, new_frontier)
-            frontier = new_frontier
-            violating = self._violating_state(new_frontier)
+            rings.append(frontier)
+            reached = or_(aig, reached, image.edge)
+            previous = image.edge
+            violating = self._violating_state(frontier)
             if violating is not None:
                 return self._counterexample(violating, rings)
             self._check_budget()

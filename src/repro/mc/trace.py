@@ -170,14 +170,15 @@ def concretize_suffix(
 ) -> tuple[list[dict[int, bool]], list[dict[int, bool]]]:
     """Walk a state through the distance layers down to the bad states.
 
-    ``targets[0]`` is the bad-state set and ``targets[j]`` its j-step
-    pre-image; ``state`` must satisfy ``targets[-1]``.  Returns the suffix
-    ``(states, inputs)`` excluding the given state itself.  Step ``k``
-    simulates with seed ``k``; a step that simulation misses is posed on
-    ``mapper`` (over ``netlist.aig``), by default one fresh mapper for
-    the whole walk.  ``stats`` counts the steps that simulation answered
-    as ``trace_sim_steps`` and those that fell back to SAT as
-    ``trace_sat_steps``.
+    ``targets[0]`` is the bad-state set and each ``targets[j]`` lies in
+    the pre-image of ``targets[j-1]`` (a traversal layer, or the j-step
+    pre-image itself); ``state`` must satisfy ``targets[-1]``.  Returns
+    the suffix ``(states, inputs)`` excluding the given state itself.
+    Step ``k`` simulates with seed ``k``; a step that simulation misses
+    is posed on ``mapper`` (over ``netlist.aig``), by default one fresh
+    mapper for the whole walk.  ``stats`` counts the steps that
+    simulation answered as ``trace_sim_steps`` and those that fell back
+    to SAT as ``trace_sat_steps``.
     """
     states: list[dict[int, bool]] = []
     inputs: list[dict[int, bool]] = []

@@ -6,6 +6,7 @@ from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import and_all, cofactor, compose, or_, support, xor
 from repro.circuits import generators as G
 from repro.circuits.combinational import parity, random_logic
+from repro.core.images import ImageComputer
 from repro.core.partial import PartialQuantifier
 from repro.core.quantify import QuantifyOptions, quantify_exists
 from repro.core.substitution import (
@@ -118,6 +119,38 @@ class TestInlining:
         state_set = aig.and_(a, b)
         result = preimage_by_substitution(aig, state_set, {a >> 1: x})
         assert support(aig, result) == {b >> 1, x >> 1}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: G.bug_at_depth(12),
+            lambda: G.mod_counter(4, 12, with_enable=True),
+        ],
+        ids=["bug12", "mod_counter_en"],
+    )
+    def test_unfiltered_map_gives_identical_edges(self, build):
+        # The rebuild visits the state set's cone only, so the full
+        # next-state map gives the very edges a support-filtered one does
+        # and makes no node the filtered one would not.
+        net = build()
+        aig = net.aig
+        next_fns = net.next_functions()
+        images = ImageComputer(net)
+        frontier = reached = images.bad_states().edge
+        for _ in range(6):
+            for state_set in (frontier, reached):
+                present = support(aig, state_set)
+                filtered = {
+                    node: fn for node, fn in next_fns.items()
+                    if node in present
+                }
+                inlined = preimage_by_substitution(aig, state_set, next_fns)
+                nodes = aig.num_nodes
+                assert compose(aig, state_set, filtered) == inlined
+                assert aig.num_nodes == nodes
+            image = images.preimage(frontier).edge
+            frontier = aig.and_(image, edge_not(reached))
+            reached = or_(aig, reached, image)
 
     def test_relational_placeholder_validation(self):
         net = G.mod_counter(2, 3)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.simulate import eval_edge
+from repro.circuits import generators as G
 from repro.circuits.netlist import Netlist
 from repro.mc.bmc import bmc
 from repro.mc.engine import verify
@@ -159,3 +160,49 @@ class TestCrossEngine:
             # outside a query's cone take that solver's values.
             for result in (backward, forward):
                 assert result.trace.validate(random_netlist(seed)), seed
+
+
+# Each AIG traversal against the BDD engine of its direction.  The BDD
+# engines keep exact frontiers and share no traversal code, so a frontier
+# rule that changed the search would show here.
+SEARCH_ORACLES = {
+    "reach_aig": "reach_bdd",
+    "reach_aig_allsat": "reach_bdd",
+    "reach_aig_hybrid": "reach_bdd",
+    "reach_aig_fwd": "reach_bdd_fwd",
+}
+
+SEARCH_DESIGNS = {
+    "bug12": lambda: G.bug_at_depth(12),
+    "mod_counter_en": lambda: G.mod_counter(
+        4, 12, safe=False, with_enable=True
+    ),
+    "johnson8": lambda: G.johnson_counter(8),
+    "one_hot6": lambda: G.one_hot_fsm(6, safe=False),
+}
+
+
+def assert_search_matches_bdd(build) -> None:
+    """Same status, iterations and trace depth as the BDD reference."""
+
+    def search(engine: str) -> tuple:
+        result = verify(build(), method=engine)
+        depth = result.trace.depth if result.trace else None
+        return result.status, result.iterations, depth
+
+    references = {engine: search(engine) for engine in
+                  set(SEARCH_ORACLES.values())}
+    for engine, oracle in SEARCH_ORACLES.items():
+        assert search(engine) == references[oracle], (engine, oracle)
+
+
+class TestSearchOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_search_matches_bdd(self, seed):
+        assert_search_matches_bdd(
+            lambda: random_netlist(seed, num_latches=6, num_gates=18)
+        )
+
+    @pytest.mark.parametrize("name", SEARCH_DESIGNS)
+    def test_generator_search_matches_bdd(self, name):
+        assert_search_matches_bdd(SEARCH_DESIGNS[name])
