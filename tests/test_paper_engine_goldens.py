@@ -1,0 +1,124 @@
+"""Golden cost counters of the paper's engines on the perfbench designs.
+
+Wall time on shared machines is noisy; the engines' cost counters are
+not.  For every design of perfbench's ``bwd_quant`` (``reach_aig`` with
+input quantification), ``fwd_image`` (``reach_aig_fwd``) and
+``bwd_deep`` (``reach_aig`` without inputs) workloads, at seeds 1 and 2,
+these tests pin the verdict and the counters below.  They repeat exactly
+under any ``PYTHONHASHSEED``.
+
+A change that alters the search (merge order, candidate filtering,
+frontier choice, solver reuse, walk seeds) fails here and names the
+design, the seed and the counter that moved.  Update the goldens only
+for a deliberate change to the search, and say why in the change log.
+
+The designs come read-only from ``perfbench/workloads.py``, so these
+pins follow exactly what the benchmark runs.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench.workloads import MAX_DEPTH, WORKLOADS, build_netlists  # noqa: E402
+from repro.mc.engine import verify  # noqa: E402
+
+COUNTERS = (
+    "iterations",
+    "vars_quantified",
+    "sat_checks",
+    "bdd_merges",
+    "input_dc_checks",
+    "input_dc_replacements",
+    "growth_discarded",
+    "peak_frontier_size",
+    "check_cnf_nodes",
+    "check_solvers",
+    "solver_recycles",
+    "compactions",
+    "trace_sim_steps",
+    "trace_sat_steps",
+)
+
+# (workload, seed) -> one (design name, verdict, counters) row per design,
+# counters in COUNTERS order.
+GOLDENS = {
+    ("bwd_quant", 1): (
+        ("mod_counter_5_20", "FAILED",
+         (19, 19, 77, 235, 77, 84, 4, 132, 937, 5, 4, 4, 19, 0)),
+        ("arbiter_8", "PROVED",
+         (1, 8, 516, 0, 516, 452, 0, 80, 96, 1, 12, 0, 0, 0)),
+        ("onehot_10_buggy", "FAILED",
+         (1, 2, 377, 5, 372, 196, 0, 112, 130, 1, 4, 0, 1, 0)),
+    ),
+    ("bwd_quant", 2): (
+        ("mod_counter_5_20", "FAILED",
+         (19, 19, 77, 235, 77, 84, 4, 132, 937, 5, 4, 4, 19, 0)),
+        ("arbiter_8", "PROVED",
+         (1, 8, 531, 0, 531, 454, 0, 80, 96, 1, 12, 0, 0, 0)),
+        ("onehot_10_buggy", "FAILED",
+         (1, 2, 467, 7, 462, 193, 0, 112, 133, 1, 6, 0, 1, 0)),
+    ),
+    ("fwd_image", 1): (
+        ("fifo_level_4", "PROVED",
+         (15, 90, 182, 315, 176, 78, 0, 17, 114, 1, 25, 0, 0, 0)),
+        ("gray_counter_4", "PROVED",
+         (17, 136, 63, 14, 56, 0, 0, 15, 188, 1, 17, 0, 0, 0)),
+        ("mod_counter_5_20", "PROVED",
+         (20, 100, 63, 43, 61, 0, 0, 9, 135, 1, 15, 0, 0, 0)),
+    ),
+    ("fwd_image", 2): (
+        ("fifo_level_4", "PROVED",
+         (15, 90, 182, 315, 176, 78, 0, 17, 114, 1, 25, 0, 0, 0)),
+        ("gray_counter_4", "PROVED",
+         (17, 136, 78, 16, 67, 0, 0, 15, 192, 1, 20, 0, 0, 0)),
+        ("mod_counter_5_20", "PROVED",
+         (20, 100, 79, 43, 73, 0, 0, 9, 126, 1, 19, 0, 0, 0)),
+    ),
+    ("bwd_deep", 1): (
+        ("bug_at_depth_30", "FAILED",
+         (30, 0, 0, 0, 0, 0, 0, 1085, 5827, 8, 0, 7, 30, 0)),
+        ("mod_counter_5_30", "FAILED",
+         (29, 0, 0, 0, 0, 0, 0, 896, 5037, 8, 0, 7, 29, 0)),
+        ("johnson_14", "PROVED",
+         (18, 0, 0, 0, 0, 0, 0, 842, 5168, 5, 0, 4, 0, 0)),
+    ),
+    ("bwd_deep", 2): (
+        ("bug_at_depth_30", "FAILED",
+         (30, 0, 0, 0, 0, 0, 0, 1085, 5827, 8, 0, 7, 30, 0)),
+        ("mod_counter_5_30", "FAILED",
+         (29, 0, 0, 0, 0, 0, 0, 896, 5037, 8, 0, 7, 29, 0)),
+        ("johnson_14", "PROVED",
+         (18, 0, 0, 0, 0, 0, 0, 842, 5170, 5, 0, 4, 0, 0)),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "workload,seed", sorted(GOLDENS), ids=lambda v: str(v)
+)
+def test_cost_counters_match_goldens(workload, seed):
+    spec = WORKLOADS[workload]
+    netlists = build_netlists(spec, seed)
+    rows = GOLDENS[(workload, seed)]
+    assert [net.name for net in netlists] == [row[0] for row in rows]
+    diverged = []
+    for net, (name, verdict, expected) in zip(netlists, rows):
+        result = verify(net, method=spec.engine, max_depth=MAX_DEPTH)
+        where = f"{workload} seed {seed} {name}"
+        if result.status.name != verdict:
+            diverged.append(
+                f"{where}: verdict {result.status.name}, expected {verdict}"
+            )
+        for counter, golden in zip(COUNTERS, expected):
+            actual = result.stats.get(counter)
+            if actual != golden:
+                diverged.append(
+                    f"{where}: {counter} = {actual}, golden {golden}"
+                )
+    assert not diverged, "cost counters diverged:\n" + "\n".join(diverged)
