@@ -14,7 +14,7 @@ from repro.circuits.combinational import (
     equality_with_constant_slices,
     mux_of_variants,
 )
-from repro.core.merge import MergeOptions, merge_cofactors
+from repro.core.merge import merge_cofactors
 
 WORKLOADS = {
     "similar_variants_8": (
@@ -43,8 +43,7 @@ def test_t3_merge_order(benchmark, record_row, workload, order):
         cof0 = cofactor(aig, root, var, False)
         cof1 = cofactor(aig, root, var, True)
         _, _, stats = merge_cofactors(
-            aig, cof0, cof1,
-            MergeOptions(order=order, use_bdd_sweep=False),
+            aig, cof0, cof1, use_bdd_sweep=False, order=order
         )
         return stats
 

@@ -5,8 +5,7 @@ an AIG (Kuehlmann et al. [3]).  This package provides the graph itself with
 the semi-canonical structural hashing scheme the merge phase relies on
 (step 1 of Section 2.1), plus the algebra the quantification and traversal
 engines need: cofactoring, composition (for quantification by substitution),
-bit-parallel simulation, Tseitin CNF encoding, cut enumeration and
-truth-table-based rewriting.
+bit-parallel simulation and Tseitin CNF encoding.
 
 Edges ("literals") are plain ints: ``2*node + complement``.  The constant
 FALSE edge is 0 and TRUE is 1.  Managers are append-only; algorithms that

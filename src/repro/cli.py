@@ -318,7 +318,13 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
     print(f"size: {outcome.stats.get('initial_size'):.0f} -> "
           f"{outcome.size} AND nodes "
           f"(peak {outcome.stats.get('peak_size', 0):.0f})")
-    for key in ("sat_checks", "proved_equal", "dc_constants", "dc_merges"):
+    for key in (
+        "sat_checks",
+        "proved_equal",
+        "merge_sat_checks",
+        "input_dc_checks",
+        "input_dc_replacements",
+    ):
         if key in outcome.stats:
             print(f"{key}: {outcome.stats.get(key):.0f}")
     return 0

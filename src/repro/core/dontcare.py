@@ -3,17 +3,9 @@
 When representing ``f0 OR f1`` we never need ``f1`` to be right where
 ``f0`` is already 1: the *onset of f0 is an input don't-care set for f1*
 (and symmetrically).  A node ``n`` in f1's cone may be replaced by ``n'``
-whenever
-
-* input-DC rule:  ``NOT f0  ->  (n' == n)``   — checked as
-  ``UNSAT( NOT f0  AND  (n XOR n') )``, the paper's
-  "the transformed node is required to match the original one outside the
-  don't care set"; or
-* observability rule: the difference *is* inside the care set but is not
-  observable at the output — checked as
-  ``UNSAT( (f0 OR f1)  XOR  (f0 OR f1') )``, the paper's "additional
-  equivalence check", equivalently redundancy of the EXOR gate comparing
-  f1 and f1'.
+whenever the input-DC rule ``NOT f0  ->  (n' == n)`` holds, checked as
+``UNSAT( NOT f0  AND  (n XOR n') )``: the paper's "the transformed node
+is required to match the original one outside the don't care set".
 
 Candidate ``n'`` are constants (redundancy removal) and existing nodes
 modulo complementation (merge), pre-filtered by care-set simulation so the
@@ -27,7 +19,7 @@ again.
 from __future__ import annotations
 
 from repro.aig.graph import FALSE, TRUE, Aig
-from repro.aig.ops import or_, xor
+from repro.aig.ops import xor
 from repro.aig.simulate import simulate_nodes, word_mask
 from repro.sweep.satsweep import SatSweeper
 from repro.sweep.signatures import SignatureTable
@@ -64,26 +56,6 @@ class DontCareOracle:
         self.stats.incr("input_dc_checks")
         verdict = self.sweeper.check_constant(difference, False)
         return verdict
-
-    def valid_under_odc(
-        self,
-        f0: int,
-        f1_original: int,
-        f1_transformed: int,
-    ) -> bool | None:
-        """Observability rule: is ``f0 OR f1`` unchanged by the transform?
-
-        This is the redundancy check on the EXOR gate comparing the two
-        versions of the disjunction.
-        """
-        before = or_(self.aig, f0, f1_original)
-        after = or_(self.aig, f0, f1_transformed)
-        miter = xor(self.aig, before, after)
-        if miter == FALSE:
-            self.stats.incr("odc_trivial")
-            return True
-        self.stats.incr("odc_checks")
-        return self.sweeper.check_constant(miter, False)
 
 
 def care_set_candidates(

@@ -14,8 +14,6 @@ SAT stage supports both processing directions the paper compares:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.aig.graph import Aig
 from repro.errors import AigError
 from repro.sweep.bddsweep import bdd_sweep
@@ -23,50 +21,42 @@ from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
 
 
-@dataclass
-class MergeOptions:
-    """Configuration of the merge phase."""
-
-    use_bdd_sweep: bool = True
-    use_sat_merge: bool = True
-    order: str = "backward"          # "backward" | "forward"
-    bdd_node_limit: int = 2000
-    sat_conflict_budget: int = 3000
-    sim_words: int = 4
+# Node budget of the BDD sweeping stage; past it, sweeping gives up.
+BDD_NODE_LIMIT = 2000
 
 
 def merge_cofactors(
     aig: Aig,
     cof0: int,
     cof1: int,
-    options: MergeOptions | None = None,
+    use_bdd_sweep: bool = True,
+    use_sat_merge: bool = True,
+    order: str = "backward",
     sweeper: SatSweeper | None = None,
 ) -> tuple[int, int, StatsBag]:
-    """Run the merge phase on a cofactor pair; returns merged edges + stats."""
-    if options is None:
-        options = MergeOptions()
-    if options.order not in ("backward", "forward"):
-        raise AigError(f"unknown merge order: {options.order!r}")
+    """Run the merge phase on a cofactor pair; returns merged edges + stats.
+
+    ``order`` is the SAT stage's direction, ``"backward"`` or
+    ``"forward"``.  Without a ``sweeper`` the SAT stage makes its own.
+    """
+    if order not in ("backward", "forward"):
+        raise AigError(f"unknown merge order: {order!r}")
     stats = StatsBag()
-    if options.use_bdd_sweep:
+    if use_bdd_sweep:
         (cof0, cof1), _, bdd_stats = bdd_sweep(
-            aig, [cof0, cof1], node_limit=options.bdd_node_limit
+            aig, [cof0, cof1], node_limit=BDD_NODE_LIMIT
         )
         stats.merge(bdd_stats)
-    if options.use_sat_merge:
+    if use_sat_merge:
         if sweeper is None:
-            sweeper = SatSweeper(
-                aig,
-                conflict_budget=options.sat_conflict_budget,
-                sim_words=options.sim_words,
-            )
+            sweeper = SatSweeper(aig)
         before = sweeper.stats.as_dict()
-        if options.order == "backward":
+        if order == "backward":
             cof1, _ = sweeper.merge_pair_backward(cof0, cof1)
         else:
             (cof0, cof1), _ = sweeper.sweep([cof0, cof1])
         # The sweeper may be shared: report only what this call did.
         sweeper_stats = sweeper.stats.growth_since(before)
         stats.merge(sweeper_stats)
-        stats.set("merge_sat_checks", sweeper_stats.get("sat_checks"))
+        stats.incr("merge_sat_checks", sweeper_stats.get("sat_checks"))
     return cof0, cof1, stats

@@ -76,7 +76,7 @@ class PartialQuantifier:
         aig = self.aig
         stats = StatsBag()
         if self.sweeper is None and (
-            self.options.use_merge or self.options.use_optimize
+            self.options.sat_merge or self.options.optimize
         ):
             self.sweeper = SatSweeper(aig)
         current = edge

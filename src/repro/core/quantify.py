@@ -3,26 +3,28 @@
 ``exists x . f`` is computed as ``f|x=0 OR f|x=1``.  Unmitigated, each
 variable can double the circuit, so the engine interleaves
 
-* the **merge phase** — structural hashing, optional BDD sweeping,
-  SAT-based checks in forward or backward order (:mod:`repro.core.merge`);
-* the **optimization phase** — cofactor-vs-cofactor don't-care
-  simplification and optional rewriting (:mod:`repro.core.optimize`).
+* the **merge phase** — structural hashing (always: the AIG manager
+  hashes every node it builds), optional BDD sweeping, optional SAT-based
+  checks in backward or forward order (:mod:`repro.core.merge`);
+* the **optimization phase** — cofactor-vs-cofactor input don't-care
+  simplification (:mod:`repro.core.optimize`).
 
-``QuantifyOptions.preset`` builds the ablation ladder the benchmarks sweep:
-``"shannon"`` (nothing but hashing-free expansion), ``"hash"``, ``"bdd"``,
-``"sat"`` and ``"full"``.
+:class:`QuantifyOptions` holds the five settings of a run.
+``QuantifyOptions.preset`` builds the ablation ladder the benchmarks
+sweep: ``"shannon"`` and ``"hash"`` (the same configuration: Shannon
+expansion in a hashing manager), ``"bdd"``, ``"sat"`` and ``"full"``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.aig.analysis import cone_size
 from repro.aig.graph import Aig
 from repro.aig.ops import cofactor, or_, support
-from repro.core.merge import MergeOptions, merge_cofactors
-from repro.core.optimize import OptimizeOptions, optimize_disjunction
+from repro.core.merge import merge_cofactors
+from repro.core.optimize import optimize_disjunction
 from repro.core.schedule import get_scheduler
 from repro.errors import AigError
 from repro.sweep.satsweep import SatSweeper
@@ -33,10 +35,13 @@ from repro.util.stats import StatsBag
 class QuantifyOptions:
     """Configuration of one quantification run."""
 
-    merge: MergeOptions = field(default_factory=MergeOptions)
-    optimize: OptimizeOptions = field(default_factory=OptimizeOptions)
-    use_merge: bool = True
-    use_optimize: bool = True
+    # Merge phase: BDD sweeping, SAT merging and the SAT stage's order,
+    # "backward" or "forward" (see repro.core.merge).
+    bdd_sweep: bool = True
+    sat_merge: bool = True
+    merge_order: str = "backward"
+    # Optimization phase: input don't-care simplification.
+    optimize: bool = True
     # Variable-ordering heuristic; see repro.core.schedule for choices.
     schedule: str = "min_dependence"
 
@@ -46,28 +51,19 @@ class QuantifyOptions:
 
         - ``shannon``: bare Shannon expansion (cofactors still share the
           manager, so constant folding applies, but no merging effort);
-        - ``hash``: structural-hash merging only;
+        - ``hash``: structural-hash merging only.  The AIG manager always
+          hashes, so this is the same configuration as ``shannon``; both
+          names stay because the experiment tables use them;
         - ``bdd``: hash + BDD sweeping;
         - ``sat``: hash + SAT merging;
         - ``full``: hash + BDD + SAT merging + don't-care optimization.
         """
-        if name == "shannon":
-            return cls(use_merge=False, use_optimize=False)
-        if name == "hash":
-            return cls(
-                merge=MergeOptions(use_bdd_sweep=False, use_sat_merge=False),
-                use_optimize=False,
-            )
+        if name in ("shannon", "hash"):
+            return cls(bdd_sweep=False, sat_merge=False, optimize=False)
         if name == "bdd":
-            return cls(
-                merge=MergeOptions(use_bdd_sweep=True, use_sat_merge=False),
-                use_optimize=False,
-            )
+            return cls(sat_merge=False, optimize=False)
         if name == "sat":
-            return cls(
-                merge=MergeOptions(use_bdd_sweep=False, use_sat_merge=True),
-                use_optimize=False,
-            )
+            return cls(bdd_sweep=False, optimize=False)
         if name == "full":
             return cls()
         raise AigError(f"unknown quantification preset: {name!r}")
@@ -107,14 +103,19 @@ def quantify_exists_one(
         # Variable was not semantically in the support.
         stats.incr("independent_vars")
         return cof0
-    if options.use_merge:
-        cof0, cof1, merge_stats = merge_cofactors(
-            aig, cof0, cof1, options.merge, sweeper=sweeper
-        )
-        stats.merge(merge_stats)
-    if options.use_optimize:
+    cof0, cof1, merge_stats = merge_cofactors(
+        aig,
+        cof0,
+        cof1,
+        options.bdd_sweep,
+        options.sat_merge,
+        options.merge_order,
+        sweeper=sweeper,
+    )
+    stats.merge(merge_stats)
+    if options.optimize:
         result, opt_stats = optimize_disjunction(
-            aig, cof0, cof1, sweeper=sweeper, options=options.optimize
+            aig, cof0, cof1, sweeper=sweeper
         )
         stats.merge(opt_stats)
     else:
@@ -146,7 +147,7 @@ def quantify_exists(
         options = QuantifyOptions()
     stats = StatsBag()
     stats.set("initial_size", cone_size(aig, edge))
-    if sweeper is None and (options.use_merge or options.use_optimize):
+    if sweeper is None and (options.sat_merge or options.optimize):
         sweeper = SatSweeper(aig)
     scheduler = get_scheduler(options.schedule)
     remaining = [v for v in dict.fromkeys(variables)]

@@ -278,6 +278,18 @@ class TestQuantify:
         )
         assert code == 0
 
+    def test_quantify_prints_dont_care_checks(self, s27_bench, capsys):
+        code = main(
+            [
+                "quantify", s27_bench, "--output", "G17",
+                "--vars", "G0,G1", "--preset", "full",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "\ninput_dc_checks: " in out
+        assert "\nmerge_sat_checks: " in out
+
     def test_quantify_unknown_var(self, s27_bench, capsys):
         code = main(
             ["quantify", s27_bench, "--output", "G17", "--vars", "zz"]

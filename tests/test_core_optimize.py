@@ -6,7 +6,7 @@ from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import and_all, or_, xor
 from repro.aig.simulate import truth_table
 from repro.core.dontcare import DontCareOracle, care_set_candidates
-from repro.core.optimize import OptimizeOptions, optimize_disjunction
+from repro.core.optimize import optimize_disjunction
 from repro.sweep.satsweep import SatSweeper
 from repro.sweep.signatures import SignatureTable
 from tests.conftest import build_random_aig, edges_equivalent
@@ -33,18 +33,6 @@ class TestDontCareOracle:
         care = edge_not(self.a)
         assert self.oracle.valid_under_input_dc(care, self.b, self.b) is True
         assert self.oracle.stats.get("input_dc_trivial") == 1
-
-    def test_odc_accepts_unobservable_difference(self):
-        # f0 = a; f1 = a AND b.  Replacing f1 by FALSE changes f1 inside
-        # the care set (nowhere actually: a=1 -> f0 covers), output same.
-        f0 = self.a
-        f1 = self.aig.and_(self.a, self.b)
-        assert self.oracle.valid_under_odc(f0, f1, FALSE) is True
-
-    def test_odc_rejects_observable_difference(self):
-        f0 = self.aig.and_(self.a, self.b)
-        f1 = self.c
-        assert self.oracle.valid_under_odc(f0, f1, FALSE) is False
 
 
 class TestCandidates:
@@ -136,30 +124,6 @@ class TestOptimizeDisjunction:
         f1 = aig.and_(a, huge)
         optimized, stats = optimize_disjunction(aig, f0, f1)
         assert optimized == a
-
-    def test_odc_mode_runs(self):
-        aig, inputs, f = build_random_aig(4, 15, seed=700)
-        g = aig.and_(inputs[0], edge_not(inputs[1]))
-        reference = or_(aig, f, g)
-        optimized, stats = optimize_disjunction(
-            aig, f, g,
-            options=OptimizeOptions(use_odc=True),
-        )
-        assert edges_equivalent(
-            aig, optimized, reference, [e >> 1 for e in inputs]
-        )
-
-    def test_rewrite_mode_runs(self):
-        aig, inputs, f = build_random_aig(4, 15, seed=701)
-        g = aig.and_(inputs[2], inputs[3])
-        reference = or_(aig, f, g)
-        optimized, stats = optimize_disjunction(
-            aig, f, g,
-            options=OptimizeOptions(use_rewrite=True),
-        )
-        assert edges_equivalent(
-            aig, optimized, reference, [e >> 1 for e in inputs]
-        )
 
     def test_stats_sizes_reported(self):
         aig, inputs, f = build_random_aig(4, 15, seed=702)

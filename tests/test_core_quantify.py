@@ -4,6 +4,8 @@ Correctness oracle throughout: existential quantification computed on
 canonical BDDs must agree with every preset of the circuit-based engine.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from repro.aig.ops import and_all, or_, support, xor
 from repro.bdd.from_aig import aig_to_bdd
 from repro.bdd.manager import BddManager
 from repro.circuits.combinational import (
+    adder_sum_parity,
     comparator,
     equality_with_constant_slices,
     mux_tree,
@@ -19,7 +22,7 @@ from repro.circuits.combinational import (
     random_logic,
     ripple_adder,
 )
-from repro.core.merge import MergeOptions, merge_cofactors
+from repro.core.merge import merge_cofactors
 from repro.core.quantify import (
     QuantifyOptions,
     quantify_exists,
@@ -30,6 +33,24 @@ from repro.errors import AigError
 from tests.conftest import build_random_aig
 
 PRESETS = ("shannon", "hash", "bdd", "sat", "full")
+
+# The T1 ablation families: builder and number of quantified inputs.
+T1_FAMILIES = {
+    "comparator8": (lambda: comparator(8), 5),
+    "adder_parity6": (lambda: adder_sum_parity(6), 4),
+    "random_12x120": (lambda: random_logic(12, 120, seed=7), 5),
+    "slices_4x3": (lambda: equality_with_constant_slices(4, 3), 4),
+}
+
+
+def quantify_t1_family(family, preset):
+    build, num_vars = T1_FAMILIES[family]
+    aig, inputs, root = build()
+    variables = [e >> 1 for e in inputs[:num_vars]]
+    outcome = quantify_exists(
+        aig, root, variables, QuantifyOptions.preset(preset)
+    )
+    return aig, outcome
 
 
 def bdd_reference_exists(aig, root, input_edges, quantified_nodes):
@@ -188,9 +209,7 @@ class TestMergePhase:
         cof0 = cofactor(aig, root, var, False)
         cof1 = cofactor(aig, root, var, True)
         for order in ("backward", "forward"):
-            c0, c1, stats = merge_cofactors(
-                aig, cof0, cof1, MergeOptions(order=order)
-            )
+            c0, c1, stats = merge_cofactors(aig, cof0, cof1, order=order)
             from tests.conftest import edges_equivalent
 
             nodes = [e >> 1 for e in inputs]
@@ -201,7 +220,7 @@ class TestMergePhase:
         aig = Aig()
         a, b = aig.add_inputs(2)
         with pytest.raises(AigError):
-            merge_cofactors(aig, a, b, MergeOptions(order="sideways"))
+            merge_cofactors(aig, a, b, order="sideways")
 
     def test_backward_cheaper_on_similar_cofactors(self):
         # The T3 shape claim in miniature: similar cofactors need fewer
@@ -213,15 +232,40 @@ class TestMergePhase:
         cof0 = cofactor(aig, root, var, False)
         cof1 = cofactor(aig, root, var, True)
         _, _, backward_stats = merge_cofactors(
-            aig, cof0, cof1,
-            MergeOptions(order="backward", use_bdd_sweep=False),
+            aig, cof0, cof1, use_bdd_sweep=False, order="backward"
         )
         _, _, forward_stats = merge_cofactors(
-            aig, cof0, cof1,
-            MergeOptions(order="forward", use_bdd_sweep=False),
+            aig, cof0, cof1, use_bdd_sweep=False, order="forward"
         )
         assert backward_stats.get("merge_sat_checks") <= forward_stats.get(
             "merge_sat_checks"
+        )
+
+
+class TestPresets:
+    def test_five_settings(self):
+        assert [f.name for f in dataclasses.fields(QuantifyOptions)] == [
+            "bdd_sweep", "sat_merge", "merge_order", "optimize", "schedule"
+        ]
+
+    @pytest.mark.parametrize("family", list(T1_FAMILIES))
+    def test_shannon_and_hash_identical(self, family):
+        # The manager always hashes, so the two rungs are one program.
+        aig_s, shannon = quantify_t1_family(family, "shannon")
+        aig_h, hashed = quantify_t1_family(family, "hash")
+        assert shannon.edge == hashed.edge
+        assert aig_s.num_nodes == aig_h.num_nodes
+
+    @pytest.mark.parametrize(
+        "family", ["comparator8", "adder_parity6", "random_12x120"]
+    )
+    def test_merge_sat_checks_add_up(self, family):
+        # Under "sat" every SAT check is a merge check, and the per-merge
+        # counts must add up over the quantification, not keep the max.
+        _, outcome = quantify_t1_family(family, "sat")
+        assert outcome.stats.get("sat_checks") > 1
+        assert outcome.stats.get("merge_sat_checks") == outcome.stats.get(
+            "sat_checks"
         )
 
 

@@ -170,7 +170,7 @@ def test_sweep_solver_stays_right_sized(monkeypatch):
         "optimize_disjunction",
         operation(
             optimize_disjunction,
-            lambda aig, f0, f1, sweeper, options: (sweeper, [f0, f1]),
+            lambda aig, f0, f1, sweeper: (sweeper, [f0, f1]),
         ),
     )
     selectors: dict[Solver, int] = {}
