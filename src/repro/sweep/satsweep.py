@@ -268,6 +268,7 @@ class SatSweeper:
             if pair in visited_pairs or node_b in merge_map:
                 continue
             visited_pairs.add(pair)
+            self.stats.incr("backward_pairs")
             if node_a == node_b:
                 continue
             if node_b == 0 or aig.is_input(node_b):

@@ -43,6 +43,7 @@ COUNTERS = (
     "compactions",
     "trace_sim_steps",
     "trace_sat_steps",
+    "backward_pairs",
 )
 
 # (workload, seed) -> one (design name, verdict, counters) row per design,
@@ -50,51 +51,51 @@ COUNTERS = (
 GOLDENS = {
     ("bwd_quant", 1): (
         ("mod_counter_5_20", "FAILED",
-         (19, 19, 77, 235, 77, 84, 4, 132, 937, 5, 4, 4, 19, 0)),
+         (19, 19, 77, 235, 77, 84, 4, 132, 937, 5, 4, 4, 19, 0, 64494)),
         ("arbiter_8", "PROVED",
-         (1, 8, 516, 0, 516, 452, 0, 80, 96, 1, 12, 0, 0, 0)),
+         (1, 8, 516, 0, 516, 452, 0, 80, 96, 1, 12, 0, 0, 0, 7562)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 377, 5, 372, 196, 0, 112, 130, 1, 4, 0, 1, 0)),
+         (1, 2, 377, 5, 372, 196, 0, 112, 130, 1, 4, 0, 1, 0, 9411)),
     ),
     ("bwd_quant", 2): (
         ("mod_counter_5_20", "FAILED",
-         (19, 19, 77, 235, 77, 84, 4, 132, 937, 5, 4, 4, 19, 0)),
+         (19, 19, 77, 235, 77, 84, 4, 132, 937, 5, 4, 4, 19, 0, 64494)),
         ("arbiter_8", "PROVED",
-         (1, 8, 531, 0, 531, 454, 0, 80, 96, 1, 12, 0, 0, 0)),
+         (1, 8, 531, 0, 531, 454, 0, 80, 96, 1, 12, 0, 0, 0, 7562)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 467, 7, 462, 193, 0, 112, 133, 1, 6, 0, 1, 0)),
+         (1, 2, 467, 7, 462, 193, 0, 112, 133, 1, 6, 0, 1, 0, 9406)),
     ),
     ("fwd_image", 1): (
         ("fifo_level_4", "PROVED",
-         (15, 90, 182, 315, 176, 78, 0, 17, 114, 1, 25, 0, 0, 0)),
+         (15, 90, 182, 315, 176, 78, 0, 17, 114, 1, 25, 0, 0, 0, 18443)),
         ("gray_counter_4", "PROVED",
-         (17, 136, 63, 14, 56, 0, 0, 15, 188, 1, 17, 0, 0, 0)),
+         (17, 136, 63, 14, 56, 0, 0, 15, 188, 1, 17, 0, 0, 0, 136)),
         ("mod_counter_5_20", "PROVED",
-         (20, 100, 63, 43, 61, 0, 0, 9, 135, 1, 15, 0, 0, 0)),
+         (20, 100, 63, 43, 61, 0, 0, 9, 135, 1, 15, 0, 0, 0, 100)),
     ),
     ("fwd_image", 2): (
         ("fifo_level_4", "PROVED",
-         (15, 90, 182, 315, 176, 78, 0, 17, 114, 1, 25, 0, 0, 0)),
+         (15, 90, 182, 315, 176, 78, 0, 17, 114, 1, 25, 0, 0, 0, 18443)),
         ("gray_counter_4", "PROVED",
-         (17, 136, 78, 16, 67, 0, 0, 15, 192, 1, 20, 0, 0, 0)),
+         (17, 136, 78, 16, 67, 0, 0, 15, 192, 1, 20, 0, 0, 0, 136)),
         ("mod_counter_5_20", "PROVED",
-         (20, 100, 79, 43, 73, 0, 0, 9, 126, 1, 19, 0, 0, 0)),
+         (20, 100, 79, 43, 73, 0, 0, 9, 126, 1, 19, 0, 0, 0, 100)),
     ),
     ("bwd_deep", 1): (
         ("bug_at_depth_30", "FAILED",
-         (30, 0, 0, 0, 0, 0, 0, 1085, 5827, 8, 0, 7, 30, 0)),
+         (30, 0, 0, 0, 0, 0, 0, 1085, 5827, 8, 0, 7, 30, 0, 0)),
         ("mod_counter_5_30", "FAILED",
-         (29, 0, 0, 0, 0, 0, 0, 896, 5037, 8, 0, 7, 29, 0)),
+         (29, 0, 0, 0, 0, 0, 0, 896, 5037, 8, 0, 7, 29, 0, 0)),
         ("johnson_14", "PROVED",
-         (18, 0, 0, 0, 0, 0, 0, 842, 5168, 5, 0, 4, 0, 0)),
+         (18, 0, 0, 0, 0, 0, 0, 842, 5168, 5, 0, 4, 0, 0, 0)),
     ),
     ("bwd_deep", 2): (
         ("bug_at_depth_30", "FAILED",
-         (30, 0, 0, 0, 0, 0, 0, 1085, 5827, 8, 0, 7, 30, 0)),
+         (30, 0, 0, 0, 0, 0, 0, 1085, 5827, 8, 0, 7, 30, 0, 0)),
         ("mod_counter_5_30", "FAILED",
-         (29, 0, 0, 0, 0, 0, 0, 896, 5037, 8, 0, 7, 29, 0)),
+         (29, 0, 0, 0, 0, 0, 0, 896, 5037, 8, 0, 7, 29, 0, 0)),
         ("johnson_14", "PROVED",
-         (18, 0, 0, 0, 0, 0, 0, 842, 5170, 5, 0, 4, 0, 0)),
+         (18, 0, 0, 0, 0, 0, 0, 842, 5170, 5, 0, 4, 0, 0, 0)),
     ),
 }
 
