@@ -10,8 +10,12 @@ The algorithm per direction (simplify f1 under f0's onset):
    (random words plus every learned counterexample) and derive candidate
    transformations per node (constants and merges modulo complement)
    valid on all simulated *care* patterns;
-2. validate candidates with the input-DC SAT check, at most
-   ``MAX_INPUT_DC_CHECKS`` per direction; validated input-DC
+2. validate candidates with the input-DC SAT check, walking the cone
+   root-down over live nodes only: those the final rebuild reaches,
+   i.e. the root and the fanins of live nodes left unreplaced.  A
+   replaced node's sub-cone is never checked for its own sake, and the
+   ``MAX_INPUT_DC_CHECKS`` cap per direction counts live checks, so it
+   goes to the nodes nearest the root.  Validated input-DC
    replacements compose, so they are applied in one batch rebuild;
 3. keep the transformed disjunction only if it did not grow.
 """
@@ -49,11 +53,16 @@ def _simplify_against(
     )
     care_edge = edge_not(reference)
     replacements: dict[int, int] = {}
+    # Root-down over the nodes the rebuild will reach: a node is live
+    # until every path to it from the root passes a replaced node.
+    live = {target >> 1}
     checks = 0
-    for node in aig.cone([target]):
-        if node not in candidates or not aig.is_and(node):
+    for node in reversed(aig.cone([target])):
+        if checks >= MAX_INPUT_DC_CHECKS:
+            break
+        if node not in live or not aig.is_and(node):
             continue
-        for candidate in candidates[node]:
+        for candidate in candidates.get(node, ()):
             if checks >= MAX_INPUT_DC_CHECKS:
                 break
             checks += 1
@@ -61,6 +70,9 @@ def _simplify_against(
                 replacements[node] = candidate
                 stats.incr("input_dc_replacements")
                 break
+        if node not in replacements:
+            f0, f1 = aig.fanins(node)
+            live.update((f0 >> 1, f1 >> 1))
     if not replacements:
         return target
     return aig.rebuild(target, replacements)

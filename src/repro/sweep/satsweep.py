@@ -20,6 +20,11 @@ encoding pushes it past that bound, so no check of the operation solves on
 a bigger solver.  The rule follows from the cones alone; there is no
 threshold to tune.
 
+The backward merge walks cofactor pairs from the roots down and never
+enters a pair whose b-side node already lies in a's cone: that node and
+its whole cone are shared already, so no check there can add sharing.
+Its work is counted as ``backward_pairs``.
+
 Checks yield three verdicts: proven equal (UNSAT), proven different (SAT —
 the model becomes a new simulation pattern), or unknown (conflict budget
 exhausted; the pair is conservatively left unmerged).
@@ -250,13 +255,19 @@ class SatSweeper:
 
         Works down from the root pair: when a pair proves equivalent the
         descent stops there (the whole sub-cone merges at once); otherwise
-        the fanin pairs are tried.  Returns ``(new_b, merge_map)`` where
+        the fanin pairs are tried.  Pairs whose b-node already lies in a's
+        cone are skipped: that node is shared already, and so is its whole
+        cone, so merging there adds no sharing.  Every ancestor of a b-node
+        outside a's cone is outside it too, so the skip loses no pair the
+        descent would otherwise reach.  Each pair examined counts as
+        ``backward_pairs``.  Returns ``(new_b, merge_map)`` where
         ``merge_map`` maps nodes of b's cone to edges into a's cone.
         """
         aig = self.aig
         self.fit_solver([a, b])
         signatures = self.signature_table([a, b])
         signatures.freeze()
+        shared = set(aig.cone([a]))
         merge_map: dict[int, int] = {}
         visited_pairs: set[tuple[int, int]] = set()
         # Worklist of (node_of_a_cone_edge, node_of_b_cone_edge) pairs.
@@ -264,13 +275,13 @@ class SatSweeper:
         while worklist:
             edge_a, edge_b = worklist.pop()
             node_a, node_b = edge_a >> 1, edge_b >> 1
+            if node_b in shared or node_b in merge_map:
+                continue
             pair = (node_a, node_b)
-            if pair in visited_pairs or node_b in merge_map:
+            if pair in visited_pairs:
                 continue
             visited_pairs.add(pair)
             self.stats.incr("backward_pairs")
-            if node_a == node_b:
-                continue
             if node_b == 0 or aig.is_input(node_b):
                 continue  # only AND nodes of b's cone get merged
             sig_a = signatures.edge_signature(edge_a)

@@ -1,14 +1,20 @@
 """Tests for the don't-care optimization phase (Section 2.2)."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
-from repro.aig.ops import and_all, or_, xor
+from repro.aig.ops import and_all, cofactor, or_, or_all, xor
 from repro.aig.simulate import truth_table
+from repro.circuits.combinational import random_logic
+from repro.core import optimize
 from repro.core.dontcare import DontCareOracle, care_set_candidates
 from repro.core.optimize import optimize_disjunction
 from repro.sweep.satsweep import SatSweeper
 from repro.sweep.signatures import SignatureTable
+from repro.util.stats import StatsBag
 from tests.conftest import build_random_aig, edges_equivalent
 
 
@@ -130,3 +136,80 @@ class TestOptimizeDisjunction:
         g = aig.and_(inputs[0], inputs[1])
         _, stats = optimize_disjunction(aig, f, g)
         assert stats.get("size_before") >= stats.get("size_after")
+
+
+def _simplify_bottom_up(aig, reference, target):
+    """The don't-care walk without a cap: every node, inputs first."""
+    oracle = DontCareOracle(aig, SatSweeper(aig))
+    candidates = care_set_candidates(
+        aig,
+        reference,
+        target,
+        oracle.sweeper.signature_table([reference, target]),
+        max_merge_candidates=optimize.MAX_MERGE_CANDIDATES,
+    )
+    care_edge = edge_not(reference)
+    replacements = {}
+    for node in aig.cone([target]):
+        for candidate in candidates.get(node, ()):
+            if oracle.valid_under_input_dc(care_edge, 2 * node, candidate):
+                replacements[node] = candidate
+                break
+    return aig.rebuild(target, replacements)
+
+
+def _simplify_live(aig, reference, target):
+    oracle = DontCareOracle(aig, SatSweeper(aig))
+    stats = StatsBag()
+    edge = optimize._simplify_against(aig, reference, target, oracle, stats)
+    return edge, stats
+
+
+class TestLiveWalk:
+    """Don't-care checks go root-down over the nodes the rebuild reaches."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        num_inputs=st.integers(min_value=3, max_value=7),
+        num_gates=st.integers(min_value=5, max_value=40),
+        seed=st.integers(min_value=0, max_value=10_000),
+        var=st.integers(min_value=0, max_value=6),
+    )
+    def test_matches_uncapped_bottom_up_walk(
+        self, num_inputs, num_gates, seed, var
+    ):
+        aig, inputs, root = random_logic(num_inputs, num_gates, seed=seed)
+        var_node = inputs[var % num_inputs] >> 1
+        reference = cofactor(aig, root, var_node, False)
+        target = cofactor(aig, root, var_node, True)
+        expected = _simplify_bottom_up(aig, reference, target)
+        with mock.patch.object(optimize, "MAX_INPUT_DC_CHECKS", 10**9):
+            simplified, _ = _simplify_live(aig, reference, target)
+        assert len(aig.cone([simplified])) == len(aig.cone([expected]))
+        nodes = [e >> 1 for e in inputs]
+        care = ~truth_table(aig, reference, nodes)
+        differ = truth_table(aig, simplified, nodes) ^ truth_table(
+            aig, target, nodes
+        )
+        assert differ & care == 0
+
+    def test_root_replaced_when_the_cap_bites(self):
+        # Under care (x = 0) the root x AND (OR of x AND y_i) is FALSE, and
+        # so is every term below it: a bottom-up walk spends the whole cap
+        # on the terms and never reaches the root.
+        aig = Aig()
+        x = aig.add_input("x")
+        terms = [aig.and_(x, y) for y in aig.add_inputs(250)]
+        target = aig.and_(x, or_all(aig, terms))
+        candidates = care_set_candidates(
+            aig, x, target, SignatureTable(aig, [x, target])
+        )
+        below_root = sum(
+            len(entries)
+            for node, entries in candidates.items()
+            if node != target >> 1
+        )
+        assert below_root > optimize.MAX_INPUT_DC_CHECKS
+        simplified, stats = _simplify_live(aig, x, target)
+        assert simplified == FALSE
+        assert stats.get("input_dc_replacements") == 1

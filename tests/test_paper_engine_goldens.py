@@ -51,33 +51,33 @@ COUNTERS = (
 GOLDENS = {
     ("bwd_quant", 1): (
         ("mod_counter_5_20", "FAILED",
-         (19, 19, 77, 235, 77, 84, 4, 132, 937, 5, 4, 4, 19, 0, 64494)),
+         (19, 19, 30, 235, 30, 30, 4, 132, 937, 5, 2, 4, 19, 0, 1105)),
         ("arbiter_8", "PROVED",
-         (1, 8, 516, 0, 516, 452, 0, 80, 96, 1, 12, 0, 0, 0, 7562)),
+         (1, 8, 80, 0, 80, 41, 0, 80, 96, 1, 5, 0, 0, 0, 2272)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 377, 5, 372, 196, 0, 112, 130, 1, 4, 0, 1, 0, 9411)),
+         (1, 2, 19, 2, 13, 5, 0, 125, 143, 1, 1, 0, 1, 0, 1927)),
     ),
     ("bwd_quant", 2): (
         ("mod_counter_5_20", "FAILED",
-         (19, 19, 77, 235, 77, 84, 4, 132, 937, 5, 4, 4, 19, 0, 64494)),
+         (19, 19, 30, 235, 30, 30, 4, 132, 937, 5, 2, 4, 19, 0, 1105)),
         ("arbiter_8", "PROVED",
-         (1, 8, 531, 0, 531, 454, 0, 80, 96, 1, 12, 0, 0, 0, 7562)),
+         (1, 8, 61, 0, 61, 40, 0, 80, 96, 1, 5, 0, 0, 0, 2272)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 467, 7, 462, 193, 0, 112, 133, 1, 6, 0, 1, 0, 9406)),
+         (1, 2, 19, 2, 13, 5, 0, 125, 146, 1, 1, 0, 1, 0, 1927)),
     ),
     ("fwd_image", 1): (
         ("fifo_level_4", "PROVED",
-         (15, 90, 182, 315, 176, 78, 0, 17, 114, 1, 25, 0, 0, 0, 18443)),
+         (15, 90, 102, 315, 98, 22, 0, 17, 114, 1, 24, 0, 0, 0, 7073)),
         ("gray_counter_4", "PROVED",
          (17, 136, 63, 14, 56, 0, 0, 15, 188, 1, 17, 0, 0, 0, 136)),
         ("mod_counter_5_20", "PROVED",
-         (20, 100, 63, 43, 61, 0, 0, 9, 135, 1, 15, 0, 0, 0, 100)),
+         (20, 100, 64, 43, 61, 0, 0, 9, 135, 1, 15, 0, 0, 0, 100)),
     ),
     ("fwd_image", 2): (
         ("fifo_level_4", "PROVED",
-         (15, 90, 182, 315, 176, 78, 0, 17, 114, 1, 25, 0, 0, 0, 18443)),
+         (15, 90, 102, 315, 98, 22, 0, 17, 114, 1, 24, 0, 0, 0, 7073)),
         ("gray_counter_4", "PROVED",
-         (17, 136, 78, 16, 67, 0, 0, 15, 192, 1, 20, 0, 0, 0, 136)),
+         (17, 136, 77, 16, 65, 0, 0, 15, 192, 1, 20, 0, 0, 0, 136)),
         ("mod_counter_5_20", "PROVED",
          (20, 100, 79, 43, 73, 0, 0, 9, 126, 1, 19, 0, 0, 0, 100)),
     ),

@@ -1,10 +1,15 @@
 """Tests for the merge-phase engines: signatures, SAT sweep, BDD sweep."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
-from repro.aig.ops import and_all, or_, xor
+from repro.aig.ops import and_all, cofactor, or_, xor
 from repro.aig.simulate import truth_table
+from repro.circuits.combinational import (
+    comparator,
+    equality_with_constant_slices,
+)
 from repro.sweep.bddsweep import bdd_sweep
 from repro.sweep.satsweep import SatSweeper, prove_edges_equivalent
 from repro.sweep.signatures import SignatureTable
@@ -176,6 +181,37 @@ class TestSatSweeper:
         new_g, merge_map = sweeper.merge_pair_backward(f, g)
         assert new_g == g == f
         assert sweeper.stats.get("sat_checks", 0) == 0
+
+
+class TestBackwardWalkSkipsSharedNodes:
+    """The backward merge walk never checks a node a's cone already holds."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [lambda: equality_with_constant_slices(4, 3), lambda: comparator(8)],
+        ids=["equality_slices_4_3", "comparator_8"],
+    )
+    def test_cofactor_pairs(self, family):
+        aig, inputs, root = family()
+        for var in inputs:
+            a = cofactor(aig, root, var >> 1, False)
+            b = cofactor(aig, root, var >> 1, True)
+            a_cone = set(aig.cone([a]))
+            b_only = set(aig.cone([b])) - a_cone
+            sweeper = SatSweeper(aig)
+            checked = []
+            check_equal = sweeper.check_equal
+
+            def spy(x, y):
+                checked.append(y >> 1)
+                return check_equal(x, y)
+
+            sweeper.check_equal = spy
+            new_b, _ = sweeper.merge_pair_backward(a, b)
+            assert not a_cone.intersection(checked)
+            assert prove_edges_equivalent(aig, new_b, b)[0] is True
+            pairs = sweeper.stats.get("backward_pairs")
+            assert pairs <= len(b_only) * len(a_cone) + 1
 
 
 class TestBddSweep:
