@@ -24,8 +24,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.aig.cnf import CnfMapper
 from repro.aig.graph import Aig
-from repro.aig.ops import support, support_many
+from repro.aig.ops import support, support_many, xor
 from repro.aig.simulate import cone_plan, simulate, simulate_nodes
 from repro.bdd.manager import BddManager
 from repro.sat.cnf import CNF
@@ -150,6 +151,43 @@ class TestSolverDifferential:
             (False, 20, 178, 0, 16, 154),
             (True, 18, 199, 0, 18, 147),
         ]
+
+        # Incremental Tseitin workload: one solver under a CnfMapper over
+        # a seeded random AIG, posed a run of assumption queries.  Random
+        # literal pairs mostly come back SAT (every variable assigned, so
+        # the branching heap drains); miters of parity trees built in
+        # different input orders come back UNSAT only after real search.
+        rng = random.Random(2026)
+        aig, inputs, edges = _random_aig(rng, n_inputs=10, n_ands=150)
+        parities = []
+        for _ in range(3):
+            order = [2 * node for node in inputs]
+            rng.shuffle(order)
+            parity = order[0]
+            for edge in order[1:]:
+                parity = xor(aig, parity, edge)
+            parities.append(parity)
+        mapper = CnfMapper(aig, Solver())
+        s = mapper.solver
+        answers = []
+        model_ones = 0
+        for step in range(40):
+            if step % 8 == 7:
+                a, b = rng.sample(parities, 2)
+                assumptions = [mapper.lit_for(a), -mapper.lit_for(b)]
+            else:
+                a, b = rng.sample(edges[10:], 2)
+                assumptions = [
+                    mapper.lit_for(a ^ rng.randint(0, 1)),
+                    mapper.lit_for(b ^ rng.randint(0, 1)),
+                ]
+            verdict = s.solve(assumptions)
+            answers.append("S" if verdict is SolveResult.SAT else "U")
+            if verdict is SolveResult.SAT:
+                model_ones += sum(s.model)
+        assert "".join(answers) == "SSSSSSSUSSSSSSSUUSSSUSSUSUSSSUUUSSSSUUSU"
+        assert (s.decisions, s.conflicts, s.propagations, s.restarts,
+                s.num_vars, model_ones) == (884, 495, 24787, 3, 187, 1123)
 
 
 def _replay_bdd_ops(ops):

@@ -7,6 +7,12 @@ input quantification), ``fwd_image`` (``reach_aig_fwd``) and
 these tests pin the verdict and the counters below.  They repeat exactly
 under any ``PYTHONHASHSEED``.
 
+A second table pins the SAT search itself: the decisions, conflicts,
+propagations and ``Solver.solve`` calls summed over every solver the
+run creates.  A change inside the solver (branching order, heap
+layout, clause loading) that re-rolls the search fails there even when
+the engine's own counters stay put.
+
 A change that alters the search (merge order, candidate filtering,
 frontier choice, solver reuse, walk seeds) fails here and names the
 design, the seed and the counter that moved.  Update the goldens only
@@ -27,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.workloads import MAX_DEPTH, WORKLOADS, build_netlists  # noqa: E402
 from repro.mc.engine import verify  # noqa: E402
+from repro.sat.solver import Solver  # noqa: E402
 
 COUNTERS = (
     "iterations",
@@ -99,17 +106,67 @@ GOLDENS = {
     ),
 }
 
+SAT_COUNTERS = ("decisions", "conflicts", "propagations", "solve_calls")
+
+# (workload, seed) -> per design, in GOLDENS order, the SAT_COUNTERS
+# summed over all Solver.solve calls of the run.
+SAT_GOLDENS = {
+    ("bwd_quant", 1): (
+        (217, 129, 9557, 69), (329, 119, 8398, 82), (145, 23, 4408, 22),
+    ),
+    ("bwd_quant", 2): (
+        (217, 129, 9557, 69), (296, 111, 6869, 63), (112, 19, 4037, 22),
+    ),
+    ("fwd_image", 1): (
+        (438, 100, 12508, 132), (266, 32, 6236, 97), (212, 42, 5251, 104),
+    ),
+    ("fwd_image", 2): (
+        (438, 100, 12508, 132), (303, 37, 6711, 111), (268, 42, 6193, 119),
+    ),
+    ("bwd_deep", 1): (
+        (61, 30, 35711, 61), (59, 29, 27155, 59), (321, 68, 30707, 36),
+    ),
+    ("bwd_deep", 2): (
+        (61, 30, 35711, 61), (59, 29, 27055, 59), (302, 79, 30789, 36),
+    ),
+}
+
+
+def _spy_on_solves(monkeypatch):
+    """Sum SAT_COUNTERS over every ``Solver.solve`` call from now on."""
+    totals = dict.fromkeys(SAT_COUNTERS, 0)
+    solve = Solver.solve
+
+    def counting_solve(self, *args, **kwargs):
+        before = (self.decisions, self.conflicts, self.propagations)
+        try:
+            return solve(self, *args, **kwargs)
+        finally:
+            totals["decisions"] += self.decisions - before[0]
+            totals["conflicts"] += self.conflicts - before[1]
+            totals["propagations"] += self.propagations - before[2]
+            totals["solve_calls"] += 1
+
+    monkeypatch.setattr(Solver, "solve", counting_solve)
+    return totals
+
 
 @pytest.mark.parametrize(
     "workload,seed", sorted(GOLDENS), ids=lambda v: str(v)
 )
-def test_cost_counters_match_goldens(workload, seed):
+def test_cost_counters_match_goldens(workload, seed, monkeypatch):
+    totals = _spy_on_solves(monkeypatch)
     spec = WORKLOADS[workload]
     netlists = build_netlists(spec, seed)
     rows = GOLDENS[(workload, seed)]
     assert [net.name for net in netlists] == [row[0] for row in rows]
     diverged = []
-    for net, (name, verdict, expected) in zip(netlists, rows):
+    sat_rows = SAT_GOLDENS[(workload, seed)]
+    for net, (name, verdict, expected), sat_expected in zip(
+        netlists, rows, sat_rows
+    ):
+        for counter in SAT_COUNTERS:
+            totals[counter] = 0
         result = verify(net, method=spec.engine, max_depth=MAX_DEPTH)
         where = f"{workload} seed {seed} {name}"
         if result.status.name != verdict:
@@ -121,5 +178,11 @@ def test_cost_counters_match_goldens(workload, seed):
             if actual != golden:
                 diverged.append(
                     f"{where}: {counter} = {actual}, golden {golden}"
+                )
+        for counter, golden in zip(SAT_COUNTERS, sat_expected):
+            if totals[counter] != golden:
+                diverged.append(
+                    f"{where}: sat.{counter} = {totals[counter]}, "
+                    f"golden {golden}"
                 )
     assert not diverged, "cost counters diverged:\n" + "\n".join(diverged)
