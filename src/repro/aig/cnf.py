@@ -56,29 +56,24 @@ class CnfMapper:
             return self._var_for_const()
         # Encode the not-yet-encoded part of the cone, fanins first.  The
         # walk stops at encoded nodes, whose cones are encoded already.
+        # Fanins are read straight from the manager's arrays (-1 marks an
+        # input; a cone never holds the constant node).
         aig, solver, node_var = self.aig, self.solver, self._node_var
+        fanin0, fanin1 = aig._fanin0, aig._fanin1
+        add_and_gate = solver.add_and_gate
         for cone_node in aig.cone([2 * node], node_var):
-            if aig.is_input(cone_node):
+            f0 = fanin0[cone_node]
+            if f0 == -1:
                 var = node_var[cone_node] = solver.new_var()
                 self._input_vars.append((cone_node, var))
                 continue
-            f0, f1 = aig.fanins(cone_node)
-            a = self._edge_lit_encoded(f0)
-            b = self._edge_lit_encoded(f1)
-            out = node_var[cone_node] = solver.new_var()
-            # out <-> a AND b
-            solver.add_clause([-out, a])
-            solver.add_clause([-out, b])
-            solver.add_clause([out, -a, -b])
+            f1 = fanin1[cone_node]
+            a = node_var[f0 >> 1] if f0 > 1 else self._var_for_const()
+            b = node_var[f1 >> 1] if f1 > 1 else self._var_for_const()
+            node_var[cone_node] = add_and_gate(
+                -a if f0 & 1 else a, -b if f1 & 1 else b
+            )
         return node_var[node]
-
-    def _edge_lit_encoded(self, edge: int) -> int:
-        node = edge >> 1
-        if node == 0:
-            var = self._var_for_const()
-        else:
-            var = self._node_var[node]
-        return -var if edge & 1 else var
 
     def lit_for(self, edge: int) -> int:
         """DIMACS literal equivalent to the edge (encoding its cone).

@@ -5,15 +5,13 @@ for all fix-point / intersection tests of the traversal routine (Section 3).
 This package provides the stand-in: a CDCL solver
 (:class:`repro.sat.solver.Solver`) with an assumption-based incremental
 interface so that "several checks [are factorized] together within a single
-run" exactly as the paper describes, a slow reference DPLL solver used as a
-test oracle, and an all-solutions enumerator used by the SAT-based pre-image
-engine.
+run" exactly as the paper describes, and a slow reference DPLL solver used
+as a test oracle.
 """
 
 from repro.sat.cnf import CNF, Clause, lit_to_dimacs, neg
 from repro.sat.solver import ProofLog, Solver, SolveResult
 from repro.sat.dpll import DpllSolver
-from repro.sat.enumeration import enumerate_models, enumerate_projected_cubes
 from repro.sat.circuit import CircuitSolver, prove_edges_equivalent_circuit
 
 __all__ = [
@@ -25,8 +23,6 @@ __all__ = [
     "DpllSolver",
     "CircuitSolver",
     "prove_edges_equivalent_circuit",
-    "enumerate_models",
-    "enumerate_projected_cubes",
     "lit_to_dimacs",
     "neg",
 ]

@@ -31,6 +31,22 @@ layout keeps the CPython hot loop free of per-visit allocations (no
 rebuilt watch lists, no clause objects) and is the shape an optional
 compiled backend can consume without any engine-visible change.
 
+The VSIDS heap is on the same hot path.  A SAT answer assigns every
+variable, so each one pops the whole heap and the backtrack re-inserts
+it.  ``_pick_branch_var`` and ``_cancel_until`` therefore pop and
+re-insert inline on the heap's two lists (``_bump_var`` sifts inline
+too), and every sift moves a hole instead of swapping: the same
+comparisons, so the same heap array and the same decisions.  When the trail already holds every variable, the
+pick empties the heap in one pass, which is where popping one by one
+would end.  A new variable's activity is 0.0, so it goes straight to
+the last heap slot.
+
+Tseitin AND gates have their own entry point, :meth:`Solver.add_and_gate`.
+It attaches the gate's three clauses directly, in the order and the
+literal order ``add_clause`` would give them, and falls back to
+``add_clause`` whenever that would do more: a fanin fixed at level 0,
+proof logging, or an unsatisfiable database.
+
 Phase saving is explicit and controllable: ``Solver(phase_saving=False)``
 freezes branching polarities at their defaults (or whatever
 :meth:`Solver.set_polarity` pinned), instead of re-using the polarity of
@@ -132,80 +148,6 @@ class ProofLog:
         return len(self.literals)
 
 
-class _VarOrder:
-    """Indexed binary max-heap over variable activities (MiniSat's order)."""
-
-    __slots__ = ("activity", "heap", "pos")
-
-    def __init__(self, activity: list[float]) -> None:
-        self.activity = activity
-        self.heap: list[int] = []
-        self.pos: list[int] = []
-
-    def grow(self, nvars: int) -> None:
-        while len(self.pos) < nvars:
-            self.pos.append(-1)
-            self.insert(len(self.pos) - 1)
-
-    def _swap(self, i: int, j: int) -> None:
-        heap, pos = self.heap, self.pos
-        heap[i], heap[j] = heap[j], heap[i]
-        pos[heap[i]] = i
-        pos[heap[j]] = j
-
-    def _sift_up(self, i: int) -> None:
-        heap, act = self.heap, self.activity
-        while i > 0:
-            parent = (i - 1) >> 1
-            if act[heap[i]] > act[heap[parent]]:
-                self._swap(i, parent)
-                i = parent
-            else:
-                break
-
-    def _sift_down(self, i: int) -> None:
-        heap, act = self.heap, self.activity
-        size = len(heap)
-        while True:
-            left = 2 * i + 1
-            if left >= size:
-                break
-            right = left + 1
-            best = left
-            if right < size and act[heap[right]] > act[heap[left]]:
-                best = right
-            if act[heap[best]] > act[heap[i]]:
-                self._swap(i, best)
-                i = best
-            else:
-                break
-
-    def insert(self, var: int) -> None:
-        if self.pos[var] != -1:
-            return
-        self.heap.append(var)
-        self.pos[var] = len(self.heap) - 1
-        self._sift_up(len(self.heap) - 1)
-
-    def pop_max(self) -> int:
-        heap, pos = self.heap, self.pos
-        top = heap[0]
-        last = heap.pop()
-        pos[top] = -1
-        if heap:
-            heap[0] = last
-            pos[last] = 0
-            self._sift_down(0)
-        return top
-
-    def bumped(self, var: int) -> None:
-        if self.pos[var] != -1:
-            self._sift_up(self.pos[var])
-
-    def __bool__(self) -> bool:
-        return bool(self.heap)
-
-
 def _luby(i: int) -> int:
     """The i-th element (0-based) of the Luby sequence 1,1,2,1,1,2,4,...
 
@@ -254,7 +196,11 @@ class Solver:
         self._reasons: list[int] = []     # clause index or -1
         self._activity: list[float] = []
         self._polarity: list[int] = []    # saved phase, 1 = assign true
-        self._order = _VarOrder(self._activity)
+        # VSIDS order: an indexed binary max-heap over activities (MiniSat's
+        # order).  _heap holds variables, _heap_pos[var] is the variable's
+        # slot or -1.  Branching, backtracking and bumping sift inline.
+        self._heap: list[int] = []
+        self._heap_pos: list[int] = []
         # Clause arena: one flat literal buffer, offset/length per clause.
         # A deleted clause has _csize == 0 (its arena slots are garbage
         # until _compact_arena reclaims them).
@@ -314,7 +260,10 @@ class Solver:
         self._polarity.append(0)
         self._watches.append([])
         self._watches.append([])
-        self._order.grow(self._nvars)
+        # Activity 0.0 never beats a parent, so the new variable stays in
+        # the last heap slot.
+        self._heap_pos.append(len(self._heap))
+        self._heap.append(self._nvars - 1)
         return self._nvars
 
     def _ensure_var(self, var: int) -> None:
@@ -410,6 +359,50 @@ class Solver:
                             proof_id=proof_id)
         return True
 
+    def add_and_gate(self, a: int, b: int) -> int:
+        """Allocate ``out`` and add the Tseitin clauses of ``out <-> a AND b``.
+
+        Returns ``out`` (a positive DIMACS literal).  The database ends up
+        exactly as after ``add_clause([-out, a])``, ``add_clause([-out,
+        b])`` and ``add_clause([out, -a, -b])``.  In the common case (no
+        proof log, ``a`` and ``b`` on distinct existing variables, neither
+        assigned at level 0) the three clauses are attached directly,
+        already in ``add_clause``'s sorted literal order; every other case
+        goes through ``add_clause``.
+        """
+        out = self.new_var()
+        values = self._values
+        if (
+            0 < abs(a) < out and 0 < abs(b) < out and abs(a) != abs(b)
+            and self._proof is None and self._ok and not self._trail_lim
+            and values[abs(a) - 1] == _UNASSIGNED
+            and values[abs(b) - 1] == _UNASSIGNED
+        ):
+            la = a + a - 2 if a > 0 else -a - a - 1
+            lb = b + b - 2 if b > 0 else -b - b - 1
+            not_out = out + out - 1
+            # out is the newest variable, so its literals sort last.
+            low, high = (la ^ 1, lb ^ 1) if la < lb else (lb ^ 1, la ^ 1)
+            index = len(self._cbase)
+            base = len(self._arena)
+            self._arena += (la, not_out, lb, not_out, low, high, not_out ^ 1)
+            self._cbase += (base, base + 2, base + 4)
+            self._csize += (2, 2, 3)
+            self._learnt_flags += (False, False, False)
+            self._lbd += (0, 0, 0)
+            watches = self._watches
+            watches[la].append(index)
+            watches[not_out].append(index)
+            watches[lb].append(index + 1)
+            watches[not_out].append(index + 1)
+            watches[low].append(index + 2)
+            watches[high].append(index + 2)
+            return out
+        self.add_clause((-out, a))
+        self.add_clause((-out, b))
+        self.add_clause((out, -a, -b))
+        return out
+
     def add_removable_clause(self, lits: Iterable[int]) -> int:
         """Add a clause guarded by a fresh activation literal.
 
@@ -491,18 +484,38 @@ class Solver:
     def _cancel_until(self, level: int) -> None:
         if self._decision_level() <= level:
             return
-        values, polarity, order = self._values, self._polarity, self._order
+        values, polarity = self._values, self._polarity
+        reasons = self._reasons
+        heap, pos, act = self._heap, self._heap_pos, self._activity
         save_phases = self._phase_saving
         target = self._trail_lim[level]
         trail = self._trail
+        size = len(heap)
         for i in range(len(trail) - 1, target - 1, -1):
-            lit = trail[i]
-            var = lit >> 1
+            var = trail[i] >> 1
             if save_phases:
                 polarity[var] = values[var]
             values[var] = _UNASSIGNED
-            self._reasons[var] = -1
-            order.insert(var)
+            reasons[var] = -1
+            if pos[var] != -1:
+                continue
+            # Re-insert into the branching heap: sift a hole up from the
+            # end.
+            hole = size
+            size += 1
+            heap.append(var)
+            key = act[var]
+            while hole > 0:
+                parent = (hole - 1) >> 1
+                above = heap[parent]
+                if key > act[above]:
+                    heap[hole] = above
+                    pos[above] = hole
+                    hole = parent
+                else:
+                    break
+            heap[hole] = var
+            pos[var] = hole
         del trail[target:]
         del self._trail_lim[level:]
         self._qhead = len(trail)
@@ -692,14 +705,30 @@ class Solver:
     # ------------------------------------------------------------------ #
 
     def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
+        activity = self._activity
+        activity[var] += self._var_inc
+        if activity[var] > 1e100:
             inv = 1e-100
-            activity = self._activity
             for i in range(len(activity)):
                 activity[i] *= inv
             self._var_inc *= inv
-        self._order.bumped(var)
+        # Restore heap order: sift a hole up from the variable's slot.
+        heap, pos = self._heap, self._heap_pos
+        hole = pos[var]
+        if hole == -1:
+            return
+        key = activity[var]
+        while hole > 0:
+            parent = (hole - 1) >> 1
+            above = heap[parent]
+            if key > activity[above]:
+                heap[hole] = above
+                pos[above] = hole
+                hole = parent
+            else:
+                break
+        heap[hole] = var
+        pos[var] = hole
 
     def _analyze(self, conflict: int) -> tuple[list[int], int, int]:
         """First-UIP analysis.
@@ -896,12 +925,49 @@ class Solver:
     # ------------------------------------------------------------------ #
 
     def _pick_branch_var(self) -> int:
-        order = self._order
+        """Pop heap maxima until an unassigned variable turns up (or -1)."""
+        heap, pos = self._heap, self._heap_pos
+        if len(self._trail) == self._nvars:
+            # Everything is assigned: popping one by one would end in the
+            # same empty heap.
+            for var in heap:
+                pos[var] = -1
+            heap.clear()
+            return -1
+        act = self._activity
         values = self._values
-        while order:
-            var = order.pop_max()
-            if values[var] == _UNASSIGNED:
-                return var
+        size = len(heap)
+        while size:
+            top = heap[0]
+            pos[top] = -1
+            last = heap.pop()
+            size -= 1
+            if size:
+                # Sift a hole down from the root for ``last``.
+                key = act[last]
+                i = 0
+                while True:
+                    child = 2 * i + 1
+                    if child >= size:
+                        break
+                    best = heap[child]
+                    best_key = act[best]
+                    if child + 1 < size:
+                        right = heap[child + 1]
+                        if act[right] > best_key:
+                            child += 1
+                            best = right
+                            best_key = act[right]
+                    if best_key > key:
+                        heap[i] = best
+                        pos[best] = i
+                        i = child
+                    else:
+                        break
+                heap[i] = last
+                pos[last] = i
+            if values[top] == _UNASSIGNED:
+                return top
         return -1
 
     def solve(
@@ -1011,9 +1077,7 @@ class Solver:
                 continue
             var = self._pick_branch_var()
             if var == -1:
-                self._model = [
-                    self._values[v] == 1 for v in range(self._nvars)
-                ]
+                self._model = [value == 1 for value in self._values]
                 result = SolveResult.SAT
                 break
             self.decisions += 1

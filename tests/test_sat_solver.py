@@ -417,3 +417,187 @@ class TestRemovableClauses:
         assert s.solve(assumptions=[act]) is SolveResult.UNSAT
         assert s.core == (act,)
         assert s.solve() is SolveResult.SAT
+
+
+def _database(solver):
+    """Everything add_clause / add_and_gate may touch, as plain values."""
+    state = {
+        "vars": solver.num_vars,
+        "ok": solver.ok,
+        "values": bytes(solver._values),
+        "trail": list(solver._trail),
+        "clauses": [
+            solver._clause_lits(ci) for ci in range(len(solver._csize))
+        ],
+        "learnt": list(solver._learnt_flags),
+        "lbd": list(solver._lbd),
+        "watches": [list(w) for w in solver._watches],
+        "heap": list(solver._heap),
+        "pos": list(solver._heap_pos),
+    }
+    if solver.proof is not None:
+        proof = solver.proof
+        state["proof"] = (list(proof.literals), list(proof.chains))
+    return state
+
+
+def _gate_by_clauses(solver, a, b):
+    out = solver.new_var()
+    solver.add_clause([-out, a])
+    solver.add_clause([-out, b])
+    solver.add_clause([out, -a, -b])
+    return out
+
+
+class TestAndGate:
+    """``add_and_gate`` is three ``add_clause`` calls, only cheaper."""
+
+    def _twins(self, build, gates, **kwargs):
+        direct, reference = Solver(**kwargs), Solver(**kwargs)
+        build(direct)
+        build(reference)
+        for a, b in gates:
+            assert direct.add_and_gate(a, b) == _gate_by_clauses(
+                reference, a, b
+            )
+            assert _database(direct) == _database(reference)
+        return direct, reference
+
+    def test_direct_path_matches_add_clause(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            inputs = rng.randint(2, 6)
+            gates = []
+            nvars = inputs
+            for _ in range(rng.randint(1, 25)):
+                va, vb = rng.sample(range(1, nvars + 1), 2)
+                gates.append(
+                    (va * rng.choice((1, -1)), vb * rng.choice((1, -1)))
+                )
+                nvars += 1
+            direct, reference = self._twins(
+                lambda s: [s.new_var() for _ in range(inputs)], gates
+            )
+            for assumptions in ([], [nvars], [-nvars, 1]):
+                verdict = reference.solve(assumptions)
+                assert direct.solve(assumptions) is verdict
+                assert direct.stats() == reference.stats()
+                assert _database(direct) == _database(reference)
+
+    def test_same_variable_fanins(self):
+        # a AND a collapses to a binary clause; a AND NOT a is FALSE.
+        self._twins(lambda s: s.new_var(), [(1, 1), (1, -1), (-1, 2)])
+
+    def test_fanin_fixed_by_learned_unit(self):
+        def build(s):
+            x, y, z = s.new_var(), s.new_var(), s.new_var()
+            s.add_clause([x, y])
+            s.add_clause([x, -y])
+            # Branching on x = false conflicts, so the solver learns the
+            # unit x and keeps it at level 0.
+            assert s.solve() is SolveResult.SAT
+            assert s.conflicts == 1 and s._values[x - 1] == 1
+            assert s._levels[x - 1] == 0 and s._values[z - 1] == 2
+
+        self._twins(build, [(1, 3), (-3, -1), (3, 2)])
+
+    def test_proof_mode_logs_the_same_axioms(self):
+        direct, _ = self._twins(
+            lambda s: [s.new_var() for _ in range(3)],
+            [(1, -2), (4, 3), (-5, 1)],
+            proof=True,
+        )
+        assert len(direct.proof) == 9
+
+    def test_unsat_solver(self):
+        def build(s):
+            a = s.new_var()
+            s.add_clause([a])
+            assert not s.add_clause([-a])
+
+        direct, _ = self._twins(build, [(1, 1), (-1, 2)])
+        assert not direct.ok
+        assert direct.solve() is SolveResult.UNSAT
+
+    def test_literal_zero_rejected(self):
+        s = Solver()
+        s.new_var()
+        with pytest.raises(SatError):
+            s.add_and_gate(1, 0)
+
+
+def _check_heap(solver):
+    heap, pos = solver._heap, solver._heap_pos
+    activity = solver._activity
+    assert len(pos) == solver.num_vars
+    for i, var in enumerate(heap):
+        assert pos[var] == i
+        if i:
+            assert activity[heap[(i - 1) >> 1]] >= activity[var]
+    assert sum(1 for p in pos if p != -1) == len(heap)
+    for var in range(solver.num_vars):
+        if solver._values[var] == 2:
+            assert pos[var] != -1, f"unassigned variable {var} not in heap"
+
+
+class TestBranchingHeap:
+    """The inlined heap keeps MiniSat's invariants through the search."""
+
+    def _watched(self, solver):
+        # Check the heap after every backtrack, mid-search included.
+        cancel = solver._cancel_until
+
+        def checked_cancel(level):
+            cancel(level)
+            _check_heap(solver)
+
+        solver._cancel_until = checked_cancel
+        return solver
+
+    def test_random_solve_backtrack_sequences(self):
+        rng = random.Random(17)
+        answers = set()
+        for _ in range(40):
+            f = random_cnf(rng, max_vars=14, max_clauses=55)
+            s = self._watched(Solver(f))
+            _check_heap(s)
+            for _ in range(6):
+                count = rng.randint(0, min(3, f.num_vars))
+                assume = rng.sample(range(1, f.num_vars + 1), count)
+                assumptions = [v * rng.choice((1, -1)) for v in assume]
+                budget = rng.choice((None, 2))
+                answers.add(s.solve(assumptions, conflict_budget=budget))
+                _check_heap(s)
+                if rng.random() < 0.3 and f.num_vars > 1:
+                    s.add_clause(
+                        v * rng.choice((1, -1))
+                        for v in rng.sample(range(1, f.num_vars + 1), 2)
+                    )
+                    _check_heap(s)
+                if not s.ok:
+                    break
+        assert {SolveResult.SAT, SolveResult.UNSAT} <= answers
+
+    def test_all_assigned_sat_answer_refills_the_heap(self):
+        s = self._watched(Solver())
+        xs = [s.new_var() for _ in range(8)]
+        for x, y in zip(xs, xs[1:]):
+            s.add_clause([-x, y])
+        picked = []
+        pick = s._pick_branch_var
+
+        def recording_pick():
+            var = pick()
+            picked.append((var, len(s._trail), list(s._heap)))
+            return var
+
+        s._pick_branch_var = recording_pick
+        assert s.solve([xs[0]]) is SolveResult.SAT
+        # The assumption implies every variable: the one pick sees a full
+        # trail and empties the heap without a search.
+        assert picked == [(-1, 8, [])]
+        assert all(s.value(x) for x in xs)
+        assert sorted(s._heap) == list(range(8))
+        _check_heap(s)
+        assert s.solve([-xs[-1]]) is SolveResult.SAT
+        _check_heap(s)
