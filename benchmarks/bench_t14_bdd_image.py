@@ -28,15 +28,19 @@ import pytest
 from repro.circuits import generators as G
 from repro.mc.reach_bdd import BddReachOptions, _BddModel
 
+# The BENCH_TINY=1 (CI bench-smoke) families; the golden cost counters
+# in tests/test_paper_engine_goldens.py run them too.
+TINY_FAMILIES = {
+    "mod_counter_6_40": lambda: G.mod_counter(6, 40),
+    "gray_counter_5": lambda: G.gray_counter(5),
+    "fifo_level_4": lambda: G.fifo_level(4),
+    "updown_5": lambda: G.up_down_counter(5),
+    "onehot_8": lambda: G.one_hot_fsm(8),
+    "arbiter_6": lambda: G.arbiter(6),
+}
+
 if os.environ.get("BENCH_TINY"):
-    FAMILIES = {
-        "mod_counter_6_40": lambda: G.mod_counter(6, 40),
-        "gray_counter_5": lambda: G.gray_counter(5),
-        "fifo_level_4": lambda: G.fifo_level(4),
-        "updown_5": lambda: G.up_down_counter(5),
-        "onehot_8": lambda: G.one_hot_fsm(8),
-        "arbiter_6": lambda: G.arbiter(6),
-    }
+    FAMILIES = TINY_FAMILIES
 else:
     FAMILIES = {
         "mod_counter_12_3000": lambda: G.mod_counter(12, 3000),

@@ -23,14 +23,18 @@ from repro.itp import ItpOptions
 from repro.mc import verify
 from repro.mc.result import Status
 
+# The BENCH_TINY=1 (CI bench-smoke) families; the golden cost counters
+# in tests/test_paper_engine_goldens.py run them too.
+TINY_FAMILIES = {
+    "mod_counter_16": lambda: G.mod_counter(16),
+    "mod_counter_24": lambda: G.mod_counter(24),
+    "ring_counter_8": lambda: G.ring_counter(8),
+    "updown_8": lambda: G.up_down_counter(8),
+}
+TINY_MAX_DEPTH = 16
+
 if os.environ.get("BENCH_TINY"):
-    FAMILIES = {
-        "mod_counter_16": lambda: G.mod_counter(16),
-        "mod_counter_24": lambda: G.mod_counter(24),
-        "ring_counter_8": lambda: G.ring_counter(8),
-        "updown_8": lambda: G.up_down_counter(8),
-    }
-    MAX_DEPTH = 16
+    FAMILIES, MAX_DEPTH = TINY_FAMILIES, TINY_MAX_DEPTH
 else:
     FAMILIES = {
         "mod_counter_64": lambda: G.mod_counter(64),

@@ -37,17 +37,23 @@ from repro.mc import verify
 from repro.mc.result import Status
 from repro.pdr import PdrOptions, check_certificate
 
+# The BENCH_TINY=1 (CI bench-smoke) families; the golden cost counters
+# in tests/test_paper_engine_goldens.py run them too.
+TINY_PROVED_FAMILIES = {
+    "mod_counter_16": lambda: G.mod_counter(16),
+    "mod_counter_24": lambda: G.mod_counter(24),
+    "shift_register_16": lambda: G.shift_register(16),
+}
+TINY_FAILED_FAMILIES = {
+    "bug_at_depth_8": lambda: G.bug_at_depth(8),
+    "updown_6_buggy": lambda: G.up_down_counter(6, safe=False),
+}
+TINY_MAX_DEPTH = 16
+
 if os.environ.get("BENCH_TINY"):
-    PROVED_FAMILIES = {
-        "mod_counter_16": lambda: G.mod_counter(16),
-        "mod_counter_24": lambda: G.mod_counter(24),
-        "shift_register_16": lambda: G.shift_register(16),
-    }
-    FAILED_FAMILIES = {
-        "bug_at_depth_8": lambda: G.bug_at_depth(8),
-        "updown_6_buggy": lambda: G.up_down_counter(6, safe=False),
-    }
-    MAX_DEPTH = 16
+    PROVED_FAMILIES = TINY_PROVED_FAMILIES
+    FAILED_FAMILIES = TINY_FAILED_FAMILIES
+    MAX_DEPTH = TINY_MAX_DEPTH
 else:
     PROVED_FAMILIES = {
         "mod_counter_64": lambda: G.mod_counter(64),

@@ -31,18 +31,25 @@ from repro.circuits import generators as G
 from repro.mc import verify
 from repro.mc.result import Status
 
+# The BENCH_TINY=1 (CI bench-smoke) families; the golden cost counters
+# in tests/test_paper_engine_goldens.py run them too.
+TINY_MITER_FAMILIES = {
+    "mul_miter_3": lambda: G.multiplier_miter(3),
+    "mul_miter_4": lambda: G.multiplier_miter(4),
+    "mul_miter_4_buggy": lambda: G.multiplier_miter(4, safe=False),
+}
+TINY_DEEP_FAMILIES = {
+    "mod_counter_8_120_buggy": (
+        lambda: G.mod_counter(8, 120, safe=False), 128),
+}
+
+# The Cube stage's settings, at every size.
+CNC_OPTIONS = {"cube_depth": 2, "candidates_limit": 6}
+
 if os.environ.get("BENCH_TINY"):
-    MITER_FAMILIES = {
-        "mul_miter_3": lambda: G.multiplier_miter(3),
-        "mul_miter_4": lambda: G.multiplier_miter(4),
-        "mul_miter_4_buggy": lambda: G.multiplier_miter(4, safe=False),
-    }
-    DEEP_FAMILIES = {
-        "mod_counter_8_120_buggy": (
-            lambda: G.mod_counter(8, 120, safe=False), 128),
-    }
+    MITER_FAMILIES = TINY_MITER_FAMILIES
+    DEEP_FAMILIES = TINY_DEEP_FAMILIES
     SCALING_DESIGN = ("mul_miter_4", lambda: G.multiplier_miter(4))
-    CUBE_DEPTH = 2
 else:
     MITER_FAMILIES = {
         "mul_miter_4": lambda: G.multiplier_miter(4),
@@ -55,7 +62,6 @@ else:
         "bug_at_depth_30": (lambda: G.bug_at_depth(30), 34),
     }
     SCALING_DESIGN = ("mul_miter_5", lambda: G.multiplier_miter(5))
-    CUBE_DEPTH = 2
 
 WORKER_SWEEP = (1, 2, 4, 8)
 
@@ -69,7 +75,7 @@ def _timed(fn):
 def _cnc(build, max_depth=0, workers=4):
     return verify(
         build(), method="cnc", max_depth=max_depth, workers=workers,
-        cube_depth=CUBE_DEPTH, candidates_limit=6,
+        **CNC_OPTIONS,
     )
 
 

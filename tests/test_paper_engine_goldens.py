@@ -1,11 +1,18 @@
-"""Golden cost counters of the paper's engines on the perfbench designs.
+"""Golden cost counters of the engines on the benchmarks' designs.
 
 Wall time on shared machines is noisy; the engines' cost counters are
-not.  For every design of perfbench's ``bwd_quant`` (``reach_aig`` with
-input quantification), ``fwd_image`` (``reach_aig_fwd``) and
-``bwd_deep`` (``reach_aig`` without inputs) workloads, at seeds 1 and 2,
-these tests pin the verdict and the counters below.  They repeat exactly
-under any ``PYTHONHASHSEED``.
+not.  These tests pin the verdict and each engine's counters below on:
+
+* every design of perfbench's ``bwd_quant`` (``reach_aig`` with input
+  quantification), ``fwd_image`` (``reach_aig_fwd``), ``bwd_deep``
+  (``reach_aig`` without inputs) and ``bdd_fix`` (``reach_bdd_fwd``)
+  workloads, at seeds 1 and 2;
+* the baseline engines on the tiny (``BENCH_TINY=1``) families of the
+  ``benchmarks/bench_t14``–``t17`` experiments: ``reach_bdd_fwd`` under
+  both BDD image pipelines, ``itp``, ``pdr``, and ``cnc`` with its
+  cubes solved in-process (``workers=0``).
+
+They repeat exactly under any ``PYTHONHASHSEED``.
 
 A second table pins the SAT search itself: the decisions, conflicts,
 propagations and ``Solver.solve`` calls summed over every solver the
@@ -14,12 +21,15 @@ layout, clause loading) that re-rolls the search fails there even when
 the engine's own counters stay put.
 
 A change that alters the search (merge order, candidate filtering,
-frontier choice, solver reuse, walk seeds) fails here and names the
-design, the seed and the counter that moved.  Update the goldens only
-for a deliberate change to the search, and say why in the change log.
+frontier choice, solver reuse, walk seeds, PDR generalization, BDD
+image schedule, cube selection) fails here and names the engine, the
+design, the seed or variant and the counter that moved.  Update the
+goldens only for a deliberate change to the search, and say why in the
+change log.
 
-The designs come read-only from ``perfbench/workloads.py``, so these
-pins follow exactly what the benchmark runs.
+The designs come read-only from ``perfbench/workloads.py`` and the
+``bench_*`` modules, so these pins follow exactly what the benchmarks
+run.
 """
 
 from __future__ import annotations
@@ -31,11 +41,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
+from benchmarks import bench_t14_bdd_image as t14  # noqa: E402
+from benchmarks import bench_t15_itp as t15  # noqa: E402
+from benchmarks import bench_t16_pdr as t16  # noqa: E402
+from benchmarks import bench_t17_cnc as t17  # noqa: E402
 from perfbench.workloads import MAX_DEPTH, WORKLOADS, build_netlists  # noqa: E402
 from repro.mc.engine import verify  # noqa: E402
 from repro.sat.solver import Solver  # noqa: E402
 
-COUNTERS = (
+PAPER_COUNTERS = (
     "iterations",
     "vars_quantified",
     "sat_checks",
@@ -53,8 +67,86 @@ COUNTERS = (
     "backward_pairs",
 )
 
-# (workload, seed) -> one (design name, verdict, counters) row per design,
-# counters in COUNTERS order.
+# engine -> the result stats its golden rows pin, in row order.
+COUNTERS = {
+    "reach_aig": PAPER_COUNTERS,
+    "reach_aig_fwd": PAPER_COUNTERS,
+    "reach_bdd_fwd": (
+        "iterations",
+        "peak_frontier_bdd",
+        "peak_reached_bdd",
+        "manager_nodes",
+        "bdd_cache_hits",
+        "bdd_cache_misses",
+    ),
+    "itp": (
+        "proofs_checked",
+        "sat_calls",
+        "itp_depth",
+        "cnf_vars",
+        "proof_nodes",
+        "interpolant_nodes",
+        "reach_nodes",
+    ),
+    "pdr": (
+        "pdr_frames",
+        "pdr_obligations",
+        "pdr_lemmas",
+        "pdr_ctis",
+        "pdr_pushed",
+        "pdr_core_dropped",
+        "pdr_ternary_dropped",
+        "invariant_clauses",
+        "sat_calls",
+    ),
+    "cnc": (
+        "cnc_cubes",
+        "cnc_refuted_by_lookahead",
+        "cnc_cubes_unsat",
+        "cnc_conflicts",
+        "cnc_decisions",
+        "cnc_propagations",
+    ),
+}
+
+
+def _runs(source, variant):
+    """``(design name, netlist, engine, verify keywords)`` per design.
+
+    ``source`` is a perfbench workload, with the seed as ``variant``, or
+    a ``bench_*`` experiment run on its tiny families.
+    """
+    if source in WORKLOADS:
+        spec = WORKLOADS[source]
+        return [
+            (net.name, net, spec.engine, {"max_depth": MAX_DEPTH})
+            for net in build_netlists(spec, variant)
+        ]
+    if source == "t14_bdd_image":
+        families = t14.TINY_FAMILIES
+        engine, keywords = "reach_bdd_fwd", {"image": variant}
+    elif source == "t15_itp":
+        families = t15.TINY_FAMILIES
+        engine, keywords = "itp", {"max_depth": t15.TINY_MAX_DEPTH}
+    elif source == "t16_pdr":
+        families = {**t16.TINY_PROVED_FAMILIES, **t16.TINY_FAILED_FAMILIES}
+        engine, keywords = "pdr", {"max_depth": t16.TINY_MAX_DEPTH}
+    else:
+        cnc = {"workers": 0, **t17.CNC_OPTIONS}
+        return [
+            (name, build(), "cnc", {**cnc, "max_depth": 0})
+            for name, build in t17.TINY_MITER_FAMILIES.items()
+        ] + [
+            (name, build(), "cnc", {**cnc, "max_depth": depth})
+            for name, (build, depth) in t17.TINY_DEEP_FAMILIES.items()
+        ]
+    return [
+        (name, build(), engine, keywords) for name, build in families.items()
+    ]
+
+
+# (source, variant) -> one (design name, verdict, counters) row per
+# design, counters in the order COUNTERS gives for the case's engine.
 GOLDENS = {
     ("bwd_quant", 1): (
         ("mod_counter_5_20", "FAILED",
@@ -104,6 +196,53 @@ GOLDENS = {
         ("johnson_14", "PROVED",
          (18, 0, 0, 0, 0, 0, 0, 842, 5170, 5, 0, 4, 0, 0, 0)),
     ),
+    ("bdd_fix", 1): (
+        ("gray_counter_10", "PROVED", (1025, 20, 815, 77729, 25830, 111531)),
+        ("updown_12", "PROVED", (4096, 13, 23, 115186, 58966, 174158)),
+        ("mod_counter_12_3000", "PROVED",
+         (3000, 12, 25, 62869, 31995, 101774)),
+    ),
+    ("bdd_fix", 2): (
+        ("gray_counter_10", "PROVED", (1025, 20, 1071, 79193, 32761, 113737)),
+        ("updown_12", "PROVED", (4096, 13, 27, 115357, 60428, 174626)),
+        ("mod_counter_12_3000", "PROVED",
+         (3000, 12, 20, 75678, 36017, 118276)),
+    ),
+    ("t14_bdd_image", "monolithic"): (
+        ("mod_counter_6_40", "PROVED", (40, 6, 6, 1717, 966, 2083)),
+        ("gray_counter_5", "PROVED", (33, 10, 96, 5455, 1651, 6021)),
+        ("fifo_level_4", "PROVED", (15, 4, 4, 730, 525, 911)),
+        ("updown_5", "PROVED", (32, 6, 6, 2027, 1303, 2464)),
+        ("onehot_8", "PROVED", (8, 8, 15, 1112, 385, 1227)),
+        ("arbiter_6", "PROVED", (6, 6, 11, 910, 367, 1099)),
+    ),
+    ("t14_bdd_image", "scheduled"): (
+        ("mod_counter_6_40", "PROVED", (40, 6, 6, 670, 410, 999)),
+        ("gray_counter_5", "PROVED", (33, 10, 96, 2164, 860, 2724)),
+        ("fifo_level_4", "PROVED", (15, 4, 4, 544, 398, 720)),
+        ("updown_5", "PROVED", (32, 6, 6, 1112, 878, 1487)),
+        ("onehot_8", "PROVED", (8, 8, 15, 750, 276, 910)),
+        ("arbiter_6", "PROVED", (6, 6, 11, 788, 310, 1003)),
+    ),
+    ("t15_itp", "tiny"): (
+        ("mod_counter_16", "PROVED", (4, 9, 1, 185, 676, 30, 50)),
+        ("mod_counter_24", "PROVED", (4, 9, 1, 281, 1028, 46, 74)),
+        ("ring_counter_8", "PROVED", (8, 17, 1, 409, 1617, 76, 330)),
+        ("updown_8", "PROVED", (2, 5, 1, 94, 239, 0, 9)),
+    ),
+    ("t16_pdr", "tiny"): (
+        ("mod_counter_16", "PROVED", (4, 3, 3, 0, 1, 0, 0, 1, 34)),
+        ("mod_counter_24", "PROVED", (4, 3, 3, 0, 1, 0, 0, 1, 42)),
+        ("shift_register_16", "PROVED", (3, 4, 4, 0, 2, 0, 60, 2, 19)),
+        ("bug_at_depth_8", "FAILED", (7, 28, 12, 12, 4, 5, 0, 0, 79)),
+        ("updown_6_buggy", "FAILED", (1, 1, 0, 1, 0, 0, 7, 0, 3)),
+    ),
+    ("t17_cnc", "tiny"): (
+        ("mul_miter_3", "PROVED", (10, 6, 4, 58, 69, 2625)),
+        ("mul_miter_4", "PROVED", (6, 2, 4, 316, 388, 26435)),
+        ("mul_miter_4_buggy", "FAILED", (6, 2, 0, 2, 10, 403)),
+        ("mod_counter_8_120_buggy", "FAILED", (1, 0, 0, 0, 0, 1)),
+    ),
 }
 
 SAT_COUNTERS = ("decisions", "conflicts", "propagations", "solve_calls")
@@ -151,29 +290,27 @@ def _spy_on_solves(monkeypatch):
     return totals
 
 
-@pytest.mark.parametrize(
-    "workload,seed", sorted(GOLDENS), ids=lambda v: str(v)
-)
-def test_cost_counters_match_goldens(workload, seed, monkeypatch):
+@pytest.mark.parametrize("source,variant", list(GOLDENS), ids=str)
+def test_cost_counters_match_goldens(source, variant, monkeypatch):
     totals = _spy_on_solves(monkeypatch)
-    spec = WORKLOADS[workload]
-    netlists = build_netlists(spec, seed)
-    rows = GOLDENS[(workload, seed)]
-    assert [net.name for net in netlists] == [row[0] for row in rows]
+    runs = _runs(source, variant)
+    rows = GOLDENS[(source, variant)]
+    assert [run[0] for run in runs] == [row[0] for row in rows]
+    sat_rows = SAT_GOLDENS.get((source, variant), ((),) * len(rows))
     diverged = []
-    sat_rows = SAT_GOLDENS[(workload, seed)]
-    for net, (name, verdict, expected), sat_expected in zip(
-        netlists, rows, sat_rows
+    for run, (_, verdict, expected), sat_expected in zip(
+        runs, rows, sat_rows
     ):
+        name, net, engine, keywords = run
         for counter in SAT_COUNTERS:
             totals[counter] = 0
-        result = verify(net, method=spec.engine, max_depth=MAX_DEPTH)
-        where = f"{workload} seed {seed} {name}"
+        result = verify(net, method=engine, **keywords)
+        where = f"{engine} {source}-{variant} {name}"
         if result.status.name != verdict:
             diverged.append(
                 f"{where}: verdict {result.status.name}, expected {verdict}"
             )
-        for counter, golden in zip(COUNTERS, expected):
+        for counter, golden in zip(COUNTERS[engine], expected):
             actual = result.stats.get(counter)
             if actual != golden:
                 diverged.append(
