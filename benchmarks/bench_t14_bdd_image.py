@@ -15,7 +15,7 @@ one post-image of the full reached state set, computed
 Caches are cleared before the measured image so both pipelines pay their
 real traversal-step cost (a warm cache would just replay the answer).
 Per-family wall times, node counts, cache hit rates and the speedup land
-in ``benchmarks/BENCH_BDD.json`` via ``record_json``.
+in the benchmark's ``extra_info``.
 
 Set ``BENCH_TINY=1`` to run on CI-smoke-sized inputs.
 """
@@ -79,7 +79,7 @@ def _timed_image(model, reached, mode):
 
 
 @pytest.mark.parametrize("design", list(FAMILIES))
-def test_t14_bdd_image(benchmark, record_row, record_json, design):
+def test_t14_bdd_image(benchmark, record_row, design):
     build = FAMILIES[design]
     timings = {}
     sat_counts = {}
@@ -113,6 +113,10 @@ def test_t14_bdd_image(benchmark, record_row, record_json, design):
             "scheduled_seconds": timings["scheduled"],
             "speedup": speedup,
             "iterations": iterations,
+            "monolithic_manager_nodes": manager_nodes["monolithic"],
+            "scheduled_manager_nodes": manager_nodes["scheduled"],
+            "monolithic_cache_hit_rate": cache_hit_rates["monolithic"],
+            "scheduled_cache_hit_rate": cache_hit_rates["scheduled"],
         }
     )
     record_row(
@@ -120,16 +124,4 @@ def test_t14_bdd_image(benchmark, record_row, record_json, design):
         f"{'design':<22}{'mono_ms':>10}{'sched_ms':>10}{'speedup':>9}",
         f"{design:<22}{timings['monolithic'] * 1000:>10.2f}"
         f"{timings['scheduled'] * 1000:>10.2f}{speedup:>8.1f}x",
-    )
-    record_json(
-        f"t14_bdd_image[{design}]",
-        design=design,
-        monolithic_wall_seconds=timings["monolithic"],
-        scheduled_wall_seconds=timings["scheduled"],
-        speedup=speedup,
-        fixpoint_iterations=iterations,
-        monolithic_manager_nodes=manager_nodes["monolithic"],
-        scheduled_manager_nodes=manager_nodes["scheduled"],
-        monolithic_cache_hit_rate=cache_hit_rates["monolithic"],
-        scheduled_cache_hit_rate=cache_hit_rates["scheduled"],
     )

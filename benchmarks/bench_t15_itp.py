@@ -9,8 +9,8 @@ an inductive set, so its cost tracks interpolant size, not diameter.
 
 For every family the three engines run under one depth budget; wall
 times, verdicts, iteration counts and proof/interpolant sizes land in
-``benchmarks/BENCH_BDD.json`` via ``record_json``.  Set ``BENCH_TINY=1``
-(CI bench-smoke) to shrink the instances.
+the benchmark's ``extra_info``.  Set ``BENCH_TINY=1`` (CI bench-smoke)
+to shrink the instances.
 """
 
 import os
@@ -59,9 +59,7 @@ def _run(engine, netlist):
 
 
 @pytest.mark.parametrize("design", list(FAMILIES))
-def test_t15_itp_vs_bounded_and_bdd(
-    benchmark, record_row, record_json, design
-):
+def test_t15_itp_vs_bounded_and_bdd(benchmark, record_row, design):
     build = FAMILIES[design]
     timings, results = {}, {}
     for engine in ENGINES:
@@ -93,21 +91,12 @@ def test_t15_itp_vs_bounded_and_bdd(
                 "interpolant_nodes"
             ),
             "speedup_vs_bdd": timings["reach_bdd"] / timings["itp"],
+            **{f"{engine}_seconds": timings[engine] for engine in ENGINES},
+            **{
+                f"{engine}_verdict": results[engine].status.value
+                for engine in ENGINES
+            },
         }
-    )
-    record_json(
-        "t15_itp",
-        design=design,
-        itp_seconds=timings["itp"],
-        bmc_seconds=timings["bmc"],
-        reach_bdd_seconds=timings["reach_bdd"],
-        itp_iterations=itp_result.iterations,
-        itp_depth=itp_result.stats.get("itp_depth"),
-        proof_nodes=itp_result.stats.get("proof_nodes"),
-        interpolant_nodes=itp_result.stats.get("interpolant_nodes"),
-        itp_verdict=itp_result.status.value,
-        bmc_verdict=results["bmc"].status.value,
-        reach_bdd_verdict=results["reach_bdd"].status.value,
     )
     record_row(
         "T15 interpolation vs bounded/BDD engines (deep PROVED)",

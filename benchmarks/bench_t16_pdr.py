@@ -12,15 +12,15 @@ handful of single-step frame queries.  Two sides:
   traces replay.
 
 Wall times, verdicts, frame/iteration counts and invariant sizes land
-in ``benchmarks/BENCH_BDD.json`` via ``record_json``.  Set
-``BENCH_TINY=1`` (CI bench-smoke) to shrink the instances.
+in the benchmark's ``extra_info``.  Set ``BENCH_TINY=1`` (CI
+bench-smoke) to shrink the instances.
 
 The observability overhead check (``test_t16_obs_overhead``) runs each
 PROVED family once untraced and once with :mod:`repro.obs` tracing on,
 asserts the scalar stats are identical (the probes must never perturb
 the search), writes the Chrome trace to ``benchmarks/traces/`` (uploaded
 as a CI artifact, loadable in chrome://tracing / Perfetto) and records
-``obs_*`` overhead numbers into the trajectory.
+``obs_*`` overhead numbers in its ``extra_info``.
 """
 
 import os
@@ -83,8 +83,7 @@ def _run(engine, netlist):
     return time.perf_counter() - start, result
 
 
-def _record(design, kind, timings, results, benchmark, record_json,
-            record_row):
+def _record(design, kind, timings, results, benchmark, record_row):
     pdr_result = results["pdr"]
     benchmark.extra_info.update(
         {
@@ -95,22 +94,13 @@ def _record(design, kind, timings, results, benchmark, record_json,
             "invariant_clauses": pdr_result.stats.get(
                 "invariant_clauses"
             ),
+            "pdr_lemmas": pdr_result.stats.get("pdr_lemmas_active"),
+            **{f"{engine}_seconds": timings[engine] for engine in ENGINES},
+            **{
+                f"{engine}_verdict": results[engine].status.value
+                for engine in ENGINES
+            },
         }
-    )
-    record_json(
-        "t16_pdr",
-        design=design,
-        kind=kind,
-        pdr_seconds=timings["pdr"],
-        itp_seconds=timings["itp"],
-        bmc_seconds=timings["bmc"],
-        pdr_frames=pdr_result.iterations,
-        pdr_sat_calls=pdr_result.stats.get("sat_calls"),
-        pdr_lemmas=pdr_result.stats.get("pdr_lemmas_active"),
-        invariant_clauses=pdr_result.stats.get("invariant_clauses"),
-        pdr_verdict=pdr_result.status.value,
-        itp_verdict=results["itp"].status.value,
-        bmc_verdict=results["bmc"].status.value,
     )
     record_row(
         "T16 PDR vs interpolation vs BMC",
@@ -126,9 +116,7 @@ def _record(design, kind, timings, results, benchmark, record_json,
 
 
 @pytest.mark.parametrize("design", list(PROVED_FAMILIES))
-def test_t16_pdr_proves_where_bmc_cannot(
-    benchmark, record_row, record_json, design
-):
+def test_t16_pdr_proves_where_bmc_cannot(benchmark, record_row, design):
     build = PROVED_FAMILIES[design]
     timings, results = {}, {}
     for engine in ENGINES:
@@ -150,13 +138,12 @@ def test_t16_pdr_proves_where_bmc_cannot(
         ),
         rounds=1, iterations=1,
     )
-    _record(design, "proved", timings, results, benchmark, record_json,
-            record_row)
+    _record(design, "proved", timings, results, benchmark, record_row)
 
 
 @pytest.mark.parametrize("design", list(FAILED_FAMILIES))
 def test_t16_pdr_refutes_with_replayable_traces(
-    benchmark, record_row, record_json, design
+    benchmark, record_row, design
 ):
     build = FAILED_FAMILIES[design]
     timings, results = {}, {}
@@ -177,12 +164,11 @@ def test_t16_pdr_refutes_with_replayable_traces(
         ),
         rounds=1, iterations=1,
     )
-    _record(design, "failed", timings, results, benchmark, record_json,
-            record_row)
+    _record(design, "failed", timings, results, benchmark, record_row)
 
 
 @pytest.mark.parametrize("design", list(PROVED_FAMILIES))
-def test_t16_obs_overhead(benchmark, record_row, record_json, design):
+def test_t16_obs_overhead(benchmark, record_row, design):
     build = PROVED_FAMILIES[design]
     options = PdrOptions(max_frames=MAX_DEPTH)
 
@@ -223,15 +209,16 @@ def test_t16_obs_overhead(benchmark, record_row, record_json, design):
     overhead = (
         traced_seconds / plain_seconds if plain_seconds > 0 else 1.0
     )
-    record_json(
-        "t16_obs",
-        design=design,
-        obs_plain_seconds=plain_seconds,
-        obs_traced_seconds=traced_seconds,
-        obs_overhead_ratio=overhead,
-        obs_trace_spans=len(traced.tracer.spans),
-        obs_trace_samples=len(traced.tracer.counters),
-        obs_trace_file=trace_path.name,
+    benchmark.extra_info.update(
+        {
+            "design": design,
+            "obs_plain_seconds": plain_seconds,
+            "obs_traced_seconds": traced_seconds,
+            "obs_overhead_ratio": overhead,
+            "obs_trace_spans": len(traced.tracer.spans),
+            "obs_trace_samples": len(traced.tracer.counters),
+            "obs_trace_file": trace_path.name,
+        }
     )
     record_row(
         "T16 observability overhead",

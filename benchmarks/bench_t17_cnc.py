@@ -17,9 +17,8 @@ sweep (1/2/4/8) records the scaling shape on the hardest miter; on a
 single-core container the useful signal is that decomposition, not
 parallel hardware, carries the win.
 
-Wall times and verdicts land in ``benchmarks/BENCH_BDD.json`` via
-``record_json``.  Set ``BENCH_TINY=1`` (CI bench-smoke) to shrink the
-instances.
+Wall times and verdicts land in the benchmark's ``extra_info``.  Set
+``BENCH_TINY=1`` (CI bench-smoke) to shrink the instances.
 """
 
 import os
@@ -80,7 +79,7 @@ def _cnc(build, max_depth=0, workers=4):
 
 
 @pytest.mark.parametrize("design", list(MITER_FAMILIES))
-def test_t17_cnc_on_miters(benchmark, record_row, record_json, design):
+def test_t17_cnc_on_miters(benchmark, record_row, design):
     build = MITER_FAMILIES[design]
     bmc_seconds, bmc_result = _timed(
         lambda: verify(build(), method="bmc", max_depth=0)
@@ -106,23 +105,24 @@ def test_t17_cnc_on_miters(benchmark, record_row, record_json, design):
         assert bmc_result.status is Status.UNKNOWN
     assert portfolio_result.status is cnc_result.status
 
-    record_json(
-        "t17_cnc",
-        design=design,
-        kind="miter",
-        cnc_seconds=cnc_seconds,
-        bmc_seconds=bmc_seconds,
-        portfolio_seconds=portfolio_seconds,
-        cnc_workers=4,
-        cnc_cubes=cnc_result.stats.get("cnc_cubes"),
-        cnc_refuted_by_lookahead=cnc_result.stats.get(
-            "cnc_refuted_by_lookahead"
-        ),
-        cnc_conflicts=cnc_result.stats.get("cnc_conflicts"),
-        cnc_verdict=cnc_result.status.value,
-        bmc_verdict=bmc_result.status.value,
-        portfolio_verdict=portfolio_result.status.value,
-        cnc_beats_bmc=cnc_seconds < bmc_seconds,
+    benchmark.extra_info.update(
+        {
+            "design": design,
+            "kind": "miter",
+            "cnc_seconds": cnc_seconds,
+            "bmc_seconds": bmc_seconds,
+            "portfolio_seconds": portfolio_seconds,
+            "cnc_workers": 4,
+            "cnc_cubes": cnc_result.stats.get("cnc_cubes"),
+            "cnc_refuted_by_lookahead": cnc_result.stats.get(
+                "cnc_refuted_by_lookahead"
+            ),
+            "cnc_conflicts": cnc_result.stats.get("cnc_conflicts"),
+            "cnc_verdict": cnc_result.status.value,
+            "bmc_verdict": bmc_result.status.value,
+            "portfolio_verdict": portfolio_result.status.value,
+            "cnc_beats_bmc": cnc_seconds < bmc_seconds,
+        }
     )
     record_row(
         "T17 cube-and-conquer vs monolithic SAT",
@@ -139,9 +139,7 @@ def test_t17_cnc_on_miters(benchmark, record_row, record_json, design):
 
 
 @pytest.mark.parametrize("design", list(DEEP_FAMILIES))
-def test_t17_cnc_on_deep_counters(
-    benchmark, record_row, record_json, design
-):
+def test_t17_cnc_on_deep_counters(benchmark, record_row, design):
     build, max_depth = DEEP_FAMILIES[design]
     bmc_seconds, bmc_result = _timed(
         lambda: verify(build(), method="bmc", max_depth=max_depth)
@@ -159,18 +157,19 @@ def test_t17_cnc_on_deep_counters(
     if design.startswith("mod_counter"):
         assert cnc_seconds < bmc_seconds, (cnc_seconds, bmc_seconds)
 
-    record_json(
-        "t17_cnc",
-        design=design,
-        kind="deep_counter",
-        cnc_seconds=cnc_seconds,
-        bmc_seconds=bmc_seconds,
-        cnc_workers=4,
-        cnc_cubes=cnc_result.stats.get("cnc_cubes"),
-        cnc_verdict=cnc_result.status.value,
-        bmc_verdict=bmc_result.status.value,
-        depth=cnc_result.iterations,
-        cnc_beats_bmc=cnc_seconds < bmc_seconds,
+    benchmark.extra_info.update(
+        {
+            "design": design,
+            "kind": "deep_counter",
+            "cnc_seconds": cnc_seconds,
+            "bmc_seconds": bmc_seconds,
+            "cnc_workers": 4,
+            "cnc_cubes": cnc_result.stats.get("cnc_cubes"),
+            "cnc_verdict": cnc_result.status.value,
+            "bmc_verdict": bmc_result.status.value,
+            "depth": cnc_result.iterations,
+            "cnc_beats_bmc": cnc_seconds < bmc_seconds,
+        }
     )
     record_row(
         "T17 cube-and-conquer vs monolithic SAT",
@@ -188,7 +187,7 @@ def test_t17_cnc_on_deep_counters(
     )
 
 
-def test_t17_worker_scaling(benchmark, record_row, record_json):
+def test_t17_worker_scaling(benchmark, record_row):
     design, build = SCALING_DESIGN
     timings = {}
     for workers in WORKER_SWEEP:
@@ -198,10 +197,11 @@ def test_t17_worker_scaling(benchmark, record_row, record_json):
         assert result.status is Status.PROVED
         timings[workers] = seconds
 
-    record_json(
-        "t17_cnc_scaling",
-        design=design,
-        **{f"workers_{w}_seconds": s for w, s in timings.items()},
+    benchmark.extra_info.update(
+        {
+            "design": design,
+            **{f"workers_{w}_seconds": s for w, s in timings.items()},
+        }
     )
     record_row(
         "T17 conquer-pool worker sweep",

@@ -15,9 +15,8 @@ one in-process :class:`repro.svc.worker.Worker`, and compares:
   obs trace with its verdict.
 
 ``obs_svc_plain_seconds`` / ``obs_svc_observed_seconds`` /
-``obs_svc_overhead_ratio`` land in ``benchmarks/BENCH_BDD.json`` via
-``record_json`` and feed the trajectory gate.  Set ``BENCH_TINY=1``
-(CI bench-smoke) to shrink the batch.
+``obs_svc_overhead_ratio`` land in the benchmark's ``extra_info``.  Set
+``BENCH_TINY=1`` (CI bench-smoke) to shrink the batch.
 """
 
 import json
@@ -68,9 +67,7 @@ def _run_batch(db_path, *, trace_jobs: bool):
         store.close()
 
 
-def test_t18_svc_telemetry_overhead(
-    benchmark, record_row, record_json, tmp_path
-):
+def test_t18_svc_telemetry_overhead(benchmark, record_row, tmp_path):
     was = _met.ENABLED
     _met.disable()
     try:
@@ -110,18 +107,12 @@ def test_t18_svc_telemetry_overhead(
     benchmark.extra_info.update(
         {
             "jobs": len(BATCH),
+            "obs_svc_plain_seconds": plain_seconds,
+            "obs_svc_observed_seconds": observed_seconds,
             "obs_svc_overhead_ratio": overhead,
+            "obs_svc_job_events": observed_events,
             "traces_stored": traces,
         }
-    )
-    record_json(
-        "t18_svc",
-        jobs=len(BATCH),
-        obs_svc_plain_seconds=plain_seconds,
-        obs_svc_observed_seconds=observed_seconds,
-        obs_svc_overhead_ratio=overhead,
-        obs_svc_job_events=observed_events,
-        obs_svc_traces_stored=traces,
     )
     record_row(
         "T18 service telemetry overhead",

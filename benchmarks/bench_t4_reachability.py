@@ -29,20 +29,11 @@ ENGINES = ["reach_aig", "reach_bdd"]
 
 @pytest.mark.parametrize("design", list(BENCHMARKS))
 @pytest.mark.parametrize("engine", ENGINES)
-def test_t4_reachability(
-    benchmark, record_row, record_json, session, design, engine
-):
-    import time
-
-    wall = {}
-
+def test_t4_reachability(benchmark, record_row, session, design, engine):
     def run():
-        start = time.perf_counter()
-        result = session.run(
+        return session.run(
             VerificationTask(BENCHMARKS[design](), engine=engine, max_depth=200)
         )
-        wall["seconds"] = time.perf_counter() - start
-        return result
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     peak = result.stats.get(
@@ -55,6 +46,8 @@ def test_t4_reachability(
             "status": result.status.value,
             "iterations": result.iterations,
             "peak_representation": peak,
+            "manager_nodes": result.stats.get("manager_nodes", None),
+            "cache_hit_rate": result.stats.get("bdd_cache_hit_rate", None),
         }
     )
     record_row(
@@ -63,23 +56,4 @@ def test_t4_reachability(
         f"{'peak_repr':>10}",
         f"{design:<18}{engine:<11}{result.status.value:<9}"
         f"{result.iterations:>6}{peak:>10.0f}",
-    )
-    record_json(
-        f"t4_reachability[{design}-{engine}]",
-        design=design,
-        engine=engine,
-        status=result.status.value,
-        wall_seconds=wall["seconds"],
-        iterations=result.iterations,
-        peak_representation=peak,
-        manager_nodes=(
-            result.stats.get("manager_nodes")
-            if "manager_nodes" in result.stats
-            else None
-        ),
-        cache_hit_rate=(
-            result.stats.get("bdd_cache_hit_rate")
-            if "bdd_cache_hit_rate" in result.stats
-            else None
-        ),
     )

@@ -1,28 +1,21 @@
 """Benchmark-harness helpers.
 
-Each ``bench_*`` module regenerates one experiment of EXPERIMENTS.md.
-Besides pytest-benchmark's timing columns, every benchmark records its
-experiment-specific metrics (sizes, check counts, iteration counts) in
-``benchmark.extra_info`` and appends a human-readable row to
+Each ``bench_*`` module regenerates one experiment; its docstring says
+which.  Besides pytest-benchmark's timing columns, every benchmark
+records its experiment-specific metrics (sizes, check counts, iteration
+counts, per-engine wall times) in ``benchmark.extra_info``, which
+``--benchmark-json`` writes out, and appends a human-readable row to
 ``benchmarks/results.txt`` so the tables survive the run.
-
-Benchmarks that track the performance trajectory across PRs additionally
-record machine-readable entries through the ``record_json`` fixture;
-those are written to ``benchmarks/BENCH_BDD.json`` at session end
-(per-benchmark wall times, node counts, cache hit rates).
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
 
 _RESULTS = pathlib.Path(__file__).parent / "results.txt"
-_BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_BDD.json"
 _seen_headers: set[str] = set()
-_json_records: list[dict] = []
 
 
 @pytest.fixture
@@ -52,31 +45,7 @@ def record_row():
     return _record
 
 
-@pytest.fixture
-def record_json():
-    """Queue one machine-readable benchmark record for BENCH_BDD.json.
-
-    Call as ``record_json("bench_name", wall_seconds=..., **metrics)``;
-    values must be JSON-serializable scalars.
-    """
-
-    def _record(benchmark_id: str, **fields) -> None:
-        _json_records.append({"benchmark": benchmark_id, **fields})
-
-    return _record
-
-
 def pytest_sessionstart(session):
-    # Start each benchmark session with a fresh results file.  The JSON
-    # trajectory is NOT deleted here: only sessions that actually record
-    # entries rewrite it, so a non-recording benchmark run cannot wipe it.
+    # Start each benchmark session with a fresh results file.
     if _RESULTS.exists():
         _RESULTS.unlink()
-    _json_records.clear()
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if _json_records:
-        _BENCH_JSON.write_text(
-            json.dumps(_json_records, indent=2, sort_keys=True) + "\n"
-        )

@@ -30,7 +30,6 @@ from repro.aig.ops import (
 from repro.aig.cnf import CnfMapper, edge_to_cnf
 from repro.aig.simulate import eval_edge, simulate, truth_table
 from repro.aig.analysis import cone_nodes, cone_size, level_of, structural_stats
-from repro.aig.balance import balance, balance_stats, collect_conjunction
 from repro.aig.aiger_binary import read_aig_binary, write_aig_binary, write_aig_binary_bytes
 
 __all__ = [
@@ -60,9 +59,6 @@ __all__ = [
     "cone_size",
     "level_of",
     "structural_stats",
-    "balance",
-    "balance_stats",
-    "collect_conjunction",
     "read_aig_binary",
     "write_aig_binary",
     "write_aig_binary_bytes",

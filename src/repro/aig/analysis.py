@@ -1,7 +1,8 @@
 """Structural analysis helpers: cone sizes, levels, sharing statistics.
 
 The experiments report circuit sizes before and after quantification;
-every size number in EXPERIMENTS.md comes from these functions.
+the sizes the ``benchmarks/bench_*`` modules write to
+``benchmarks/results.txt`` come from these functions.
 """
 
 from __future__ import annotations
