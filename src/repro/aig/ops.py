@@ -117,8 +117,8 @@ def transfer(
 
     ``leaf_map`` maps every input node of the cone (src node ids) to a dst
     edge.  ``cache`` (src node -> dst edge) can be shared across calls so
-    one compaction pass copies common logic once.  Used by netlist cloning
-    and by the traversal engine's periodic compaction.
+    one pass copies common logic once.  Used by netlist cloning and the
+    product construction.
     """
     if cache is None:
         cache = {}

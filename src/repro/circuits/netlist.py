@@ -286,17 +286,14 @@ class Netlist:
     # Cloning (used by traversal engines for private working copies)
     # ------------------------------------------------------------------ #
 
-    def clone(
-        self, extra_edges: Sequence[int] = ()
-    ) -> tuple["Netlist", list[int], dict[int, int]]:
+    def clone(self) -> tuple["Netlist", dict[int, int]]:
         """Deep-copy into a fresh manager, dropping unreferenced logic.
 
-        Returns ``(clone, transferred_extra_edges, node_map)`` where
-        ``node_map`` maps this netlist's input/latch nodes to the clone's
-        nodes.  Latch order, names, init values, outputs and property are
-        preserved.  ``extra_edges`` (e.g. in-flight state sets) are
-        transferred alongside — this is the traversal engine's compaction
-        primitive.
+        Returns ``(clone, node_map)`` where ``node_map`` maps this
+        netlist's input/latch nodes to the clone's nodes.  Latch order,
+        names, init values, outputs, property and constraints are
+        preserved.  A traversal engine clones its netlist once and works
+        on the copy, so the caller's manager never grows.
         """
         from repro.aig.ops import transfer
 
@@ -338,12 +335,8 @@ class Netlist:
             duplicate.add_constraint(
                 transfer(self.aig, edge, duplicate.aig, leaf_map, cache)
             )
-        transferred = [
-            transfer(self.aig, edge, duplicate.aig, leaf_map, cache)
-            for edge in extra_edges
-        ]
         node_map = {node: leaf_map[node] >> 1 for node in leaf_map}
-        return duplicate, transferred, node_map
+        return duplicate, node_map
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -219,7 +219,7 @@ def _unroll_violation(
     ``frames[d]`` maps the *original* netlist's input nodes to the
     clone-manager scratch input node carrying that input at step ``d``.
     """
-    clone, _, node_map = netlist.clone()
+    clone, node_map = netlist.clone()
     aig = clone.aig
     inverse = {clone_node: orig for orig, clone_node in node_map.items()}
     state = {

@@ -11,10 +11,10 @@ equivalence, are performed using a SAT engine."
 The engine keeps a private clone of the netlist, takes its bad states and
 pre-images from :class:`~repro.core.images.ImageComputer` (in-lining, then
 circuit-based input quantification, all-SAT, or the hybrid partial+all-SAT
-combination of Section 4), checks frontier emptiness and init
-intersection with SAT, and periodically compacts its manager.  All SAT
-queries of one compaction epoch run on a single incremental solver, so
-each AIG node is Tseitin-encoded at most once per epoch.
+combination of Section 4), and checks frontier emptiness and init
+intersection with SAT.  One working manager, one image computer (with its
+sweeper and signature table) and one incremental check solver serve the
+whole run, so each AIG node is Tseitin-encoded at most once per run.
 :class:`AigTraversal` holds what it shares with the forward engine of
 :mod:`repro.mc.reach_aig_fwd`.
 """
@@ -33,7 +33,7 @@ from repro.core.quantify import QuantifyOptions
 from repro.errors import ModelCheckingError, ResourceLimit
 from repro.mc.result import Status, Trace, VerificationResult
 from repro.mc.trace import concretize_suffix, find_violation_inputs
-from repro.sat.solver import SolveResult, Solver
+from repro.sat.solver import SolveResult
 from repro.util.stats import StatsBag
 
 # Unused here (ImageComputer in-lines and quantifies); perfbench/tracing.py
@@ -56,12 +56,8 @@ class ReachOptions:
     input_elimination: str = "circuit"
     partial_growth_factor: float = 2.0
     max_iterations: int = 10_000
-    compact_every: int = 4          # manager compaction period (iterations)
     max_manager_nodes: int = 2_000_000
     allsat_max_cubes: int | None = None
-    # Functionally reduce the live state sets at each compaction (FRAIG):
-    # recovers merges the per-step pipeline missed, at one sweep's cost.
-    fraig_compaction: bool = False
 
 
 class AigTraversal:
@@ -79,12 +75,10 @@ class AigTraversal:
     :class:`~repro.aig.cnf.CnfMapper` bound to the working manager, the
     paper's "load the clause database once and for-all".  Successive
     state sets share most of their cone (``reached`` recurs in every
-    emptiness test), so each node is encoded at most once per *epoch*:
-    the span between two compactions.  A compaction replaces the
-    manager and so starts a new epoch with a new solver; an engine that
-    never compacts keeps one solver for the whole run.  ``check_solvers`` and
-    ``check_cnf_nodes`` in the stats count the solvers and the nodes
-    they encoded.
+    emptiness test), so each node is encoded at most once per run.
+    ``check_cnf_nodes`` in the stats counts the nodes it encoded.  The
+    working manager is never replaced: its only bound is
+    ``max_manager_nodes``.
 
     The traversal stops "as soon as no newly reached states are found",
     a test on ``image ∧ ¬reached`` only.  The set handed to the next
@@ -115,41 +109,28 @@ class AigTraversal:
             )
         self.original = netlist
         self.options = options
-        self.model, _, node_map = netlist.clone()
+        self.model, node_map = netlist.clone()
         self._to_original = {new: old for old, new in node_map.items()}
         self.stats = StatsBag()
         self.images = self._new_images()
-        self._epoch_mapper: CnfMapper | None = None
+        # The check solver of the run, over the working manager.
+        self._checks = CnfMapper(self.model.aig)
 
     def _new_images(self) -> ImageComputer:
         raise NotImplementedError
-
-    def _mapper(self) -> CnfMapper:
-        """The epoch's CNF mapper over the working manager (made lazily)."""
-        if self._epoch_mapper is None:
-            self._epoch_mapper = CnfMapper(self.model.aig, Solver())
-            self.stats.incr("check_solvers")
-        return self._epoch_mapper
-
-    def _end_epoch(self) -> None:
-        """Drop the epoch's solver, counting the nodes it encoded."""
-        if self._epoch_mapper is not None:
-            self.stats.incr("check_cnf_nodes", self._epoch_mapper.num_nodes)
-            self._epoch_mapper = None
 
     def _solve(self, edge: int) -> dict[int, bool] | None:
         """Input and latch values of a SAT model of ``edge``, or None.
 
         Inputs outside the cone of ``edge`` are free; they keep whatever
-        value the epoch solver gives them.
+        value the check solver gives them.
         """
         if edge == FALSE:
             return None
-        mapper = self._mapper()
-        lit = mapper.lit_for(edge)
-        if mapper.solver.solve([lit]) is not SolveResult.SAT:
+        lit = self._checks.lit_for(edge)
+        if self._checks.solver.solve([lit]) is not SolveResult.SAT:
             return None
-        return mapper.model_inputs()
+        return self._checks.model_inputs()
 
     def _satisfiable_state(self, edge: int) -> dict[int, bool] | None:
         """Latch assignment of a SAT model of ``edge``, or None."""
@@ -186,7 +167,7 @@ class AigTraversal:
     def _result(
         self, status: Status, iterations: int, trace: Trace | None = None
     ) -> VerificationResult:
-        self._end_epoch()
+        self.stats.incr("check_cnf_nodes", self._checks.num_nodes)
         if status is not Status.UNKNOWN:
             self.stats.set("iterations", iterations)
         return VerificationResult(
@@ -205,7 +186,7 @@ class AigTraversal:
     ) -> VerificationResult:
         """The FAILED result of a concrete path ending in a bad state."""
         violation = find_violation_inputs(
-            self.model, states[-1], mapper=self._mapper()
+            self.model, states[-1], mapper=self._checks
         )
         trace = Trace(
             states=[self._map_assignment(s) for s in states],
@@ -239,7 +220,7 @@ class BackwardReachability(AigTraversal):
         self.engine = "reach_aig" if mode == "circuit" else f"reach_aig_{mode}"
 
     def _new_images(self) -> ImageComputer:
-        """An image computer over the current working model."""
+        """The image computer over the working model."""
         options = self.options
         return ImageComputer(
             self.model,
@@ -287,13 +268,6 @@ class BackwardReachability(AigTraversal):
             init_hit = self._check_init(init, frontier)
             if init_hit is not None:
                 return self._counterexample(init_hit, layers, iterations=iteration)
-            if (
-                options.compact_every
-                and iteration % options.compact_every == 0
-            ):
-                layers, reached, previous, init, bad = self._compact(
-                    layers, reached, previous, init, bad
-                )
             self._check_budget()
         return self._result(Status.UNKNOWN, options.max_iterations)
 
@@ -309,47 +283,9 @@ class BackwardReachability(AigTraversal):
     ) -> VerificationResult:
         """Walk the initial state down the distance layers to the bug."""
         suffix_states, inputs = concretize_suffix(
-            self.model, start_state, layers, mapper=self._mapper(),
+            self.model, start_state, layers, mapper=self._checks,
             stats=self.stats,
         )
         return self._failed(
             [dict(start_state)] + suffix_states, inputs, iterations
         )
-
-    def _compact(
-        self,
-        layers: list[int],
-        reached: int,
-        previous: int,
-        init: int,
-        bad: int,
-    ) -> tuple[list[int], int, int, int, int]:
-        """Shrink the working manager, transferring the live state sets.
-
-        The image computer (and its sweeper) and the SAT solver of the
-        checks are rebuilt over the new manager: one of each per
-        compaction epoch.
-        """
-        self._end_epoch()
-        before = self.model.aig.num_nodes
-        extras = list(layers) + [reached, previous, init, bad]
-        if self.options.fraig_compaction:
-            from repro.sweep.fraig import fraig_in_place
-
-            extras, fraig_stats = fraig_in_place(self.model.aig, extras)
-            self.stats.incr(
-                "fraig_nodes_recovered",
-                fraig_stats.get("size_before") - fraig_stats.get("size_after"),
-            )
-        new_model, moved, node_map = self.model.clone(extras)
-        self.model = new_model
-        self.images = self._new_images()
-        # Chain the original-node mapping through the new clone.
-        self._to_original = {
-            new: self._to_original.get(old, old)
-            for old, new in node_map.items()
-        }
-        self.stats.incr("compactions")
-        self.stats.incr("compaction_nodes_freed", before - new_model.aig.num_nodes)
-        n = len(layers)
-        return list(moved[:n]), moved[n], moved[n + 1], moved[n + 2], moved[n + 3]

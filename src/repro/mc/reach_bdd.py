@@ -287,7 +287,7 @@ class _BddModel:
         candidates = netlist.latch_nodes + netlist.input_nodes
         if not candidates:
             return []
-        clone, _, node_map = netlist.clone()
+        clone, node_map = netlist.clone()
         edge = and_all(
             clone.aig,
             [clone.constraint_edge()]

@@ -20,7 +20,7 @@ Only on a miss does SAT decide: the target layer is in-lined through the
 next-state functions and posed with the state pinned by assumptions on
 one incremental solver.  That query is the same for every state, and the
 distance layers share their cones, so a walk encodes each node once: a
-traversal hands in the :class:`~repro.aig.cnf.CnfMapper` of its epoch
+traversal hands in the :class:`~repro.aig.cnf.CnfMapper` of its checks
 (which has most of the layers encoded already), and other callers get
 one fresh mapper for the whole walk, made on the first miss.  The
 violation inputs of the final state (``NOT P AND C``) are found in the

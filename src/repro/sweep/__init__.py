@@ -21,7 +21,7 @@ from repro.sweep.signatures import SignatureTable
 from repro.sweep.satsweep import SatSweeper, prove_edges_equivalent
 from repro.sweep.circuitsweep import CircuitSweeper
 from repro.sweep.bddsweep import bdd_sweep
-from repro.sweep.fraig import fraig, fraig_in_place, fraig_netlist, FraigResult
+from repro.sweep.fraig import fraig, fraig_netlist, FraigResult
 
 __all__ = [
     "SignatureTable",
@@ -30,7 +30,6 @@ __all__ = [
     "prove_edges_equivalent",
     "bdd_sweep",
     "fraig",
-    "fraig_in_place",
     "fraig_netlist",
     "FraigResult",
 ]

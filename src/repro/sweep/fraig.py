@@ -8,9 +8,9 @@ really shrinks instead of only the live cone getting smaller.
 
 ``fraig`` iterates sweep-and-extract rounds until no further merge is
 found; each extraction gives the next round's signatures and SAT session
-a smaller problem.  The traversal engine uses a single round per
-compaction period; the benchmarks run it standalone on state-set
-snapshots (experiment F3).
+a smaller problem.  The portfolio preprocesses netlists with
+:func:`fraig_netlist`; the benchmarks run ``fraig`` standalone on
+state-set snapshots (experiment F3).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def fraig(
 
     Returns a :class:`FraigResult` whose ``node_map`` maps the original
     manager's *input nodes* to the new manager's input nodes, so callers
-    (e.g. the traversal engine) can re-anchor latches and inputs.
+    (e.g. :func:`fraig_netlist`) can re-anchor latches and inputs.
     """
     if engine not in ("cnf", "circuit"):
         raise AigError(f"unknown fraig engine: {engine!r}")
@@ -155,34 +155,6 @@ def fraig_netlist(netlist) -> "Netlist":
         constraints=reduced.edges[cursor:],
         name=netlist.name,
     )
-
-
-def fraig_in_place(
-    aig: Aig,
-    roots: list[int],
-    engine: str = "cnf",
-    conflict_budget: int = 3000,
-    sweeper: SatSweeper | CircuitSweeper | None = None,
-) -> tuple[list[int], StatsBag]:
-    """One functional-reduction round that stays in the same manager.
-
-    The manager keeps growing (append-only), but the returned root cones
-    are functionally reduced.  Useful when edges must stay valid in the
-    caller's manager — e.g. between quantification steps.
-    """
-    stats = StatsBag()
-    stats.set("size_before", _live_ands(aig, roots))
-    if sweeper is None:
-        if engine == "cnf":
-            sweeper = SatSweeper(aig, conflict_budget=conflict_budget)
-        elif engine == "circuit":
-            sweeper = CircuitSweeper(aig, conflict_budget=conflict_budget)
-        else:
-            raise AigError(f"unknown fraig engine: {engine!r}")
-    new_roots, _ = sweeper.sweep(roots)
-    stats.merge(sweeper.stats)
-    stats.set("size_after", _live_ands(aig, new_roots))
-    return new_roots, stats
 
 
 def _live_ands(aig: Aig, roots: list[int]) -> int:

@@ -219,7 +219,7 @@ class TestSerialization:
         result = verify(buggy, method="bmc", max_depth=20)
         assert result.failed
         payload = json.loads(json.dumps(result.to_dict(buggy)))
-        fresh, _, _ = handshake(False).clone()
+        fresh, _ = handshake(False).clone()
         recovered = VerificationResult.from_dict(payload, fresh)
         assert recovered.failed
         assert recovered.trace.validate(fresh)

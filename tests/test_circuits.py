@@ -74,18 +74,12 @@ class TestNetlistModel:
 
     def test_clone_preserves_behavior(self):
         original = G.mod_counter(4, 11)
-        clone, extras, node_map = original.clone()
+        clone, node_map = original.clone()
         trace_a = original.run_trace([{}] * 13)
         trace_b = clone.run_trace([{}] * 13)
         values_a = [counter_value(original, s) for s in trace_a]
         values_b = [counter_value(clone, s) for s in trace_b]
         assert values_a == values_b
-
-    def test_clone_transfers_extra_edges(self):
-        net = G.ring_counter(4)
-        bad = edge_not(net.property_edge)
-        clone, (moved_bad,), node_map = net.clone([bad])
-        assert moved_bad == edge_not(clone.property_edge)
 
     def test_clone_drops_dead_logic(self):
         net = G.mod_counter(3, 5)
@@ -93,7 +87,7 @@ class TestNetlistModel:
         for _ in range(10):
             net.aig.and_(2 * net.latch_nodes[0], 2 * net.latch_nodes[1])
         junk_count = net.aig.num_ands
-        clone, _, _ = net.clone()
+        clone, _ = net.clone()
         assert clone.aig.num_ands < junk_count
 
 

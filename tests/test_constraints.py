@@ -78,7 +78,7 @@ class TestNetlistApi:
 
     def test_clone_preserves_constraints(self):
         netlist = constrained_buggy_arbiter(3)
-        clone, _, _ = netlist.clone()
+        clone, _ = netlist.clone()
         assert len(clone.constraints) == 1
         state = clone.init_assignment()
         two = {n: False for n in clone.input_nodes}

@@ -7,6 +7,10 @@ not.  These tests pin the verdict and each engine's counters below on:
   quantification), ``fwd_image`` (``reach_aig_fwd``), ``bwd_deep``
   (``reach_aig`` without inputs) and ``bdd_fix`` (``reach_bdd_fwd``)
   workloads, at seeds 1 and 2;
+* ``reach_aig`` on one long run that quantifies inputs at each of its
+  29 steps (``bwd_long``, unpermuted): the sweeper and its signature
+  table live for the whole run, and a reset in mid-run shows as extra
+  SAT checks;
 * the baseline engines on the tiny (``BENCH_TINY=1``) families of the
   ``benchmarks/bench_t14``–``t17`` experiments: ``reach_bdd_fwd`` under
   both BDD image pipelines, ``itp``, ``pdr``, and ``cnc`` with its
@@ -27,9 +31,9 @@ design, the seed or variant and the counter that moved.  Update the
 goldens only for a deliberate change to the search, and say why in the
 change log.
 
-The designs come read-only from ``perfbench/workloads.py`` and the
-``bench_*`` modules, so these pins follow exactly what the benchmarks
-run.
+Apart from ``bwd_long``, the designs come read-only from
+``perfbench/workloads.py`` and the ``bench_*`` modules, so these pins
+follow exactly what the benchmarks run.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from benchmarks import bench_t15_itp as t15  # noqa: E402
 from benchmarks import bench_t16_pdr as t16  # noqa: E402
 from benchmarks import bench_t17_cnc as t17  # noqa: E402
 from perfbench.workloads import MAX_DEPTH, WORKLOADS, build_netlists  # noqa: E402
+from repro.circuits import generators as G  # noqa: E402
 from repro.mc.engine import verify  # noqa: E402
 from repro.sat.solver import Solver  # noqa: E402
 
@@ -59,9 +64,7 @@ PAPER_COUNTERS = (
     "growth_discarded",
     "peak_frontier_size",
     "check_cnf_nodes",
-    "check_solvers",
     "solver_recycles",
-    "compactions",
     "trace_sim_steps",
     "trace_sat_steps",
     "backward_pairs",
@@ -122,6 +125,9 @@ def _runs(source, variant):
             (net.name, net, spec.engine, {"max_depth": MAX_DEPTH})
             for net in build_netlists(spec, variant)
         ]
+    if source == "bwd_long":
+        net = G.mod_counter(7, 30, safe=False, with_enable=True)
+        return [(net.name, net, "reach_aig", {"max_depth": MAX_DEPTH})]
     if source == "t14_bdd_image":
         families = t14.TINY_FAMILIES
         engine, keywords = "reach_bdd_fwd", {"image": variant}
@@ -150,51 +156,55 @@ def _runs(source, variant):
 GOLDENS = {
     ("bwd_quant", 1): (
         ("mod_counter_5_20", "FAILED",
-         (19, 19, 30, 235, 30, 30, 4, 132, 937, 5, 2, 4, 19, 0, 1105)),
+         (19, 19, 30, 235, 30, 30, 4, 132, 286, 3, 19, 0, 1105)),
         ("arbiter_8", "PROVED",
-         (1, 8, 80, 0, 80, 41, 0, 80, 96, 1, 5, 0, 0, 0, 2272)),
+         (1, 8, 80, 0, 80, 41, 0, 80, 96, 5, 0, 0, 2272)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 19, 2, 13, 5, 0, 125, 143, 1, 1, 0, 1, 0, 1927)),
+         (1, 2, 19, 2, 13, 5, 0, 125, 143, 1, 1, 0, 1927)),
     ),
     ("bwd_quant", 2): (
         ("mod_counter_5_20", "FAILED",
-         (19, 19, 30, 235, 30, 30, 4, 132, 937, 5, 2, 4, 19, 0, 1105)),
+         (19, 19, 30, 235, 30, 30, 4, 132, 286, 3, 19, 0, 1105)),
         ("arbiter_8", "PROVED",
-         (1, 8, 61, 0, 61, 40, 0, 80, 96, 1, 5, 0, 0, 0, 2272)),
+         (1, 8, 61, 0, 61, 40, 0, 80, 96, 5, 0, 0, 2272)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 19, 2, 13, 5, 0, 125, 146, 1, 1, 0, 1, 0, 1927)),
+         (1, 2, 19, 2, 13, 5, 0, 125, 146, 1, 1, 0, 1927)),
     ),
     ("fwd_image", 1): (
         ("fifo_level_4", "PROVED",
-         (15, 90, 102, 315, 98, 22, 0, 17, 114, 1, 24, 0, 0, 0, 7073)),
+         (15, 90, 102, 315, 98, 22, 0, 17, 114, 24, 0, 0, 7073)),
         ("gray_counter_4", "PROVED",
-         (17, 136, 63, 14, 56, 0, 0, 15, 188, 1, 17, 0, 0, 0, 136)),
+         (17, 136, 63, 14, 56, 0, 0, 15, 188, 17, 0, 0, 136)),
         ("mod_counter_5_20", "PROVED",
-         (20, 100, 64, 43, 61, 0, 0, 9, 135, 1, 15, 0, 0, 0, 100)),
+         (20, 100, 64, 43, 61, 0, 0, 9, 135, 15, 0, 0, 100)),
     ),
     ("fwd_image", 2): (
         ("fifo_level_4", "PROVED",
-         (15, 90, 102, 315, 98, 22, 0, 17, 114, 1, 24, 0, 0, 0, 7073)),
+         (15, 90, 102, 315, 98, 22, 0, 17, 114, 24, 0, 0, 7073)),
         ("gray_counter_4", "PROVED",
-         (17, 136, 77, 16, 65, 0, 0, 15, 192, 1, 20, 0, 0, 0, 136)),
+         (17, 136, 77, 16, 65, 0, 0, 15, 192, 20, 0, 0, 136)),
         ("mod_counter_5_20", "PROVED",
-         (20, 100, 79, 43, 73, 0, 0, 9, 126, 1, 19, 0, 0, 0, 100)),
+         (20, 100, 79, 43, 73, 0, 0, 9, 126, 19, 0, 0, 100)),
     ),
     ("bwd_deep", 1): (
         ("bug_at_depth_30", "FAILED",
-         (30, 0, 0, 0, 0, 0, 0, 1085, 5827, 8, 0, 7, 30, 0, 0)),
+         (30, 0, 0, 0, 0, 0, 0, 1085, 1410, 0, 30, 0, 0)),
         ("mod_counter_5_30", "FAILED",
-         (29, 0, 0, 0, 0, 0, 0, 896, 5037, 8, 0, 7, 29, 0, 0)),
+         (29, 0, 0, 0, 0, 0, 0, 896, 1201, 0, 29, 0, 0)),
         ("johnson_14", "PROVED",
-         (18, 0, 0, 0, 0, 0, 0, 842, 5168, 5, 0, 4, 0, 0, 0)),
+         (18, 0, 0, 0, 0, 0, 0, 842, 1552, 0, 0, 0, 0)),
     ),
     ("bwd_deep", 2): (
         ("bug_at_depth_30", "FAILED",
-         (30, 0, 0, 0, 0, 0, 0, 1085, 5827, 8, 0, 7, 30, 0, 0)),
+         (30, 0, 0, 0, 0, 0, 0, 1085, 1410, 0, 30, 0, 0)),
         ("mod_counter_5_30", "FAILED",
-         (29, 0, 0, 0, 0, 0, 0, 896, 5037, 8, 0, 7, 29, 0, 0)),
+         (29, 0, 0, 0, 0, 0, 0, 896, 1201, 0, 29, 0, 0)),
         ("johnson_14", "PROVED",
-         (18, 0, 0, 0, 0, 0, 0, 842, 5170, 5, 0, 4, 0, 0, 0)),
+         (18, 0, 0, 0, 0, 0, 0, 842, 1553, 0, 0, 0, 0)),
+    ),
+    ("bwd_long", "unpermuted"): (
+        ("mod_counter_7_30", "FAILED",
+         (29, 29, 67, 247, 62, 28, 0, 847, 1094, 0, 29, 0, 71139)),
     ),
     ("bdd_fix", 1): (
         ("gray_counter_10", "PROVED", (1025, 20, 815, 77729, 25830, 111531)),
@@ -247,14 +257,14 @@ GOLDENS = {
 
 SAT_COUNTERS = ("decisions", "conflicts", "propagations", "solve_calls")
 
-# (workload, seed) -> per design, in GOLDENS order, the SAT_COUNTERS
+# (source, variant) -> per design, in GOLDENS order, the SAT_COUNTERS
 # summed over all Solver.solve calls of the run.
 SAT_GOLDENS = {
     ("bwd_quant", 1): (
-        (217, 129, 9557, 69), (329, 119, 8398, 82), (145, 23, 4408, 22),
+        (215, 142, 10814, 69), (329, 119, 8398, 82), (145, 23, 4408, 22),
     ),
     ("bwd_quant", 2): (
-        (217, 129, 9557, 69), (296, 111, 6869, 63), (112, 19, 4037, 22),
+        (215, 142, 10814, 69), (296, 111, 6869, 63), (112, 19, 4037, 22),
     ),
     ("fwd_image", 1): (
         (438, 100, 12508, 132), (266, 32, 6236, 97), (212, 42, 5251, 104),
@@ -263,11 +273,12 @@ SAT_GOLDENS = {
         (438, 100, 12508, 132), (303, 37, 6711, 111), (268, 42, 6193, 119),
     ),
     ("bwd_deep", 1): (
-        (61, 30, 35711, 61), (59, 29, 27155, 59), (321, 68, 30707, 36),
+        (61, 30, 36745, 61), (59, 29, 28515, 59), (294, 63, 33769, 36),
     ),
     ("bwd_deep", 2): (
-        (61, 30, 35711, 61), (59, 29, 27055, 59), (302, 79, 30789, 36),
+        (61, 30, 36745, 61), (59, 29, 28459, 59), (302, 63, 32932, 36),
     ),
+    ("bwd_long", "unpermuted"): ((428, 134, 50846, 126),),
 }
 
 

@@ -223,7 +223,7 @@ class TestCertificates:
         check_certificate(netlist, rebuilt.certificate)
         # Positional round trip re-anchored on a clone with different
         # node numbering — the portfolio cache's scenario.
-        clone, _, _ = netlist.clone()
+        clone, _ = netlist.clone()
         positional = VerificationResult.from_dict(
             result.to_dict(netlist), clone
         )

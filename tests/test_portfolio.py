@@ -52,7 +52,7 @@ class TestStructuralHash:
 
     def test_invariant_under_clone(self):
         netlist = G.mod_counter(4, 12)
-        clone, _, _ = netlist.clone()
+        clone, _ = netlist.clone()
         assert structural_hash(netlist) == structural_hash(clone)
 
     def test_sensitive_to_init_values(self):
@@ -102,7 +102,7 @@ class TestResultCache:
         # A fresh process would rebuild the netlist in its own manager:
         # simulate that with a clone (different node numbering).
         reader = ResultCache(path)
-        fresh, _, _ = handshake(False).clone()
+        fresh, _ = handshake(False).clone()
         hit = reader.lookup(fresh, "bmc", 20)
         assert hit is not None
         assert hit.status is Status.FAILED
@@ -431,11 +431,12 @@ class TestReachOptionsNormalization:
                 G.mod_counter(3, 6),
                 method="reach_aig",
                 options=ReachOptions(),
-                compact_every=2,
+                max_manager_nodes=1_000_000,
             )
 
     def test_loose_keywords_still_work(self):
         result = verify(
-            G.mod_counter(3, 6), method="reach_aig", compact_every=2
+            G.mod_counter(3, 6), method="reach_aig",
+            max_manager_nodes=1_000_000,
         )
         assert result.status is Status.PROVED

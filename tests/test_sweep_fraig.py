@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.aig.graph import Aig, edge_not
 from repro.aig.ops import or_, transfer, xor
 from repro.errors import AigError
-from repro.sweep.fraig import fraig, fraig_in_place
+from repro.sweep.fraig import fraig
 from tests.conftest import build_random_aig, edges_equivalent
 
 
@@ -95,30 +95,3 @@ class TestFraig:
         )
         result = fraig(aig, [root])
         assert _equivalent_across_managers(aig, root, result, inputs)
-
-
-class TestFraigInPlace:
-    def test_edges_stay_valid_in_same_manager(self):
-        aig, inputs, root = build_random_aig(
-            num_inputs=5, num_gates=40, seed=4
-        )
-        (new_root,), stats = fraig_in_place(aig, [root])
-        assert edges_equivalent(
-            aig, root, new_root, [e >> 1 for e in inputs]
-        )
-        assert stats.get("size_after") <= stats.get("size_before")
-
-    def test_circuit_engine_in_place(self):
-        aig, inputs, root = build_random_aig(
-            num_inputs=4, num_gates=25, seed=6
-        )
-        (new_root,), _ = fraig_in_place(aig, [root], engine="circuit")
-        assert edges_equivalent(
-            aig, root, new_root, [e >> 1 for e in inputs]
-        )
-
-    def test_unknown_engine_rejected(self):
-        aig = Aig()
-        a = aig.add_input()
-        with pytest.raises(AigError):
-            fraig_in_place(aig, [a], engine="nope")
