@@ -18,7 +18,6 @@ from repro.aig.ops import (
     and_all,
     cofactor,
     compose,
-    equal_edges_syntactic,
     implies_edge,
     ite,
     or_,
@@ -29,7 +28,7 @@ from repro.aig.ops import (
 )
 from repro.aig.cnf import CnfMapper, edge_to_cnf
 from repro.aig.simulate import eval_edge, simulate, truth_table
-from repro.aig.analysis import cone_nodes, cone_size, level_of, structural_stats
+from repro.aig.analysis import cone_size, level_of
 from repro.aig.aiger_binary import read_aig_binary, write_aig_binary, write_aig_binary_bytes
 
 __all__ = [
@@ -49,16 +48,13 @@ __all__ = [
     "cofactor",
     "compose",
     "support",
-    "equal_edges_syntactic",
     "CnfMapper",
     "edge_to_cnf",
     "simulate",
     "eval_edge",
     "truth_table",
-    "cone_nodes",
     "cone_size",
     "level_of",
-    "structural_stats",
     "read_aig_binary",
     "write_aig_binary",
     "write_aig_binary_bytes",

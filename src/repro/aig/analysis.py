@@ -7,14 +7,9 @@ the sizes the ``benchmarks/bench_*`` modules write to
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.aig.graph import Aig
-
-
-def cone_nodes(aig: Aig, edge: int) -> list[int]:
-    """Topologically ordered nodes in the transitive fanin of an edge."""
-    return aig.cone([edge])
 
 
 def cone_size(aig: Aig, edge: int) -> int:
@@ -51,27 +46,3 @@ def sharing_ratio(aig: Aig, a: int, b: int) -> float:
     if not union:
         return 1.0
     return len(cone_a & cone_b) / len(union)
-
-
-def fanout_counts(aig: Aig, roots: Iterable[int]) -> dict[int, int]:
-    """Fanout count of every node within the cones of ``roots``."""
-    counts: dict[int, int] = {}
-    for node in aig.cone(list(roots)):
-        if not aig.is_and(node):
-            continue
-        for fanin in aig.fanins(node):
-            child = fanin >> 1
-            counts[child] = counts.get(child, 0) + 1
-    return counts
-
-
-def structural_stats(aig: Aig, edge: int) -> dict[str, int]:
-    """Compact summary used in logs and benchmark tables."""
-    nodes = aig.cone([edge])
-    ands = [n for n in nodes if aig.is_and(n)]
-    inputs = [n for n in nodes if aig.is_input(n)]
-    return {
-        "ands": len(ands),
-        "inputs": len(inputs),
-        "level": level_of(aig, edge),
-    }

@@ -154,11 +154,6 @@ def transfer(
     return cache[root] ^ (edge & 1)
 
 
-def equal_edges_syntactic(a: int, b: int) -> bool:
-    """Structural equality of edges (same node, same polarity)."""
-    return a == b
-
-
 def constant_value(edge: int) -> bool | None:
     """``True``/``False`` for the constant edges, ``None`` otherwise."""
     if edge == TRUE:

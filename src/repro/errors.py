@@ -35,25 +35,6 @@ class NetlistError(ReproError):
     """Raised for ill-formed sequential netlists."""
 
 
-class QuantificationAborted(ReproError):
-    """Raised when partial quantification aborts a too-expensive variable.
-
-    Section 4 of the paper: "it accepts effective quantification and aborts
-    the expensive ones (in term of size)".  Callers that combine circuit
-    quantification with SAT-based methods catch this and leave the variable
-    to the downstream engine.
-    """
-
-    def __init__(self, variable: int, size_before: int, size_after: int) -> None:
-        super().__init__(
-            f"quantification of variable {variable} aborted: "
-            f"size {size_before} -> {size_after} exceeds threshold"
-        )
-        self.variable = variable
-        self.size_before = size_before
-        self.size_after = size_after
-
-
 class ProofError(ReproError):
     """Raised when a resolution proof is malformed or fails replay.
 

@@ -15,20 +15,22 @@ combination of Section 4), and checks frontier emptiness and init
 intersection with SAT.  One working manager, one image computer (with its
 sweeper and signature table) and one incremental check solver serve the
 whole run, so each AIG node is Tseitin-encoded at most once per run.
-:class:`AigTraversal` holds what it shares with the forward engine of
-:mod:`repro.mc.reach_aig_fwd`.
+:class:`AigTraversal` runs the breadth-first loop for this engine and for
+the forward engine of :mod:`repro.mc.reach_aig_fwd`; each direction
+supplies only its start set, image, hit test and counterexample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.aig.analysis import cone_size
 from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, edge_not
 from repro.aig.ops import or_
 from repro.circuits.netlist import Netlist
-from repro.core.images import ImageComputer
+from repro.core.images import ImageComputer, ImageResult
 from repro.core.quantify import QuantifyOptions
 from repro.errors import ModelCheckingError, ResourceLimit
 from repro.mc.result import Status, Trace, VerificationResult
@@ -61,7 +63,7 @@ class ReachOptions:
 
 
 class AigTraversal:
-    """What the backward and forward AIG traversals share.
+    """The breadth-first AIG traversal, backward or forward.
 
     A validated private clone of the netlist — traversal adds heaps of
     nodes and must not pollute (or be confused by) the caller's manager —
@@ -93,9 +95,10 @@ class AigTraversal:
     every image, check and frontier stat.  ``image ∧ ¬reached`` survives
     only as the emptiness test.
 
-    Subclasses set ``direction`` and ``engine`` and define
-    ``_new_images`` and ``run`` (on the subclass itself:
-    perfbench/tracing.py wraps ``run`` per class).
+    :meth:`run` is the traversal loop of both directions.  Subclasses
+    set ``direction``, ``engine`` and ``images`` and define its four
+    steps: :meth:`_start`, :meth:`_image`, :meth:`_hit` and
+    :meth:`_counterexample`.
     """
 
     direction: str
@@ -112,12 +115,67 @@ class AigTraversal:
         self.model, node_map = netlist.clone()
         self._to_original = {new: old for old, new in node_map.items()}
         self.stats = StatsBag()
-        self.images = self._new_images()
         # The check solver of the run, over the working manager.
         self._checks = CnfMapper(self.model.aig)
 
-    def _new_images(self) -> ImageComputer:
+    # ------------------------------------------------------------------ #
+    # The traversal
+    # ------------------------------------------------------------------ #
+
+    def run(self) -> VerificationResult:
+        """Traverse to a fix point (PROVED), a hit (FAILED) or the
+        iteration bound (UNKNOWN)."""
+        options = self.options
+        start = self._start()
+        # layers[k] holds every state at distance k from the start set,
+        # perhaps some nearer ones too, and lies in the image of
+        # layers[k-1]: backward, the distance to a violation; forward,
+        # the onion rings around the initial state.
+        layers: list[int] = [start]
+        reached = start
+        previous = start
+        hit = self._hit(start)
+        if hit is not None:
+            return self._failed(hit, layers)
+        for iteration in range(1, options.max_iterations + 1):
+            image = self._image(layers[-1])
+            self.stats.merge(image.stats)
+            frontier = self._next_frontier(
+                iteration, image.edge, previous, reached
+            )
+            if frontier is None:
+                return self._result(Status.PROVED, iteration)
+            layers.append(frontier)
+            reached = or_(self.model.aig, reached, image.edge)
+            previous = image.edge
+            hit = self._hit(frontier)
+            if hit is not None:
+                return self._failed(hit, layers)
+            self._check_budget()
+        return self._result(Status.UNKNOWN, options.max_iterations)
+
+    def _start(self) -> int:
+        """The state set the traversal starts from."""
         raise NotImplementedError
+
+    def _image(self, states: int) -> ImageResult:
+        """The image of ``states`` in the traversal's direction."""
+        raise NotImplementedError
+
+    def _hit(self, frontier: int) -> dict[int, bool] | None:
+        """A state of ``frontier`` that ends the search, or None."""
+        raise NotImplementedError
+
+    def _counterexample(
+        self, hit: dict[int, bool], layers: list[int]
+    ) -> tuple[list[dict[int, bool]], list[dict[int, bool]]]:
+        """States and inputs of a concrete path from an initial state
+        through ``hit`` to a bad state, one state per layer."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    # Helpers
+    # ------------------------------------------------------------------ #
 
     def _solve(self, edge: int) -> dict[int, bool] | None:
         """Input and latch values of a SAT model of ``edge``, or None.
@@ -179,12 +237,10 @@ class AigTraversal:
         )
 
     def _failed(
-        self,
-        states: list[dict[int, bool]],
-        inputs: list[dict[int, bool]],
-        iterations: int,
+        self, hit: dict[int, bool], layers: list[int]
     ) -> VerificationResult:
-        """The FAILED result of a concrete path ending in a bad state."""
+        """The FAILED result of a concrete path through ``hit``."""
+        states, inputs = self._counterexample(hit, layers)
         violation = find_violation_inputs(
             self.model, states[-1], mapper=self._checks
         )
@@ -197,7 +253,7 @@ class AigTraversal:
                 else None
             ),
         )
-        return self._result(Status.FAILED, iterations, trace)
+        return self._result(Status.FAILED, len(layers) - 1, trace)
 
     def _map_assignment(self, values: dict[int, bool]) -> dict[int, bool]:
         return {
@@ -218,74 +274,43 @@ class BackwardReachability(AigTraversal):
         super().__init__(netlist, options)
         mode = options.input_elimination
         self.engine = "reach_aig" if mode == "circuit" else f"reach_aig_{mode}"
-
-    def _new_images(self) -> ImageComputer:
-        """The image computer over the working model."""
-        options = self.options
-        return ImageComputer(
+        self.images = ImageComputer(
             self.model,
             options.quantify,
-            elimination=options.input_elimination,
+            elimination=mode,
             growth_factor=options.partial_growth_factor,
             max_cubes=options.allsat_max_cubes,
         )
 
-    # ------------------------------------------------------------------ #
-    # The traversal
-    # ------------------------------------------------------------------ #
+    # perfbench/tracing.py wraps ``run`` in each class's own __dict__.
+    run = AigTraversal.run
 
-    def run(self) -> VerificationResult:
-        options = self.options
+    def _start(self) -> int:
         # The bad *states*: inputs of an input-dependent property are
         # existentially quantified away so every layer is a pure state set.
         # The violating step must itself satisfy the constraints.
         image = self.images.bad_states()
         self.stats.merge(image.stats)
-        bad = image.edge
-        init = self.model.init_state_edge()
-        # Layers for trace reconstruction: layers[k] holds every state at
-        # backward distance k from the violation, perhaps some nearer
-        # ones too, and lies in the pre-image of layers[k-1].
-        layers: list[int] = [bad]
-        reached = bad
-        previous = bad
-        init_hit = self._check_init(init, bad)
-        if init_hit is not None:
-            return self._counterexample(init_hit, layers, iterations=0)
-        iteration = 0
-        while iteration < options.max_iterations:
-            iteration += 1
-            image = self.images.preimage(layers[-1])
-            self.stats.merge(image.stats)
-            frontier = self._next_frontier(
-                iteration, image.edge, previous, reached
-            )
-            if frontier is None:
-                return self._result(Status.PROVED, iteration)
-            layers.append(frontier)
-            reached = or_(self.model.aig, reached, image.edge)
-            previous = image.edge
-            init_hit = self._check_init(init, frontier)
-            if init_hit is not None:
-                return self._counterexample(init_hit, layers, iterations=iteration)
-            self._check_budget()
-        return self._result(Status.UNKNOWN, options.max_iterations)
+        return image.edge
 
-    def _check_init(self, init: int, frontier: int) -> dict[int, bool] | None:
-        """Does the frontier contain the initial state?"""
-        return self._satisfiable_state(self.model.aig.and_(init, frontier))
+    def _image(self, states: int) -> ImageResult:
+        return self.images.preimage(states)
+
+    @cached_property
+    def _init(self) -> int:
+        """The initial-state cube, built on first use."""
+        return self.model.init_state_edge()
+
+    def _hit(self, frontier: int) -> dict[int, bool] | None:
+        """An initial state in the frontier, if any."""
+        init_states = self.model.aig.and_(self._init, frontier)
+        return self._satisfiable_state(init_states)
 
     def _counterexample(
-        self,
-        start_state: dict[int, bool],
-        layers: list[int],
-        iterations: int,
-    ) -> VerificationResult:
+        self, hit: dict[int, bool], layers: list[int]
+    ) -> tuple[list[dict[int, bool]], list[dict[int, bool]]]:
         """Walk the initial state down the distance layers to the bug."""
         suffix_states, inputs = concretize_suffix(
-            self.model, start_state, layers, mapper=self._checks,
-            stats=self.stats,
+            self.model, hit, layers, mapper=self._checks, stats=self.stats,
         )
-        return self._failed(
-            [dict(start_state)] + suffix_states, inputs, iterations
-        )
+        return [dict(hit)] + suffix_states, inputs

@@ -24,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.aig.graph import edge_not
-from repro.aig.ops import or_
 from repro.circuits.netlist import Netlist
-from repro.core.images import ImageComputer
+from repro.core.images import ImageComputer, ImageResult
 from repro.core.quantify import QuantifyOptions
 from repro.errors import ModelCheckingError
 from repro.mc.reach_aig import AigTraversal
-from repro.mc.result import Status, VerificationResult
+from repro.mc.result import VerificationResult
 
 # Unused here (AigTraversal maps the violation); perfbench/tracing.py
 # patches this name on this module.
@@ -63,25 +62,45 @@ class ForwardReachability(AigTraversal):
             netlist,
             options if options is not None else ForwardReachOptions(),
         )
+        self.images = ImageComputer(self.model, self.options.quantify)
 
-    def _new_images(self) -> ImageComputer:
-        return ImageComputer(self.model, self.options.quantify)
+    # perfbench/tracing.py wraps ``run`` in each class's own __dict__.
+    run = AigTraversal.run
 
-    # ------------------------------------------------------------------ #
-    # SAT helpers
-    # ------------------------------------------------------------------ #
+    def _start(self) -> int:
+        return self.model.init_state_edge()
 
-    def _violating_state(self, state_set: int) -> dict[int, bool] | None:
-        """A state of ``state_set`` where the property can fail, if any.
+    def _image(self, states: int) -> ImageResult:
+        return self.images.postimage(states)
+
+    def _hit(self, frontier: int) -> dict[int, bool] | None:
+        """A state of ``frontier`` where the property can fail, if any.
 
         The violating step must itself satisfy the environment
         constraints (an unconstrained input pattern does not count).
         """
         bad = self.model.aig.and_(
-            state_set, edge_not(self.model.property_edge)
+            frontier, edge_not(self.model.property_edge)
         )
         bad = self.model.aig.and_(bad, self.model.constraint_edge())
         return self._satisfiable_state(bad)
+
+    # ------------------------------------------------------------------ #
+    # Trace reconstruction (backwards through the onion rings)
+    # ------------------------------------------------------------------ #
+
+    def _counterexample(
+        self, hit: dict[int, bool], layers: list[int]
+    ) -> tuple[list[dict[int, bool]], list[dict[int, bool]]]:
+        states = [dict(hit)]
+        inputs: list[dict[int, bool]] = []
+        for ring_index in range(len(layers) - 2, -1, -1):
+            predecessor, step_inputs = self._predecessor_in(
+                layers[ring_index], states[0]
+            )
+            states.insert(0, predecessor)
+            inputs.insert(0, step_inputs)
+        return states, inputs
 
     def _predecessor_in(
         self, source_set: int, target_state: dict[int, bool]
@@ -108,59 +127,6 @@ class ForwardReachability(AigTraversal):
             node: model.get(node, False) for node in self.model.input_nodes
         }
         return state, inputs
-
-    # ------------------------------------------------------------------ #
-    # The traversal
-    # ------------------------------------------------------------------ #
-
-    def run(self) -> VerificationResult:
-        options = self.options
-        aig = self.model.aig
-        init = self.model.init_state_edge()
-        # Onion rings: rings[k] holds every state first reached at step k,
-        # perhaps some earlier ones too, and lies in the post-image of
-        # rings[k-1].
-        rings: list[int] = [init]
-        reached = init
-        previous = init
-        violating = self._violating_state(init)
-        if violating is not None:
-            return self._counterexample(violating, rings)
-        iteration = 0
-        while iteration < options.max_iterations:
-            iteration += 1
-            image = self.images.postimage(rings[-1])
-            self.stats.merge(image.stats)
-            frontier = self._next_frontier(
-                iteration, image.edge, previous, reached
-            )
-            if frontier is None:
-                return self._result(Status.PROVED, iteration)
-            rings.append(frontier)
-            reached = or_(aig, reached, image.edge)
-            previous = image.edge
-            violating = self._violating_state(frontier)
-            if violating is not None:
-                return self._counterexample(violating, rings)
-            self._check_budget()
-        return self._result(Status.UNKNOWN, options.max_iterations)
-
-    # ------------------------------------------------------------------ #
-    # Trace reconstruction (backwards through the onion rings)
-    # ------------------------------------------------------------------ #
-
-    def _counterexample(
-        self, bad_state: dict[int, bool], rings: list[int]
-    ) -> VerificationResult:
-        states = [dict(bad_state)]
-        inputs: list[dict[int, bool]] = []
-        for ring_index in range(len(rings) - 2, -1, -1):
-            predecessor, step_inputs = self._predecessor_in(
-                rings[ring_index], states[0]
-            )
-            states.insert(0, predecessor)
-            inputs.insert(0, step_inputs)
-        return self._failed(states, inputs, len(rings) - 1)
 
 
 def forward_reachability(

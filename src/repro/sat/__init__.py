@@ -9,7 +9,7 @@ run" exactly as the paper describes, and a slow reference DPLL solver used
 as a test oracle.
 """
 
-from repro.sat.cnf import CNF, Clause, lit_to_dimacs, neg
+from repro.sat.cnf import CNF, Clause, neg
 from repro.sat.solver import ProofLog, Solver, SolveResult
 from repro.sat.dpll import DpllSolver
 from repro.sat.circuit import CircuitSolver, prove_edges_equivalent_circuit
@@ -23,6 +23,5 @@ __all__ = [
     "DpllSolver",
     "CircuitSolver",
     "prove_edges_equivalent_circuit",
-    "lit_to_dimacs",
     "neg",
 ]

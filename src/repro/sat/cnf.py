@@ -19,11 +19,6 @@ def neg(lit: int) -> int:
     return -lit
 
 
-def lit_to_dimacs(lit: int) -> str:
-    """Render a literal the way a DIMACS file would."""
-    return str(lit)
-
-
 def _validate_clause(lits: Iterable[int]) -> Clause:
     clause = tuple(int(lit) for lit in lits)
     for lit in clause:

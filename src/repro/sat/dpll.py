@@ -110,8 +110,3 @@ def brute_force_models(cnf: CNF) -> list[list[bool]]:
         if cnf.evaluate(assignment):
             models.append(assignment)
     return models
-
-
-def count_models(cnf: CNF) -> int:
-    """Count satisfying assignments by exhaustion (tiny formulas only)."""
-    return len(brute_force_models(cnf))

@@ -11,7 +11,8 @@ from repro.aig.ops import xor
 from repro.aig.simulate import eval_edge
 from repro.circuits import generators as G
 from repro.core.quantify import QuantifyOptions
-from repro.errors import ModelCheckingError
+from repro.errors import ModelCheckingError, ResourceLimit
+from repro.mc.engine import verify
 from repro.mc.reach_aig import BackwardReachability, ReachOptions
 from repro.mc.reach_aig_fwd import ForwardReachability
 from repro.mc.reach_bdd import (
@@ -205,6 +206,18 @@ class TestEpochSolver:
             if edge != FALSE:
                 answers.add(self._check(traversal, edge))
         assert answers == {True, False}
+
+
+class TestManagerBudget:
+    """``max_manager_nodes`` is the AIG traversals' only memory bound."""
+
+    @pytest.mark.parametrize("method", ["reach_aig", "reach_aig_fwd"])
+    def test_small_budget_raises(self, method):
+        # 19 iterations at the default budget; 200 nodes run out first.
+        net = G.mod_counter(5, 20, safe=False)
+        assert verify(net, method=method).failed
+        with pytest.raises(ResourceLimit, match="200 nodes"):
+            verify(net, method=method, max_manager_nodes=200)
 
 
 class TestInputEliminationModes:
