@@ -1,11 +1,12 @@
 """Bridges between AIGs and BDDs.
 
-``aig_to_bdd`` is the workhorse of BDD sweeping: it builds BDDs bottom-up
-for every node of a cone and *raises* :class:`~repro.errors.BddLimitExceeded`
-when the manager's node budget is exhausted, letting the caller cut the
-offending node instead.  ``bdd_to_aig`` converts back (multiplexer per BDD
-node), used by tests and by the BDD-reachability baseline when extracting
-witness functions.
+``aig_to_bdd`` builds BDDs bottom-up for every node of a cone and
+*raises* :class:`~repro.errors.BddLimitExceeded` when the manager's node
+budget is exhausted, letting the caller give up or cut the offending
+node.  The BDD traversal lifts its netlist with it.  ``bdd_to_aig``
+converts back (multiplexer per BDD node).  The AIG traversals use both
+to re-encode their images through a budgeted table
+(:class:`repro.mc.reach_aig.ReencodingTable`).
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ def aig_to_bdd(
 
     ``var_map`` maps AIG input *nodes* to BDD variable *indices*.  Inputs
     missing from the map raise :class:`BddError`.  ``node_cache`` (AIG node
-    -> BDD node) may be shared across calls to amortize work over a cone —
-    BDD sweeping does exactly that.
+    -> BDD node) may be shared across calls to amortize work over a cone:
+    the walk visits only the nodes it lacks and stops at cached ones.  The
+    BDD traversal shares one over its next-state functions, and the AIG
+    traversals' re-encoding table one over a whole run.
 
     Raises :class:`~repro.errors.BddLimitExceeded` if the manager has a node
     budget and it is exhausted mid-construction.
@@ -38,9 +41,7 @@ def aig_to_bdd(
     if node_cache is None:
         node_cache = {}
     node_cache.setdefault(0, BDD_FALSE)
-    for node in aig.cone([edge]):
-        if node in node_cache:
-            continue
+    for node in aig.cone([edge], known=node_cache):
         if aig.is_input(node):
             if node not in var_map:
                 raise BddError(f"AIG input {node} missing from var_map")

@@ -11,13 +11,26 @@ equivalence, are performed using a SAT engine."
 The engine keeps a private clone of the netlist, takes its bad states and
 pre-images from :class:`~repro.core.images.ImageComputer` (in-lining, then
 circuit-based input quantification, all-SAT, or the hybrid partial+all-SAT
-combination of Section 4), and checks frontier emptiness and init
-intersection with SAT.  One working manager, one image computer (with its
-sweeper and signature table) and one incremental check solver serve the
-whole run, so each AIG node is Tseitin-encoded at most once per run.
-:class:`AigTraversal` runs the breadth-first loop for this engine and for
-the forward engine of :mod:`repro.mc.reach_aig_fwd`; each direction
-supplies only its start set, image, hit test and counterexample.
+combination of Section 4), and checks init intersection with SAT.  One
+working manager, one image computer (with its sweeper and signature
+table) and one incremental check solver serve the whole run, so each AIG
+node is Tseitin-encoded at most once per run.  :class:`AigTraversal` runs
+the breadth-first loop for this engine and for the forward engine of
+:mod:`repro.mc.reach_aig_fwd`; each direction supplies only its start
+set, image, hit test and counterexample.
+
+The state sets stay AIGs; BDDs are only a budgeted helper, as in the
+paper's BDD sweeping.  Each run keeps one :class:`ReencodingTable`: a
+BDD manager of ``REENCODE_NODE_LIMIT`` nodes over the latches in a
+:func:`structural_latch_order`.  Every image is built there, and when
+its multiplexer AIG (one mux per BDD node) is smaller than the image's
+cone, it replaces the image: the same set, so iterations, verdicts and
+traces do not move.  The table also holds the BDD of ``reached``, so
+the fix-point test ``image ∧ ¬reached = ∅`` is a BDD comparison; SAT
+answers it only once the table is gone.  A budget overrun drops the
+table (``reencode_aborts``); after ``REENCODE_MAX_ABORTS`` the run stops
+re-encoding.  Without it, an input-free design's pre-images are bare
+compositions and grow like a BMC unrolling.
 """
 
 from __future__ import annotations
@@ -27,12 +40,15 @@ from functools import cached_property
 
 from repro.aig.analysis import cone_size
 from repro.aig.cnf import CnfMapper
-from repro.aig.graph import FALSE, edge_not
-from repro.aig.ops import or_
+from repro.aig.graph import FALSE, Aig, edge_not
+from repro.aig.ops import or_, support
+from repro.bdd.from_aig import aig_to_bdd, bdd_to_aig
+from repro.bdd.manager import BDD_FALSE, BddManager
 from repro.circuits.netlist import Netlist
 from repro.core.images import ImageComputer, ImageResult
+from repro.core.merge import REENCODE_NODE_LIMIT
 from repro.core.quantify import QuantifyOptions
-from repro.errors import ModelCheckingError, ResourceLimit
+from repro.errors import BddLimitExceeded, ModelCheckingError, ResourceLimit
 from repro.mc.result import Status, Trace, VerificationResult
 from repro.mc.trace import concretize_suffix, find_violation_inputs
 from repro.sat.solver import SolveResult
@@ -62,6 +78,87 @@ class ReachOptions:
     allsat_max_cubes: int | None = None
 
 
+# Budget overruns after which a run stops re-encoding its images.
+REENCODE_MAX_ABORTS = 2
+
+
+def structural_latch_order(model: Netlist) -> list[int]:
+    """The latch nodes in depth-first order of their dependency graph.
+
+    Each latch links to the latches in its next-state support.  The walk
+    starts from the latches in the property's cone and then takes the
+    rest; ties are broken by latch name, which survives any renumbering
+    of the netlist, so the order does not depend on the declaration
+    order.  Latches that feed each other end up next to each other, the
+    usual good BDD order (a shift register comes out as a chain).
+    """
+    aig = model.aig
+    latches = {latch.node: latch for latch in model.latches}
+
+    def by_name(nodes) -> list[int]:
+        return sorted(
+            (node for node in nodes if node in latches),
+            key=lambda node: latches[node].name,
+        )
+
+    order: list[int] = []
+    seen: set[int] = set()
+    roots = by_name(support(aig, model.property_edge)) + by_name(latches)
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            order.append(node)
+            stack.extend(
+                reversed(by_name(support(aig, latches[node].next_edge)))
+            )
+    return order
+
+
+class ReencodingTable:
+    """A budgeted BDD table over the latches, kept for a traversal run.
+
+    One :class:`~repro.bdd.manager.BddManager` with
+    ``REENCODE_NODE_LIMIT`` nodes, its variables in a
+    :func:`structural_latch_order`, the AIG node -> BDD ``node_cache``
+    of :func:`~repro.bdd.from_aig.aig_to_bdd` (the next-state cones that
+    every pre-image in-lines are built once), and the BDD of the run's
+    reached set once it is known.  Operations raise
+    :class:`~repro.errors.BddLimitExceeded` past the budget; the owner
+    then drops the whole table.
+    """
+
+    def __init__(self, aig: Aig, order: list[int]) -> None:
+        self.aig = aig
+        self.manager = BddManager(max_nodes=REENCODE_NODE_LIMIT)
+        self.var_map = {node: index for index, node in enumerate(order)}
+        self.var_edges = {index: 2 * node for index, node in enumerate(order)}
+        for node in order:
+            self.manager.new_var(aig.input_name(node))
+        self.node_cache: dict[int, int] = {}
+        self.reached: int | None = None
+
+    def encode(self, edge: int) -> int:
+        """The BDD of a state set."""
+        return aig_to_bdd(
+            self.aig, edge, self.manager, self.var_map, self.node_cache
+        )
+
+    def decode(self, bdd: int) -> int:
+        """The mux AIG of a BDD, one multiplexer per BDD node."""
+        return bdd_to_aig(self.manager, bdd, self.aig, self.var_edges)
+
+    def add_reached(self, bdd: int) -> bool:
+        """Fold ``bdd`` into the reached set; whether it added states."""
+        union = self.manager.or_(self.reached, bdd)
+        grew = union != self.reached
+        self.reached = union
+        return grew
+
+
 class AigTraversal:
     """The breadth-first AIG traversal, backward or forward.
 
@@ -72,8 +169,9 @@ class AigTraversal:
     stats, the manager node budget, and the mapping of traces and results
     back to the caller's netlist.
 
-    Every SAT query — frontier emptiness, init intersection or violation,
-    and the counterexample walk — runs with assumptions on one
+    Every SAT query — frontier emptiness when the re-encoding table
+    cannot answer it, init intersection or violation, and the
+    counterexample walk — runs with assumptions on one
     :class:`~repro.aig.cnf.CnfMapper` bound to the working manager, the
     paper's "load the clause database once and for-all".  Successive
     state sets share most of their cone (``reached`` recurs in every
@@ -94,6 +192,19 @@ class AigTraversal:
     is the circuit: F no longer in-lines the whole ``reached`` cone into
     every image, check and frontier stat.  ``image ∧ ¬reached`` survives
     only as the emptiness test.
+
+    Each image, and the start set, first goes through the run's
+    :class:`ReencodingTable` (:meth:`_reencode`): if its BDD fits the
+    table's budget and the BDD's mux AIG is smaller than its cone, the
+    mux AIG stands for it from then on (``reencode_wins``).  While the
+    table holds the BDD of ``reached`` too, the emptiness test is
+    ``reached ∨ image = reached`` on BDDs and needs no SAT call.  A
+    budget overrun drops the table with its ``reached`` BDD and counts
+    ``reencode_aborts``; the next image starts a fresh table, whose
+    ``reached`` stays unknown, so SAT answers the emptiness tests from
+    then on.  After ``REENCODE_MAX_ABORTS`` overruns the run stops
+    re-encoding.  The frontier ``image ∧ ¬previous`` stays an AIG over
+    the (re-encoded) images.
 
     :meth:`run` is the traversal loop of both directions.  Subclasses
     set ``direction``, ``engine`` and ``images`` and define its four
@@ -117,6 +228,9 @@ class AigTraversal:
         self.stats = StatsBag()
         # The check solver of the run, over the working manager.
         self._checks = CnfMapper(self.model.aig)
+        self._latch_order = structural_latch_order(self.model)
+        # The re-encoding table of the run; None once dropped.
+        self._table: ReencodingTable | None = None
 
     # ------------------------------------------------------------------ #
     # The traversal
@@ -126,7 +240,9 @@ class AigTraversal:
         """Traverse to a fix point (PROVED), a hit (FAILED) or the
         iteration bound (UNKNOWN)."""
         options = self.options
-        start = self._start()
+        self._table = ReencodingTable(self.model.aig, self._latch_order)
+        self._table.reached = BDD_FALSE     # nothing reached yet
+        start, _ = self._reencode(self._start())
         # layers[k] holds every state at distance k from the start set,
         # perhaps some nearer ones too, and lies in the image of
         # layers[k-1]: backward, the distance to a violation; forward,
@@ -140,14 +256,15 @@ class AigTraversal:
         for iteration in range(1, options.max_iterations + 1):
             image = self._image(layers[-1])
             self.stats.merge(image.stats)
+            edge, grew = self._reencode(image.edge)
             frontier = self._next_frontier(
-                iteration, image.edge, previous, reached
+                iteration, edge, previous, reached, grew
             )
             if frontier is None:
                 return self._result(Status.PROVED, iteration)
             layers.append(frontier)
-            reached = or_(self.model.aig, reached, image.edge)
-            previous = image.edge
+            reached = or_(self.model.aig, reached, edge)
+            previous = edge
             hit = self._hit(frontier)
             if hit is not None:
                 return self._failed(hit, layers)
@@ -206,16 +323,55 @@ class AigTraversal:
         self.stats.set(f"frontier_size_{iteration}", size)
         self.stats.max("peak_frontier_size", size)
 
+    def _reencode(self, edge: int) -> tuple[int, bool | None]:
+        """``edge``, or the smaller mux AIG of its BDD, and whether the
+        set adds states to ``reached`` (None when the table cannot tell).
+
+        The set is folded into the table's ``reached`` BDD.  A budget
+        overrun drops the table and counts a ``reencode_aborts``; the
+        next call starts a fresh table with ``reached`` unknown, and
+        after ``REENCODE_MAX_ABORTS`` the run stops re-encoding.
+        """
+        if self._table is None:
+            if self.stats.get("reencode_aborts") >= REENCODE_MAX_ABORTS:
+                return edge, None
+            self._table = ReencodingTable(self.model.aig, self._latch_order)
+        table = self._table
+        try:
+            bdd = table.encode(edge)
+            grew = None if table.reached is None else table.add_reached(bdd)
+        except BddLimitExceeded:
+            self._table = None
+            self.stats.incr("reencode_aborts")
+            return edge, None
+        mux = table.decode(bdd)
+        aig = self.model.aig
+        if cone_size(aig, mux) < cone_size(aig, edge):
+            self.stats.incr("reencode_wins")
+            return mux, grew
+        return edge, grew
+
     def _next_frontier(
-        self, iteration: int, image: int, previous: int, reached: int
+        self,
+        iteration: int,
+        image: int,
+        previous: int,
+        reached: int,
+        grew: bool | None,
     ) -> int | None:
-        """The frontier ``image ∧ ¬previous``, or None at the fix point."""
+        """The frontier ``image ∧ ¬previous``, or None at the fix point.
+
+        ``grew`` answers the fix-point test ``image ∧ ¬reached = ∅``
+        when the re-encoding table knows both BDDs; SAT answers it
+        otherwise.
+        """
         aig = self.model.aig
         frontier = aig.and_(image, edge_not(previous))
         self._record_frontier(iteration, frontier)
-        if self._satisfiable_state(aig.and_(image, edge_not(reached))) is None:
-            return None   # no newly reached states
-        return frontier
+        if grew is None:
+            newly = aig.and_(image, edge_not(reached))
+            grew = self._satisfiable_state(newly) is not None
+        return frontier if grew else None   # None: no newly reached states
 
     def _check_budget(self) -> None:
         limit = self.options.max_manager_nodes

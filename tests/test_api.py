@@ -390,18 +390,20 @@ class TestSession:
     def test_timeout_is_enforced_in_a_worker(self):
         session = Session()
         task = VerificationTask(
-            G.bug_at_depth(25), engine="reach_aig", timeout=0.05
+            G.multiplier_miter(5, safe=False),
+            engine="reach_aig",
+            timeout=0.05,
         )
         result = session.run(task)
         assert not result.status.is_conclusive
         assert result.stats.get("timed_out") == 1
         # The budget-stamped UNKNOWN was memoized for an equal budget...
         assert session.cache.lookup(
-            G.bug_at_depth(25), "reach_aig", 100, budget=0.05
+            G.multiplier_miter(5, safe=False), "reach_aig", 100, budget=0.05
         ) is not None
         # ...but a caller offering more time gets a fresh run.
         assert session.cache.lookup(
-            G.bug_at_depth(25), "reach_aig", 100, budget=10.0
+            G.multiplier_miter(5, safe=False), "reach_aig", 100, budget=10.0
         ) is None
 
     def test_timeout_unknown_not_served_to_unbudgeted_task(self):
@@ -439,13 +441,13 @@ class TestSession:
     def test_composite_timeout_becomes_portfolio_budget(self):
         session = Session()
         slow = VerificationTask(
-            G.bug_at_depth(25),
+            G.multiplier_miter(5, safe=False),
             engine="portfolio",
             timeout=0.05,
             options={"engines": ["reach_aig"]},
         )
         result = session.run(slow)
-        # reach_aig needs ~0.5s; the task timeout must reach the worker.
+        # reach_aig needs ~1s; the task timeout must reach the worker.
         assert not result.status.is_conclusive
         assert result.stats.get("engine_reach_aig_timeout") == 1
 

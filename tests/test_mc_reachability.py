@@ -1,6 +1,8 @@
 """Tests for the traversal engines: AIG backward (the paper) vs BDD."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +10,18 @@ import repro.mc.reach_aig as reach_aig
 from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, edge_not
 from repro.aig.ops import xor
-from repro.aig.simulate import eval_edge
+from repro.aig.simulate import eval_edge, truth_table
 from repro.circuits import generators as G
 from repro.core.quantify import QuantifyOptions
 from repro.errors import ModelCheckingError, ResourceLimit
 from repro.mc.engine import verify
-from repro.mc.reach_aig import BackwardReachability, ReachOptions
+from repro.mc.reach_aig import (
+    REENCODE_MAX_ABORTS,
+    AigTraversal,
+    BackwardReachability,
+    ReachOptions,
+    structural_latch_order,
+)
 from repro.mc.reach_aig_fwd import ForwardReachability
 from repro.mc.reach_bdd import (
     bdd_backward_reachability,
@@ -21,6 +29,10 @@ from repro.mc.reach_bdd import (
 )
 from repro.mc.result import Status
 from repro.sat.solver import SolveResult
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench.workloads import WORKLOADS, build_netlists  # noqa: E402
 
 
 SAFE_CASES = [
@@ -106,11 +118,12 @@ class TestEpochSolver:
 
     # (design, verdict, iterations, trace depth, peak_frontier_size),
     # pinned: sharing the check solver must not change the search.  The
-    # frontier sizes are those of ``image ∧ ¬previous image``.
+    # frontier sizes are those of ``image ∧ ¬previous image``, both
+    # images re-encoded through the run's BDD table.
     EPOCH_CASES = [
-        ("bug30", lambda: G.bug_at_depth(30), Status.FAILED, 30, 30, 1085),
+        ("bug30", lambda: G.bug_at_depth(30), Status.FAILED, 30, 30, 13),
         ("johnson14", lambda: G.johnson_counter(14), Status.PROVED, 18,
-         None, 842),
+         None, 211),
     ]
 
     @staticmethod
@@ -213,11 +226,152 @@ class TestManagerBudget:
 
     @pytest.mark.parametrize("method", ["reach_aig", "reach_aig_fwd"])
     def test_small_budget_raises(self, method):
-        # 19 iterations at the default budget; 200 nodes run out first.
+        # 19 iterations at the default budget, in which the backward run
+        # grows its manager from 29 to 186 nodes (the forward run to
+        # 988); 100 nodes run out first.
         net = G.mod_counter(5, 20, safe=False)
         assert verify(net, method=method).failed
-        with pytest.raises(ResourceLimit, match="200 nodes"):
-            verify(net, method=method, max_manager_nodes=200)
+        with pytest.raises(ResourceLimit, match="100 nodes"):
+            verify(net, method=method, max_manager_nodes=100)
+
+
+class TestReencoding:
+    """Every image goes through the run's budgeted BDD table."""
+
+    DESIGNS = [
+        ("bug12", lambda: G.bug_at_depth(12)),
+        ("johnson6", lambda: G.johnson_counter(6)),
+        ("mod_counter", lambda: G.mod_counter(4, 10, safe=False)),
+        ("fifo", lambda: G.fifo_level(3, safe=True)),
+        ("arbiter", lambda: G.arbiter(3)),
+        ("lfsr", lambda: G.lfsr(4)),
+    ]
+    ENGINES = {
+        "reach_aig": BackwardReachability,
+        "reach_aig_fwd": ForwardReachability,
+    }
+
+    @staticmethod
+    def _spy(monkeypatch, name: str) -> list:
+        """``(traversal, args, result)`` of every call of a traversal
+        method from now on."""
+        calls = []
+        method = getattr(AigTraversal, name)
+
+        def spy(self, *args):
+            result = method(self, *args)
+            calls.append((self, args, result))
+            return result
+
+        monkeypatch.setattr(AigTraversal, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_reencoded_image_equals_original(self, monkeypatch, engine):
+        calls = self._spy(monkeypatch, "_reencode")
+        replaced = 0
+        for name, build in self.DESIGNS:
+            calls.clear()
+            result = self.ENGINES[engine](build()).run()
+            assert result.status is not Status.UNKNOWN, name
+            wins = 0
+            for traversal, (edge,), (reencoded, _) in calls:
+                aig, latches = traversal.model.aig, traversal.model.latch_nodes
+                assert len(latches) <= 10
+                # Exhaustive simulation over every latch assignment.
+                assert truth_table(aig, reencoded, latches) == truth_table(
+                    aig, edge, latches
+                ), name
+                wins += reencoded != edge
+            assert wins == result.stats.get("reencode_wins"), name
+            replaced += wins
+        assert replaced > 0
+
+    def test_over_budget_image_is_kept_and_run_backs_off(self, monkeypatch):
+        reference = BackwardReachability(G.bug_at_depth(12)).run()
+        # No room for one BDD node beyond the variables.
+        monkeypatch.setattr(reach_aig, "REENCODE_NODE_LIMIT", 0)
+        calls = self._spy(monkeypatch, "_reencode")
+        tables = []
+        table_init = reach_aig.ReencodingTable.__init__
+
+        def recording_init(self, *args):
+            table_init(self, *args)
+            tables.append(self)
+
+        monkeypatch.setattr(
+            reach_aig.ReencodingTable, "__init__", recording_init
+        )
+        result = BackwardReachability(G.bug_at_depth(12)).run()
+        assert result.status is reference.status is Status.FAILED
+        assert result.iterations == reference.iterations == 12
+        assert result.trace.depth == reference.trace.depth
+        # The start set and every image come back unchanged, untested.
+        assert len(calls) == result.iterations + 1
+        assert all(out == (edge, None) for _, (edge,), out in calls)
+        assert result.stats.get("reencode_wins") == 0
+        assert result.stats.get("reencode_aborts") == REENCODE_MAX_ABORTS
+        # The run's table and one retry; none after the second abort.
+        assert len(tables) == REENCODE_MAX_ABORTS == 2
+
+    @pytest.mark.parametrize(
+        "workload", ["bwd_quant", "fwd_image", "bwd_deep"]
+    )
+    def test_order_and_counters_survive_permutation(self, workload):
+        spec = WORKLOADS[workload]
+
+        def observe(net):
+            traversal = self.ENGINES[spec.engine](net)
+            result = traversal.run()
+            names = [
+                traversal.model.aig.input_name(node)
+                for node in traversal._latch_order
+            ]
+            counters = [
+                result.stats.get(counter)
+                for counter in ("reencode_wins", "reencode_aborts")
+            ]
+            return names, counters
+
+        expected = [observe(design.build()) for design in spec.designs]
+        for seed in (1, 2, 3):
+            assert [
+                observe(net) for net in build_netlists(spec, seed)
+            ] == expected, seed
+
+    def test_structural_order_follows_the_shift_chain(self):
+        # j0 <- ¬j5, j5 <- j4, ...: a chain whatever the declaration.
+        model = G.johnson_counter(6)
+        order = structural_latch_order(model)
+        assert [model.aig.input_name(node) for node in order] == [
+            "j0", "j5", "j4", "j3", "j2", "j1"
+        ]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name,build", DESIGNS)
+    def test_bdd_fixpoint_test_agrees_with_sat(
+        self, monkeypatch, engine, name, build
+    ):
+        answers = []
+        next_frontier = AigTraversal._next_frontier
+
+        def checked(self, iteration, image, previous, reached, grew):
+            if grew is not None:
+                aig = self.model.aig
+                mapper = CnfMapper(aig)
+                newly = mapper.lit_for(aig.and_(image, edge_not(reached)))
+                sat = mapper.solver.solve([newly]) is SolveResult.SAT
+                assert grew == sat, (name, iteration)
+                answers.append(grew)
+            return next_frontier(
+                self, iteration, image, previous, reached, grew
+            )
+
+        monkeypatch.setattr(AigTraversal, "_next_frontier", checked)
+        result = self.ENGINES[engine](build()).run()
+        assert answers, name
+        if result.proved:
+            assert answers[-1] is False   # the BDD found the fix point
 
 
 class TestInputEliminationModes:

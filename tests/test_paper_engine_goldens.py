@@ -68,6 +68,8 @@ PAPER_COUNTERS = (
     "trace_sim_steps",
     "trace_sat_steps",
     "backward_pairs",
+    "reencode_wins",
+    "reencode_aborts",
 )
 
 # engine -> the result stats its golden rows pin, in row order.
@@ -156,55 +158,55 @@ def _runs(source, variant):
 GOLDENS = {
     ("bwd_quant", 1): (
         ("mod_counter_5_20", "FAILED",
-         (19, 19, 30, 235, 30, 30, 4, 132, 286, 3, 19, 0, 1105)),
+         (19, 19, 24, 140, 24, 24, 2, 10, 97, 3, 19, 0, 194, 19, 0)),
         ("arbiter_8", "PROVED",
-         (1, 8, 80, 0, 80, 41, 0, 80, 96, 5, 0, 0, 2272)),
+         (1, 8, 80, 0, 80, 41, 0, 63, 47, 5, 0, 0, 2272, 1, 0)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 19, 2, 13, 5, 0, 125, 143, 1, 1, 0, 1927)),
+         (1, 2, 51, 6, 46, 4, 0, 83, 104, 2, 1, 0, 86, 1, 0)),
     ),
     ("bwd_quant", 2): (
         ("mod_counter_5_20", "FAILED",
-         (19, 19, 30, 235, 30, 30, 4, 132, 286, 3, 19, 0, 1105)),
+         (19, 19, 24, 140, 24, 24, 2, 10, 97, 3, 19, 0, 194, 19, 0)),
         ("arbiter_8", "PROVED",
-         (1, 8, 61, 0, 61, 40, 0, 80, 96, 5, 0, 0, 2272)),
+         (1, 8, 61, 0, 61, 40, 0, 63, 47, 5, 0, 0, 2272, 1, 0)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 19, 2, 13, 5, 0, 125, 146, 1, 1, 0, 1927)),
+         (1, 2, 46, 7, 40, 5, 0, 84, 105, 2, 1, 0, 68, 1, 0)),
     ),
     ("fwd_image", 1): (
         ("fifo_level_4", "PROVED",
-         (15, 90, 102, 315, 98, 22, 0, 17, 114, 24, 0, 0, 7073)),
+         (15, 90, 106, 344, 100, 22, 0, 12, 91, 24, 0, 0, 7250, 15, 0)),
         ("gray_counter_4", "PROVED",
-         (17, 136, 63, 14, 56, 0, 0, 15, 188, 17, 0, 0, 136)),
+         (17, 136, 63, 14, 56, 0, 0, 15, 156, 17, 0, 0, 136, 0, 0)),
         ("mod_counter_5_20", "PROVED",
-         (20, 100, 64, 43, 61, 0, 0, 9, 135, 15, 0, 0, 100)),
+         (20, 100, 64, 43, 61, 0, 0, 9, 96, 15, 0, 0, 100, 0, 0)),
     ),
     ("fwd_image", 2): (
         ("fifo_level_4", "PROVED",
-         (15, 90, 102, 315, 98, 22, 0, 17, 114, 24, 0, 0, 7073)),
+         (15, 90, 106, 344, 100, 22, 0, 12, 91, 24, 0, 0, 7250, 15, 0)),
         ("gray_counter_4", "PROVED",
-         (17, 136, 77, 16, 65, 0, 0, 15, 192, 20, 0, 0, 136)),
+         (17, 136, 77, 16, 65, 0, 0, 15, 160, 20, 0, 0, 136, 0, 0)),
         ("mod_counter_5_20", "PROVED",
-         (20, 100, 79, 43, 73, 0, 0, 9, 126, 19, 0, 0, 100)),
+         (20, 100, 79, 43, 73, 0, 0, 9, 87, 19, 0, 0, 100, 0, 0)),
     ),
     ("bwd_deep", 1): (
         ("bug_at_depth_30", "FAILED",
-         (30, 0, 0, 0, 0, 0, 0, 1085, 1410, 0, 30, 0, 0)),
+         (30, 0, 0, 0, 0, 0, 0, 13, 138, 0, 30, 0, 0, 30, 0)),
         ("mod_counter_5_30", "FAILED",
-         (29, 0, 0, 0, 0, 0, 0, 896, 1201, 0, 29, 0, 0)),
+         (29, 0, 0, 0, 0, 0, 0, 9, 128, 0, 29, 0, 0, 29, 0)),
         ("johnson_14", "PROVED",
-         (18, 0, 0, 0, 0, 0, 0, 842, 1552, 0, 0, 0, 0)),
+         (18, 0, 0, 0, 0, 0, 0, 211, 853, 0, 0, 0, 0, 19, 0)),
     ),
     ("bwd_deep", 2): (
         ("bug_at_depth_30", "FAILED",
-         (30, 0, 0, 0, 0, 0, 0, 1085, 1410, 0, 30, 0, 0)),
+         (30, 0, 0, 0, 0, 0, 0, 13, 138, 0, 30, 0, 0, 30, 0)),
         ("mod_counter_5_30", "FAILED",
-         (29, 0, 0, 0, 0, 0, 0, 896, 1201, 0, 29, 0, 0)),
+         (29, 0, 0, 0, 0, 0, 0, 9, 128, 0, 29, 0, 0, 29, 0)),
         ("johnson_14", "PROVED",
-         (18, 0, 0, 0, 0, 0, 0, 842, 1553, 0, 0, 0, 0)),
+         (18, 0, 0, 0, 0, 0, 0, 211, 853, 0, 0, 0, 0, 19, 0)),
     ),
     ("bwd_long", "unpermuted"): (
         ("mod_counter_7_30", "FAILED",
-         (29, 29, 67, 247, 62, 28, 0, 847, 1094, 0, 29, 0, 71139)),
+         (29, 29, 42, 226, 42, 32, 0, 13, 150, 3, 29, 0, 388, 29, 0)),
     ),
     ("bdd_fix", 1): (
         ("gray_counter_10", "PROVED", (1025, 20, 815, 77729, 25830, 111531)),
@@ -261,24 +263,24 @@ SAT_COUNTERS = ("decisions", "conflicts", "propagations", "solve_calls")
 # summed over all Solver.solve calls of the run.
 SAT_GOLDENS = {
     ("bwd_quant", 1): (
-        (215, 142, 10814, 69), (329, 119, 8398, 82), (145, 23, 4408, 22),
+        (90, 64, 1300, 44), (328, 118, 8290, 81), (250, 34, 7618, 53),
     ),
     ("bwd_quant", 2): (
-        (215, 142, 10814, 69), (296, 111, 6869, 63), (112, 19, 4037, 22),
+        (90, 64, 1300, 44), (295, 110, 6760, 62), (247, 47, 7159, 48),
     ),
     ("fwd_image", 1): (
-        (438, 100, 12508, 132), (266, 32, 6236, 97), (212, 42, 5251, 104),
+        (611, 146, 14429, 121), (249, 31, 4117, 80), (192, 41, 3710, 84),
     ),
     ("fwd_image", 2): (
-        (438, 100, 12508, 132), (303, 37, 6711, 111), (268, 42, 6193, 119),
+        (611, 146, 14429, 121), (286, 36, 4561, 94), (248, 41, 4915, 99),
     ),
     ("bwd_deep", 1): (
-        (61, 30, 36745, 61), (59, 29, 28515, 59), (294, 63, 33769, 36),
+        (31, 30, 1091, 31), (30, 29, 752, 30), (18, 18, 4653, 18),
     ),
     ("bwd_deep", 2): (
-        (61, 30, 36745, 61), (59, 29, 28459, 59), (302, 63, 32932, 36),
+        (31, 30, 1091, 31), (30, 29, 1065, 30), (18, 18, 4452, 18),
     ),
-    ("bwd_long", "unpermuted"): ((428, 134, 50846, 126),),
+    ("bwd_long", "unpermuted"): ((136, 85, 2481, 72),),
 }
 
 

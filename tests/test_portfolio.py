@@ -152,9 +152,13 @@ class TestRunner:
         assert outcome.result.trace.validate(handshake(False))
 
     def test_race_cancels_losers(self):
-        # bmc cracks bug_at_depth in ~10ms; the traversal takes ~50x that.
+        # bmc cracks the buggy 5-bit multiplier miter in ~10ms; the
+        # traversal's input quantification takes ~100x that.
         outcome = run_portfolio(
-            G.bug_at_depth(25), ["reach_aig", "bmc"], budget=30.0, jobs=2
+            G.multiplier_miter(5, safe=False),
+            ["reach_aig", "bmc"],
+            budget=30.0,
+            jobs=2,
         )
         assert outcome.winner == "bmc"
         labels = {o.method: o.label for o in outcome.outcomes}
@@ -164,7 +168,7 @@ class TestRunner:
     def test_timeout_maps_to_unknown_within_budget(self):
         budget = 0.05
         outcome = run_portfolio(
-            G.bug_at_depth(25), ["reach_aig"], budget=budget
+            G.multiplier_miter(5, safe=False), ["reach_aig"], budget=budget
         )
         assert outcome.winner is None
         assert outcome.result.status is Status.UNKNOWN
