@@ -2,9 +2,11 @@
 
 ``ImageComputer`` binds a netlist to a quantification strategy and is the
 one place that decides how variables leave an image.  One
-:class:`~repro.sweep.satsweep.SatSweeper`, created on first use, serves
-every quantification the computer makes, so counterexample-refined
-signatures carry over from one image to the next.
+:class:`~repro.sweep.satsweep.SatSweeper` and one
+:class:`~repro.sweep.bddsweep.BddSweepTable`, each created on first use,
+serve every quantification the computer makes, so counterexample-refined
+signatures carry over from one image to the next, and BDD sweeping builds
+BDDs only for nodes no earlier cofactor pair has shown it.
 
 * **pre-image** uses the in-lining rule — compose the next-state functions
   into the state set (no quantifier for next-state variables at all) —
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 from repro.aig.graph import Aig, edge_not
 from repro.aig.ops import and_all, compose, support, xnor
 from repro.circuits.netlist import Netlist
+from repro.core.merge import new_bdd_table
 from repro.core.partial import PartialQuantifier, allsat_quantify
 from repro.core.quantify import QuantifyOptions, quantify_exists
 from repro.core.schedule import (
@@ -48,6 +51,7 @@ from repro.core.schedule import (
 )
 from repro.core.substitution import preimage_by_substitution
 from repro.errors import ModelCheckingError
+from repro.sweep.bddsweep import BddSweepTable
 from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
 
@@ -92,6 +96,7 @@ class ImageComputer:
         self.max_cubes = max_cubes
         self.schedule_image = schedule_image
         self._sweeper: SatSweeper | None = None
+        self._bdd_table: BddSweepTable | None = None
         self._next_functions = netlist.next_functions()
         self._placeholders: dict[int, int] | None = None
         # (constraints, plan) for the scheduled product — the transition
@@ -105,6 +110,14 @@ class ImageComputer:
         if self._sweeper is None:
             self._sweeper = SatSweeper(self.aig)
         return self._sweeper
+
+    @property
+    def bdd_table(self) -> BddSweepTable:
+        """The BDD sweeping table every quantification shares (built on
+        first use, like the sweeper)."""
+        if self._bdd_table is None:
+            self._bdd_table = new_bdd_table(self.aig)
+        return self._bdd_table
 
     # ------------------------------------------------------------------ #
     # Input elimination: pre-image and bad states
@@ -147,7 +160,8 @@ class ImageComputer:
             return ImageResult(edge=edge, stats=stats)
         if self.elimination == "circuit":
             outcome = quantify_exists(
-                aig, edge, inputs, self.options, sweeper=self.sweeper
+                aig, edge, inputs, self.options, sweeper=self.sweeper,
+                bdd_table=self.bdd_table,
             )
             return ImageResult(edge=outcome.edge, stats=outcome.stats)
         if self.elimination == "hybrid":
@@ -156,6 +170,7 @@ class ImageComputer:
                 options=self.options,
                 growth_factor=self.growth_factor,
                 sweeper=self.sweeper,
+                bdd_table=self.bdd_table,
             )
             partial = quantifier.quantify(edge, inputs)
             stats.merge(partial.stats)
@@ -210,7 +225,7 @@ class ImageComputer:
             ]
             outcome = quantify_exists(
                 self.aig, product, to_quantify, self.options,
-                sweeper=self.sweeper,
+                sweeper=self.sweeper, bdd_table=self.bdd_table,
             )
             result = ImageResult(edge=outcome.edge, stats=outcome.stats)
         renamed = compose(
@@ -268,6 +283,7 @@ class ImageComputer:
                     self.options,
                     sweeper=self.sweeper,
                     order=step.quantify,
+                    bdd_table=self.bdd_table,
                 )
                 product = outcome.edge
                 stats.merge(outcome.stats)

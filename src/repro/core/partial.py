@@ -31,9 +31,11 @@ from repro.aig.analysis import cone_size
 from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, TRUE, Aig
 from repro.aig.ops import or_, support
+from repro.core.merge import new_bdd_table
 from repro.core.quantify import QuantifyOptions, quantify_exists_one
 from repro.errors import ResourceLimit
 from repro.sat.solver import SolveResult, Solver
+from repro.sweep.bddsweep import BddSweepTable
 from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
 
@@ -62,6 +64,7 @@ class PartialQuantifier:
         growth_factor: float = 1.5,
         absolute_limit: int | None = None,
         sweeper: SatSweeper | None = None,
+        bdd_table: BddSweepTable | None = None,
     ) -> None:
         if growth_factor <= 0:
             raise ValueError("growth_factor must be positive")
@@ -70,6 +73,7 @@ class PartialQuantifier:
         self.growth_factor = growth_factor
         self.absolute_limit = absolute_limit
         self.sweeper = sweeper
+        self.bdd_table = bdd_table
 
     def quantify(self, edge: int, variables: Iterable[int]) -> PartialOutcome:
         """Quantify every variable whose result stays within budget."""
@@ -79,6 +83,8 @@ class PartialQuantifier:
             self.options.sat_merge or self.options.optimize
         ):
             self.sweeper = SatSweeper(aig)
+        if self.bdd_table is None and self.options.bdd_sweep:
+            self.bdd_table = new_bdd_table(aig)
         current = edge
         quantified: list[int] = []
         aborted: list[int] = []
@@ -102,6 +108,7 @@ class PartialQuantifier:
                 self.options,
                 sweeper=self.sweeper,
                 stats=stats,
+                bdd_table=self.bdd_table,
             )
             size_after = cone_size(aig, candidate)
             limit = self.growth_factor * max(size_before, 1)

@@ -23,10 +23,11 @@ from typing import Iterable, Sequence
 from repro.aig.analysis import cone_size
 from repro.aig.graph import Aig
 from repro.aig.ops import cofactor, or_, support
-from repro.core.merge import merge_cofactors
+from repro.core.merge import merge_cofactors, new_bdd_table
 from repro.core.optimize import optimize_disjunction
 from repro.core.schedule import get_scheduler
 from repro.errors import AigError
+from repro.sweep.bddsweep import BddSweepTable
 from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
 
@@ -89,6 +90,7 @@ def quantify_exists_one(
     options: QuantifyOptions | None = None,
     sweeper: SatSweeper | None = None,
     stats: StatsBag | None = None,
+    bdd_table: BddSweepTable | None = None,
 ) -> int:
     """``exists var . edge`` for a single input variable."""
     if options is None:
@@ -111,6 +113,7 @@ def quantify_exists_one(
         options.sat_merge,
         options.merge_order,
         sweeper=sweeper,
+        bdd_table=bdd_table,
     )
     stats.merge(merge_stats)
     if options.optimize:
@@ -130,6 +133,7 @@ def quantify_exists(
     options: QuantifyOptions | None = None,
     sweeper: SatSweeper | None = None,
     order: Sequence[int] | None = None,
+    bdd_table: BddSweepTable | None = None,
 ) -> QuantifyOutcome:
     """``exists {vars} . edge`` — quantifies one variable at a time.
 
@@ -142,6 +146,9 @@ def quantify_exists(
     order (e.g. one slice of a partitioned-image plan from
     :func:`repro.core.schedule.schedule_variable_order`); variables not
     mentioned in ``order`` fall back to caller order.
+
+    Like the ``sweeper``, one BDD sweeping table serves every variable;
+    pass ``bdd_table`` to share it beyond this call.
     """
     if options is None:
         options = QuantifyOptions()
@@ -149,6 +156,8 @@ def quantify_exists(
     stats.set("initial_size", cone_size(aig, edge))
     if sweeper is None and (options.sat_merge or options.optimize):
         sweeper = SatSweeper(aig)
+    if bdd_table is None and options.bdd_sweep:
+        bdd_table = new_bdd_table(aig)
     scheduler = get_scheduler(options.schedule)
     remaining = [v for v in dict.fromkeys(variables)]
     remaining_set = set(remaining)
@@ -171,7 +180,8 @@ def quantify_exists(
             var = scheduler(aig, current, remaining)
         remaining.remove(var)
         current = quantify_exists_one(
-            aig, current, var, options, sweeper=sweeper, stats=stats
+            aig, current, var, options, sweeper=sweeper, stats=stats,
+            bdd_table=bdd_table,
         )
         quantified.append(var)
         stats.max("peak_size", cone_size(aig, current))

@@ -36,12 +36,12 @@ compositions and grow like a BMC unrolling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.aig.analysis import cone_size
 from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, Aig, edge_not
 from repro.aig.ops import or_, support
+from repro.aig.simulate import eval_edge
 from repro.bdd.from_aig import aig_to_bdd, bdd_to_aig
 from repro.bdd.manager import BDD_FALSE, BddManager
 from repro.circuits.netlist import Netlist
@@ -170,7 +170,7 @@ class AigTraversal:
     back to the caller's netlist.
 
     Every SAT query — frontier emptiness when the re-encoding table
-    cannot answer it, init intersection or violation, and the
+    cannot answer it, the forward violation check, and the
     counterexample walk — runs with assumptions on one
     :class:`~repro.aig.cnf.CnfMapper` bound to the working manager, the
     paper's "load the clause database once and for-all".  Successive
@@ -452,15 +452,15 @@ class BackwardReachability(AigTraversal):
     def _image(self, states: int) -> ImageResult:
         return self.images.preimage(states)
 
-    @cached_property
-    def _init(self) -> int:
-        """The initial-state cube, built on first use."""
-        return self.model.init_state_edge()
-
     def _hit(self, frontier: int) -> dict[int, bool] | None:
-        """An initial state in the frontier, if any."""
-        init_states = self.model.aig.and_(self._init, frontier)
-        return self._satisfiable_state(init_states)
+        """The initial state, if the frontier holds it.
+
+        Every backward frontier is a pure state set (the inputs are
+        quantified away), so one evaluation at the single initial state
+        answers what would otherwise be a SAT query.
+        """
+        init = self.model.init_assignment()
+        return init if eval_edge(self.model.aig, frontier, init) else None
 
     def _counterexample(
         self, hit: dict[int, bool], layers: list[int]

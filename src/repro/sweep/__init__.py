@@ -20,7 +20,7 @@ non matching couples".
 from repro.sweep.signatures import SignatureTable
 from repro.sweep.satsweep import SatSweeper, prove_edges_equivalent
 from repro.sweep.circuitsweep import CircuitSweeper
-from repro.sweep.bddsweep import bdd_sweep
+from repro.sweep.bddsweep import BddSweepTable, bdd_sweep
 from repro.sweep.fraig import fraig, fraig_netlist, FraigResult
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "SatSweeper",
     "CircuitSweeper",
     "prove_edges_equivalent",
+    "BddSweepTable",
     "bdd_sweep",
     "fraig",
     "fraig_netlist",

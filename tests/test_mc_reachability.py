@@ -107,6 +107,16 @@ class TestAigBackward:
                 net, ReachOptions(input_elimination="quantum")
             )
 
+    def test_hit_evaluates_the_initial_state(self):
+        traversal = BackwardReachability(
+            G.mod_counter(4, 12, safe=False, with_enable=True)
+        )
+        model = traversal.model
+        init = model.init_state_edge()
+        assert traversal._hit(init) == model.init_assignment()
+        assert traversal._hit(edge_not(init)) is None
+        assert traversal._hit(FALSE) is None
+
     def test_per_iteration_frontier_stats(self):
         net = G.mod_counter(4, 12, safe=False)
         result = BackwardReachability(net).run()
@@ -140,12 +150,14 @@ class TestEpochSolver:
         return mappers
 
     @staticmethod
-    def _assert_one_solver(traversal, result, mappers) -> None:
-        """One check solver, which encoded each node at most once."""
+    def _assert_one_solver(traversal, result, mappers) -> int:
+        """One check solver, which encoded each node at most once;
+        returns how many it encoded."""
         assert len(mappers) == 1
         encoded = result.stats.get("check_cnf_nodes")
-        assert encoded == mappers[0].num_nodes > 0
+        assert encoded == mappers[0].num_nodes
         assert encoded <= traversal.model.aig.num_nodes
+        return encoded
 
     @pytest.mark.parametrize(
         "name,build,status,iterations,depth,peak", EPOCH_CASES
@@ -160,10 +172,12 @@ class TestEpochSolver:
         assert result.iterations == iterations, name
         assert (result.trace.depth if result.trace else None) == depth
         assert result.stats.get("peak_frontier_size") == peak, name
-        self._assert_one_solver(traversal, result, mappers)
+        # The init checks evaluate, the re-encoding table answers the
+        # fix-point tests and the walk simulates: nothing is encoded.
+        assert self._assert_one_solver(traversal, result, mappers) == 0
 
     def test_counts_repeat_exactly(self):
-        runs = [BackwardReachability(G.bug_at_depth(12)).run()
+        runs = [ForwardReachability(G.bug_at_depth(12)).run()
                 for _ in range(2)]
         encoded = [run.stats.get("check_cnf_nodes") for run in runs]
         assert encoded[0] == encoded[1] > 0
@@ -173,7 +187,7 @@ class TestEpochSolver:
         traversal = ForwardReachability(G.bug_at_depth(6))
         result = traversal.run()
         assert result.status is Status.FAILED
-        self._assert_one_solver(traversal, result, mappers)
+        assert self._assert_one_solver(traversal, result, mappers) > 0
 
     @staticmethod
     def _fresh_answer(aig, edge: int) -> bool:

@@ -70,6 +70,7 @@ PAPER_COUNTERS = (
     "backward_pairs",
     "reencode_wins",
     "reencode_aborts",
+    "bdd_recycles",
 )
 
 # engine -> the result stats its golden rows pin, in row order.
@@ -158,55 +159,55 @@ def _runs(source, variant):
 GOLDENS = {
     ("bwd_quant", 1): (
         ("mod_counter_5_20", "FAILED",
-         (19, 19, 24, 140, 24, 24, 2, 10, 97, 3, 19, 0, 194, 19, 0)),
+         (19, 19, 25, 68, 25, 25, 2, 10, 0, 1, 19, 0, 737, 19, 0, 0)),
         ("arbiter_8", "PROVED",
-         (1, 8, 80, 0, 80, 41, 0, 63, 47, 5, 0, 0, 2272, 1, 0)),
+         (1, 8, 80, 0, 80, 41, 0, 63, 0, 5, 0, 0, 2272, 1, 0, 0)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 51, 6, 46, 4, 0, 83, 104, 2, 1, 0, 86, 1, 0)),
+         (1, 2, 51, 6, 46, 4, 0, 83, 0, 2, 1, 0, 86, 1, 0, 0)),
     ),
     ("bwd_quant", 2): (
         ("mod_counter_5_20", "FAILED",
-         (19, 19, 24, 140, 24, 24, 2, 10, 97, 3, 19, 0, 194, 19, 0)),
+         (19, 19, 25, 68, 25, 25, 2, 10, 0, 1, 19, 0, 737, 19, 0, 0)),
         ("arbiter_8", "PROVED",
-         (1, 8, 61, 0, 61, 40, 0, 63, 47, 5, 0, 0, 2272, 1, 0)),
+         (1, 8, 61, 0, 61, 40, 0, 63, 0, 5, 0, 0, 2272, 1, 0, 0)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 46, 7, 40, 5, 0, 84, 105, 2, 1, 0, 68, 1, 0)),
+         (1, 2, 46, 7, 40, 5, 0, 84, 0, 2, 1, 0, 68, 1, 0, 0)),
     ),
     ("fwd_image", 1): (
         ("fifo_level_4", "PROVED",
-         (15, 90, 106, 344, 100, 22, 0, 12, 91, 24, 0, 0, 7250, 15, 0)),
+         (15, 90, 96, 175, 90, 22, 0, 12, 91, 20, 0, 0, 7157, 15, 0, 2)),
         ("gray_counter_4", "PROVED",
-         (17, 136, 63, 14, 56, 0, 0, 15, 156, 17, 0, 0, 136, 0, 0)),
+         (17, 136, 63, 35, 56, 0, 0, 15, 156, 17, 0, 0, 136, 0, 0, 0)),
         ("mod_counter_5_20", "PROVED",
-         (20, 100, 64, 43, 61, 0, 0, 9, 96, 15, 0, 0, 100, 0, 0)),
+         (20, 100, 64, 37, 61, 0, 0, 9, 96, 15, 0, 0, 100, 0, 0, 0)),
     ),
     ("fwd_image", 2): (
         ("fifo_level_4", "PROVED",
-         (15, 90, 106, 344, 100, 22, 0, 12, 91, 24, 0, 0, 7250, 15, 0)),
+         (15, 90, 96, 175, 90, 22, 0, 12, 91, 20, 0, 0, 7157, 15, 0, 2)),
         ("gray_counter_4", "PROVED",
-         (17, 136, 77, 16, 65, 0, 0, 15, 160, 20, 0, 0, 136, 0, 0)),
+         (17, 136, 77, 37, 65, 0, 0, 15, 160, 21, 0, 0, 136, 0, 0, 0)),
         ("mod_counter_5_20", "PROVED",
-         (20, 100, 79, 43, 73, 0, 0, 9, 87, 19, 0, 0, 100, 0, 0)),
+         (20, 100, 79, 48, 73, 0, 0, 9, 87, 19, 0, 0, 100, 0, 0, 0)),
     ),
     ("bwd_deep", 1): (
         ("bug_at_depth_30", "FAILED",
-         (30, 0, 0, 0, 0, 0, 0, 13, 138, 0, 30, 0, 0, 30, 0)),
+         (30, 0, 0, 0, 0, 0, 0, 13, 0, 0, 30, 0, 0, 30, 0, 0)),
         ("mod_counter_5_30", "FAILED",
-         (29, 0, 0, 0, 0, 0, 0, 9, 128, 0, 29, 0, 0, 29, 0)),
+         (29, 0, 0, 0, 0, 0, 0, 9, 0, 0, 29, 0, 0, 29, 0, 0)),
         ("johnson_14", "PROVED",
-         (18, 0, 0, 0, 0, 0, 0, 211, 853, 0, 0, 0, 0, 19, 0)),
+         (18, 0, 0, 0, 0, 0, 0, 211, 0, 0, 0, 0, 0, 19, 0, 0)),
     ),
     ("bwd_deep", 2): (
         ("bug_at_depth_30", "FAILED",
-         (30, 0, 0, 0, 0, 0, 0, 13, 138, 0, 30, 0, 0, 30, 0)),
+         (30, 0, 0, 0, 0, 0, 0, 13, 0, 0, 30, 0, 0, 30, 0, 0)),
         ("mod_counter_5_30", "FAILED",
-         (29, 0, 0, 0, 0, 0, 0, 9, 128, 0, 29, 0, 0, 29, 0)),
+         (29, 0, 0, 0, 0, 0, 0, 9, 0, 0, 29, 0, 0, 29, 0, 0)),
         ("johnson_14", "PROVED",
-         (18, 0, 0, 0, 0, 0, 0, 211, 853, 0, 0, 0, 0, 19, 0)),
+         (18, 0, 0, 0, 0, 0, 0, 211, 0, 0, 0, 0, 0, 19, 0, 0)),
     ),
     ("bwd_long", "unpermuted"): (
         ("mod_counter_7_30", "FAILED",
-         (29, 29, 42, 226, 42, 32, 0, 13, 150, 3, 29, 0, 388, 29, 0)),
+         (29, 29, 42, 103, 42, 32, 0, 13, 0, 0, 29, 0, 3587, 29, 0, 0)),
     ),
     ("bdd_fix", 1): (
         ("gray_counter_10", "PROVED", (1025, 20, 815, 77729, 25830, 111531)),
@@ -263,24 +264,24 @@ SAT_COUNTERS = ("decisions", "conflicts", "propagations", "solve_calls")
 # summed over all Solver.solve calls of the run.
 SAT_GOLDENS = {
     ("bwd_quant", 1): (
-        (90, 64, 1300, 44), (328, 118, 8290, 81), (250, 34, 7618, 53),
+        (84, 51, 1219, 25), (327, 117, 8247, 80), (248, 33, 7460, 51),
     ),
     ("bwd_quant", 2): (
-        (90, 64, 1300, 44), (295, 110, 6760, 62), (247, 47, 7159, 48),
+        (84, 51, 1219, 25), (294, 109, 6718, 61), (245, 46, 7000, 46),
     ),
     ("fwd_image", 1): (
-        (611, 146, 14429, 121), (249, 31, 4117, 80), (192, 41, 3710, 84),
+        (510, 114, 12490, 111), (231, 31, 3966, 80), (192, 39, 3661, 84),
     ),
     ("fwd_image", 2): (
-        (611, 146, 14429, 121), (286, 36, 4561, 94), (248, 41, 4915, 99),
+        (510, 114, 12490, 111), (285, 38, 4550, 94), (248, 41, 4866, 99),
     ),
     ("bwd_deep", 1): (
-        (31, 30, 1091, 31), (30, 29, 752, 30), (18, 18, 4653, 18),
+        (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0),
     ),
     ("bwd_deep", 2): (
-        (31, 30, 1091, 31), (30, 29, 1065, 30), (18, 18, 4452, 18),
+        (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0),
     ),
-    ("bwd_long", "unpermuted"): ((136, 85, 2481, 72),),
+    ("bwd_long", "unpermuted"): ((111, 56, 2726, 42),),
 }
 
 

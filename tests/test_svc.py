@@ -884,8 +884,15 @@ class TestSseDurability:
                 os.kill(doomed.pid, signal.SIGKILL)
             finally:
                 doomed.join(timeout=5.0)
-            time.sleep(0.5)  # lease lapses while the client is streaming
-            assert queue.requeue_expired() == [(job_id, "requeued")]
+            swept: list = []
+
+            def lease_lapsed() -> bool:
+                # The lease lapses while the client is streaming.
+                swept[:] = queue.requeue_expired()
+                return bool(swept)
+
+            assert _wait_for(lease_lapsed)
+            assert swept == [(job_id, "requeued")]
             Worker(store, worker_id="survivor").run(drain=True)
             listener.join(timeout=30.0)
             assert not listener.is_alive(), "stream never terminated"

@@ -1,16 +1,19 @@
 """Tests for the merge-phase engines: signatures, SAT sweep, BDD sweep."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
-from repro.aig.ops import and_all, cofactor, or_, xor
+from repro.aig.ops import and_all, cofactor, or_, support, xor
 from repro.aig.simulate import truth_table
 from repro.circuits.combinational import (
     comparator,
     equality_with_constant_slices,
 )
-from repro.sweep.bddsweep import bdd_sweep
+from repro.core.quantify import QuantifyOptions, quantify_exists
+from repro.sweep.bddsweep import BddSweepTable, bdd_sweep
 from repro.sweep.satsweep import SatSweeper, prove_edges_equivalent
 from repro.sweep.signatures import SignatureTable
 from tests.conftest import build_random_aig
@@ -252,6 +255,80 @@ class TestBddSweep:
         h = or_(aig, edge_not(a), edge_not(b))
         [sf, sh], rebuilt, stats = bdd_sweep(aig, [f, h])
         assert sf == edge_not(sh)
+
+
+class TestBddSweepTable:
+    def test_shared_table_preserves_every_root(self):
+        # Cofactor pairs of random logic, as quantification makes them,
+        # swept one after another through one table; later pairs also
+        # cofactor what earlier sweeps returned.
+        for seed in range(4):
+            rng = random.Random(seed)
+            aig, inputs, root = build_random_aig(6, 60, seed=seed + 500)
+            nodes = [e >> 1 for e in inputs]
+            pool = [root] + [2 * n for n in aig.cone([root]) if aig.is_and(n)]
+            table = BddSweepTable(aig)
+            for _ in range(25):
+                edge = rng.choice(pool) ^ rng.randint(0, 1)
+                var = rng.choice(nodes)
+                pair = [
+                    cofactor(aig, edge, var, False),
+                    cofactor(aig, edge, var, True),
+                ]
+                swept, _, _ = bdd_sweep(aig, pair, table=table)
+                for before, after in zip(pair, swept):
+                    assert truth_table(aig, after, nodes) == truth_table(
+                        aig, before, nodes
+                    )
+                pool.extend(swept)
+
+    def test_overrun_restarts_in_a_fresh_table(self):
+        aig = Aig()
+        xs = aig.add_inputs(10)
+        nodes = [e >> 1 for e in xs]
+        table = BddSweepTable(aig, node_limit=8)
+        roots = [aig.and_(xs[0], xs[1])]
+        for shift in range(4):
+            acc = FALSE
+            for x in xs[shift:] + xs[:shift]:
+                acc = xor(aig, acc, x)
+            roots.append(aig.and_(acc, xs[shift]))
+        recycles = cut_points = 0
+        for index, root in enumerate(roots):
+            [swept], _, stats = bdd_sweep(aig, [root], table=table)
+            assert truth_table(aig, swept, nodes) == truth_table(
+                aig, root, nodes
+            )
+            fresh = index == 0 or stats.get("bdd_recycles") == 1
+            if not fresh:
+                assert stats.get("cut_points") == 0
+            recycles += stats.get("bdd_recycles")
+            cut_points += stats.get("cut_points")
+        assert recycles >= 1
+        assert cut_points >= 1
+
+    def test_guard_keeps_quantified_variable_out(self):
+        aig = Aig()
+        x, a, b = aig.add_inputs(3)
+        # (x & a & b) | (!x & a & b): the function a & b, first seen by
+        # the table at a node that reads x.
+        reads_x = or_(
+            aig,
+            aig.and_(aig.and_(x, a), b),
+            aig.and_(aig.and_(edge_not(x), a), b),
+        )
+        table = BddSweepTable(aig)
+        bdd_sweep(aig, [reads_x], table=table)
+        f = aig.and_(x, aig.and_(a, b))
+        outcome = quantify_exists(
+            aig, f, [x >> 1], QuantifyOptions.preset("bdd"), bdd_table=table
+        )
+        assert x >> 1 not in support(aig, outcome.edge)
+        assert outcome.stats.get("support_guarded") >= 1
+        nodes = [e >> 1 for e in (x, a, b)]
+        assert truth_table(aig, outcome.edge, nodes) == truth_table(
+            aig, aig.and_(a, b), nodes
+        )
 
 
 @settings(max_examples=20, deadline=None)
