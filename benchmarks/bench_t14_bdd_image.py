@@ -6,13 +6,16 @@ one post-image of the full reached state set, computed
 
 * **monolithic** — conjoin the entire transition relation onto the state
   set, then quantify every current-state/input variable (the seed
-  pipeline), vs
+  pipeline, kept only as this reference:
+  ``_BddModel.postimage_monolithic``), vs
 * **scheduled** — clustered partitioned relation, conjunction order and
   early-quantification points chosen by the :mod:`repro.core.schedule`
   heuristics, each variable eliminated by a fused ``and_exists`` as soon
-  as no later cluster depends on it.
+  as no later cluster depends on it.  This is ``_BddModel.postimage``,
+  the image both BDD traversals run.
 
-Caches are cleared before the measured image so both pipelines pay their
+Each pipeline gets its own model, so each manager's node count and
+cache hit rate are its own.  Caches are cleared before the measured image so both pipelines pay their
 real traversal-step cost (a warm cache would just replay the answer).
 Per-family wall times, node counts, cache hit rates and the speedup land
 in the benchmark's ``extra_info``.
@@ -59,7 +62,7 @@ def _fixpoint_reached(model):
     iterations = 0
     while frontier != 0:
         iterations += 1
-        image = model.postimage_scheduled(frontier)
+        image = model.postimage(frontier)
         frontier = manager.and_(image, manager.not_(reached))
         reached = manager.or_(reached, frontier)
     return reached, iterations
@@ -70,7 +73,7 @@ def _timed_image(model, reached, mode):
     compute = (
         model.postimage_monolithic
         if mode == "monolithic"
-        else model.postimage_scheduled
+        else model.postimage
     )
     model.manager.clear_caches()
     start = time.perf_counter()
@@ -87,7 +90,7 @@ def test_t14_bdd_image(benchmark, record_row, design):
     manager_nodes = {}
     iterations = 0
     for mode in ("monolithic", "scheduled"):
-        model = _BddModel(build(), BddReachOptions(image=mode))
+        model = _BddModel(build(), BddReachOptions())
         reached, iterations = _fixpoint_reached(model)
         seconds, image = _timed_image(model, reached, mode)
         timings[mode] = seconds

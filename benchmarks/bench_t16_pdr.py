@@ -191,9 +191,9 @@ def test_t16_obs_overhead(benchmark, record_row, design):
     assert traced.stats.as_dict() == plain.stats.as_dict()
     assert trace_path.exists()
 
-    # Same contract on the BDD side: bdd_tick reads the manager's scalar
-    # hit/miss counters and cache lens directly (no summary dict per
-    # tick), and the traced traversal must report identical stats —
+    # Same contract on the BDD side: the "bdd" tick reads the manager's
+    # scalar hit/miss counters and cache lens directly (no summary dict
+    # per tick), and the traced traversal must report identical stats —
     # node counts, cache hits, iteration gauges — to the untraced one.
     plain_bdd = verify(build(), method="reach_bdd", max_depth=MAX_DEPTH)
     traced_bdd = verify(

@@ -39,7 +39,7 @@ is raised and the sweeping engine falls back to a cut point, exactly the
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from repro.errors import BddError, BddLimitExceeded
 from repro.obs import probes as _obs
@@ -569,7 +569,7 @@ class BddManager:
         # branch when disabled) tracks node growth without touching the
         # recursion itself.
         if _obs.ENABLED:
-            _obs.bdd_tick(self)
+            _obs.tick("bdd", self)
         return self._exists_rec(f, self.cube_pos(variables))
 
     def exists_cube(self, f: int, cube: int) -> int:
@@ -580,7 +580,7 @@ class BddManager:
         variable set every traversal step build the cube once.
         """
         if _obs.ENABLED:
-            _obs.bdd_tick(self)
+            _obs.tick("bdd", self)
         return self._exists_rec(f, cube)
 
     def _exists_rec(self, f: int, cube: int) -> int:
@@ -639,13 +639,13 @@ class BddManager:
         construction across calls.
         """
         if _obs.ENABLED:
-            _obs.bdd_tick(self)
+            _obs.tick("bdd", self)
         return self._and_exists_rec(f, g, self.cube_pos(variables))
 
     def and_exists_cube(self, f: int, g: int, cube: int) -> int:
         """Fused ``exists cube . f AND g`` over a prebuilt positive cube."""
         if _obs.ENABLED:
-            _obs.bdd_tick(self)
+            _obs.tick("bdd", self)
         return self._and_exists_rec(f, g, cube)
 
     def _and_exists_rec(self, f: int, g: int, cube: int) -> int:
@@ -851,19 +851,6 @@ class BddManager:
             stack.append(self._low[node])
             stack.append(self._high[node])
         return variables
-
-    def nodes_of(self, f: int) -> Iterator[tuple[int, int, int, int]]:
-        """Yield ``(node, var, low, high)`` for every internal node under f."""
-        seen: set[int] = set()
-        stack = [f]
-        while stack:
-            node = stack.pop()
-            if node <= 1 or node in seen:
-                continue
-            seen.add(node)
-            yield node, self._var[node], self._low[node], self._high[node]
-            stack.append(self._low[node])
-            stack.append(self._high[node])
 
     def cube(self, literals: Mapping[int, bool]) -> int:
         """The conjunction of variable literals (index -> polarity)."""

@@ -163,10 +163,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         )
         return 2
     extra: dict[str, object] = {}
-    if args.method.startswith("reach_bdd"):
-        extra["image"] = args.image
-        if args.schedule is not None:
-            extra["schedule"] = args.schedule
+    if args.method.startswith("reach_bdd") and args.schedule is not None:
+        extra["schedule"] = args.schedule
     elif args.method == "cnc" and args.workers is not None:
         extra["workers"] = args.workers
     elif args.method.startswith("reach_aig") and args.schedule is not None:
@@ -751,13 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=scheduler_names(),
         help="quantification-scheduling heuristic for the reach engines "
         "(shared by the AIG and BDD image pipelines)",
-    )
-    p_mc.add_argument(
-        "--image",
-        default="scheduled",
-        choices=["scheduled", "monolithic"],
-        help="BDD post-image pipeline: clustered partitioned relation with "
-        "early quantification, or conjoin-then-quantify",
     )
     p_mc.add_argument(
         "--trace",

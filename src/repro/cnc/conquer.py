@@ -184,12 +184,10 @@ def conquer(
 
     def tick(active: int) -> None:
         if _obs.ENABLED:
-            _obs.cnc_tick(
-                open_cubes=len(pending),
-                solved_cubes=solved,
-                refuted_cubes=lookahead_refuted,
-                active_workers=active,
-                bag=bag,
+            _obs.tick(
+                "cnc",
+                (len(pending), solved, lookahead_refuted, active),
+                bag,
             )
 
     def absorb(task: ConquerTask, verdict: str, payload, solver_stats,

@@ -186,12 +186,7 @@ def build_cube_tree(
                     )
                 )
         if _obs.ENABLED:
-            _obs.cnc_tick(
-                open_cubes=len(stack),
-                solved_cubes=0,
-                refuted_cubes=int(bag.get("cnc_cube_refuted_leaves")),
-                active_workers=0,
-                bag=bag,
-            )
+            refuted = int(bag.get("cnc_cube_refuted_leaves"))
+            _obs.tick("cnc", (len(stack), 0, refuted, 0), bag)
     bag.set("cnc_cube_leaves", len(tree.leaves))
     return tree

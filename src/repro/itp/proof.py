@@ -69,16 +69,10 @@ class ResolutionProof:
     def __len__(self) -> int:
         return len(self.literals)
 
-    def is_axiom(self, index: int) -> bool:
-        return not self.chains[index]
-
     def axiom_ids(self) -> Iterator[int]:
         for index, chain in enumerate(self.chains):
             if not chain:
                 yield index
-
-    def num_axioms(self) -> int:
-        return sum(1 for chain in self.chains if not chain)
 
     def antecedent_cone(self, index: int) -> list[int]:
         """Every clause id the derivation of ``index`` depends on,

@@ -18,19 +18,20 @@ you quantify matters as much as *what* you quantify:
 * the kernel's operation caches are trimmed between frontier steps and
   their hit/miss counters surface through the result's ``StatsBag``.
 
-The monolithic conjoin-then-quantify image survives as
-``BddReachOptions(image="monolithic")`` for A/B benchmarking
-(``benchmarks/bench_t14_bdd_image.py``).  Backward traversal mirrors
-:mod:`repro.mc.reach_aig` (pre-image via vector composition of the
-next-state functions, then input quantification); forward traversal builds
-the relational product with next-state variables.  BDD peak sizes are
-reported so experiment T4 can contrast them with the AIG engine's circuit
-sizes.
+Both directions run through one loop, :meth:`_BddTraversal.run`:
+backward by pre-images (vector composition of the next-state functions,
+then input quantification, as in :mod:`repro.mc.reach_aig`), forward by
+the scheduled relational product.  The monolithic conjoin-then-quantify
+image survives only as :meth:`_BddModel.postimage_monolithic`, the
+reference that the tests and ``benchmarks/bench_t14_bdd_image.py``
+compare the scheduled image with.  BDD peak sizes are reported so
+experiment T4 can contrast them with the AIG engine's circuit sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.aig.ops import and_all
 from repro.bdd.from_aig import aig_to_bdd
@@ -40,7 +41,7 @@ from repro.core.schedule import (
     plan_partitioned_quantification,
     schedule_variable_order,
 )
-from repro.errors import BddLimitExceeded, ModelCheckingError
+from repro.errors import ModelCheckingError
 from repro.mc.result import Status, Trace, VerificationResult
 from repro.obs import probes as _obs
 from repro.util.stats import StatsBag
@@ -50,20 +51,18 @@ from repro.util.stats import StatsBag
 class BddReachOptions:
     """Configuration of the BDD traversals.
 
-    ``image`` selects the post-image pipeline: ``"scheduled"`` (default)
-    runs the clustered partitioned relational product with early
-    quantification; ``"monolithic"`` conjoins the full transition relation
-    first — the seed behaviour, kept for comparison.  ``schedule`` names a
-    :mod:`repro.core.schedule` heuristic that orders the quantified
-    variables (and thereby the cluster conjunctions).  ``cluster_size``
-    bounds the BDD node count of one transition-relation cluster.
-    ``max_cache_entries`` bounds each kernel operation cache; caches
-    beyond the bound are dropped between frontier steps.
+    ``max_iterations`` bounds the image steps (UNKNOWN beyond it);
+    ``max_nodes`` bounds the manager (:class:`~repro.errors.BddLimitExceeded`
+    beyond it).  ``schedule`` names a :mod:`repro.core.schedule` heuristic
+    that orders the quantified variables (and thereby the cluster
+    conjunctions) of the post-image.  ``cluster_size`` bounds the BDD node
+    count of one transition-relation cluster.  ``max_cache_entries``
+    bounds each kernel operation cache; caches beyond the bound are
+    dropped between frontier steps.
     """
 
     max_iterations: int = 10_000
     max_nodes: int | None = None
-    image: str = "scheduled"
     schedule: str = "min_dependence"
     cluster_size: int = 2_000
     max_cache_entries: int | None = 1 << 20
@@ -76,15 +75,8 @@ class _BddModel:
     then primary inputs, then next-state placeholders for forward images.
     """
 
-    def __init__(
-        self, netlist: Netlist, options: BddReachOptions
-    ) -> None:
+    def __init__(self, netlist: Netlist, options: BddReachOptions) -> None:
         netlist.validate()
-        if options.image not in ("scheduled", "monolithic"):
-            raise ModelCheckingError(
-                f"unknown image mode {options.image!r}; "
-                "choose 'scheduled' or 'monolithic'"
-            )
         self.netlist = netlist
         self.options = options
         self.manager = BddManager(
@@ -100,46 +92,36 @@ class _BddModel:
             self.manager.new_var(f"i{node}")
         self.next_var_of_latch: dict[int, int] = {}
         for node in netlist.latch_nodes:
-            self.next_var_of_latch[node] = len(self.var_of_node) + len(
-                self.next_var_of_latch
-            )
+            self.next_var_of_latch[node] = self.manager.num_vars
             self.manager.new_var(f"n{node}")
         cache: dict[int, int] = {}
-        self.delta = {
-            node: aig_to_bdd(
-                netlist.aig, fn, self.manager, self.var_of_node, cache
+
+        def lift(edge: int) -> int:
+            return aig_to_bdd(
+                netlist.aig, edge, self.manager, self.var_of_node, cache
             )
-            for node, fn in netlist.next_functions().items()
+
+        self.delta = {
+            node: lift(fn) for node, fn in netlist.next_functions().items()
+        }
+        # Pre-images substitute delta_k for s_k.
+        self._compose_map = {
+            self.var_of_node[node]: fn for node, fn in self.delta.items()
         }
         self.input_vars = [self.var_of_node[n] for n in netlist.input_nodes]
         self.state_vars = [self.var_of_node[n] for n in netlist.latch_nodes]
         self.input_cube = self.manager.cube_pos(self.input_vars)
         # Environment constraints gate transitions and violations alike.
-        self.constraint = aig_to_bdd(
-            netlist.aig,
-            netlist.constraint_edge(),
-            self.manager,
-            self.var_of_node,
-            cache,
-        )
+        self.constraint = lift(netlist.constraint_edge())
         # bad_raw may read inputs; bad is the pure-state projection
         # (only constraint-satisfying input patterns count).
         self.bad_raw = self.manager.and_(
-            aig_to_bdd(
-                netlist.aig,
-                netlist.property_edge ^ 1,
-                self.manager,
-                self.var_of_node,
-                cache,
-            ),
-            self.constraint,
+            lift(netlist.property_edge ^ 1), self.constraint
         )
         self.bad = self.manager.exists_cube(self.bad_raw, self.input_cube)
+        init = netlist.init_assignment()
         self.init = self.manager.cube(
-            {
-                self.var_of_node[node]: value
-                for node, value in netlist.init_assignment().items()
-            }
+            {self.var_of_node[node]: value for node, value in init.items()}
         )
         self._rename_map = {
             self.next_var_of_latch[node]: self.var_of_node[node]
@@ -159,21 +141,16 @@ class _BddModel:
         into one ``and_exists`` — the composed set is never conjoined with
         the constraint in full.
         """
-        composed = self.manager.compose(
-            state_set,
-            {self.var_of_node[node]: fn for node, fn in self.delta.items()},
-        )
+        composed = self.manager.compose(state_set, self._compose_map)
         return self.manager.and_exists_cube(
             composed, self.constraint, self.input_cube
         )
 
     def preimage_into(self, layer: int, state: dict[int, bool]) -> int:
         """BDD over the input variables: choices taking ``state`` into layer."""
-        composed = self.manager.compose(
-            layer,
-            {self.var_of_node[node]: fn for node, fn in self.delta.items()},
+        composed = self.manager.and_(
+            self.manager.compose(layer, self._compose_map), self.constraint
         )
-        composed = self.manager.and_(composed, self.constraint)
         for node, value in state.items():
             composed = self.manager.restrict(
                 composed, self.var_of_node[node], value
@@ -185,30 +162,13 @@ class _BddModel:
     # ------------------------------------------------------------------ #
 
     def postimage(self, state_set: int) -> int:
-        """Relational image with next-state variables, then rename back."""
-        if self.options.image == "monolithic":
-            return self.postimage_monolithic(state_set)
-        return self.postimage_scheduled(state_set)
-
-    def postimage_monolithic(self, state_set: int) -> int:
-        """The seed pipeline: conjoin the full relation, then quantify."""
-        manager = self.manager
-        product = manager.and_(state_set, self.constraint)
-        for node, fn in self.delta.items():
-            product = manager.and_(
-                product,
-                manager.xnor(manager.var_node(self.next_var_of_latch[node]), fn),
-            )
-        product = manager.exists(product, self.state_vars + self.input_vars)
-        return manager.rename(product, self._rename_map)
-
-    def postimage_scheduled(self, state_set: int) -> int:
         """Clustered partitioned image with scheduled early quantification.
 
-        The full transition relation is never built: clusters are conjoined
-        in the scheduler-chosen order and every current-state/input
-        variable is quantified by a fused ``and_exists`` as soon as no
-        later cluster depends on it.
+        The relational image over next-state variables, renamed back to
+        the state variables.  The full transition relation is never built:
+        clusters are conjoined in the scheduler-chosen order and every
+        current-state/input variable is quantified by a fused
+        ``and_exists`` as soon as no later cluster depends on it.
         """
         manager = self.manager
         product = state_set
@@ -229,6 +189,22 @@ class _BddModel:
                 )
             if product == BDD_FALSE:
                 return BDD_FALSE
+        return manager.rename(product, self._rename_map)
+
+    def postimage_monolithic(self, state_set: int) -> int:
+        """The seed pipeline: conjoin the full relation, then quantify.
+
+        No traversal runs it: it is the reference that :meth:`postimage`
+        must equal, node for node.
+        """
+        manager = self.manager
+        product = manager.and_(state_set, self.constraint)
+        for node, fn in self.delta.items():
+            product = manager.and_(
+                product,
+                manager.xnor(manager.var_node(self.next_var_of_latch[node]), fn),
+            )
+        product = manager.exists(product, self.state_vars + self.input_vars)
         return manager.rename(product, self._rename_map)
 
     def _scheduled_plan(self) -> list[tuple[list[int], int]]:
@@ -302,251 +278,184 @@ class _BddModel:
         )
         return [self.var_of_node[back[node]] for node in order]
 
+    # ------------------------------------------------------------------ #
+    # Cubes back to netlist assignments
+    # ------------------------------------------------------------------ #
 
-def _state_from_cube(
-    model: _BddModel, cube: dict[int, bool]
-) -> dict[int, bool]:
-    return {
-        node: cube.get(model.var_of_node[node], False)
-        for node in model.netlist.latch_nodes
-    }
+    def values(
+        self, cube: dict[int, bool], nodes: list[int]
+    ) -> dict[int, bool]:
+        """The values ``cube`` gives ``nodes`` (don't-cares read False)."""
+        var = self.var_of_node
+        return {node: cube.get(var[node], False) for node in nodes}
+
+    def violation_inputs(
+        self, state: dict[int, bool]
+    ) -> dict[int, bool] | None:
+        """Witness inputs for an input-reading property in ``state``."""
+        restricted = self.bad_raw
+        for node, value in state.items():
+            restricted = self.manager.restrict(
+                restricted, self.var_of_node[node], value
+            )
+        cube = self.manager.pick_cube(restricted)
+        if cube is None:
+            return None
+        return self.values(cube, self.netlist.input_nodes)
 
 
-def _finalize_stats(model: _BddModel, stats: StatsBag) -> None:
-    """Surface the kernel cache counters through the StatsBag."""
-    for key, value in model.manager.cache_summary().items():
-        stats.set(f"bdd_{key}", value)
-    stats.set("manager_nodes", model.manager.num_nodes)
+class _BddTraversal:
+    """The breadth-first BDD traversal, backward or forward.
+
+    A direction supplies its engine name, the span name of its image, its
+    start set, hit target and image (:meth:`_direction`), and the path of
+    its counterexample (:meth:`_path`).  ``layers[k]`` is
+    ``image(layers[k-1]) ∧ ¬reached``: exactly the states at distance
+    ``k`` from the start set, so the layers are disjoint, and the search
+    stops at the first layer that hits the target.
+    """
+
+    engine = ""
+    image_span = ""
+
+    def __init__(self, netlist: Netlist, options: BddReachOptions) -> None:
+        self.model = _BddModel(netlist, options)
+        self.options = options
+        self.stats = StatsBag()
+
+    def run(self) -> VerificationResult:
+        """Traverse to a fix point (PROVED), a hit (FAILED) or the
+        iteration bound (UNKNOWN)."""
+        manager = self.model.manager
+        start, target, image_of = self._direction()
+        layers = [start]
+        reached = start
+        if manager.and_(start, target) != BDD_FALSE:
+            return self._failed(layers)
+        for iteration in range(1, self.options.max_iterations + 1):
+            with _obs.span(self.image_span, "bdd", iteration=iteration):
+                image = image_of(layers[-1])
+            frontier = manager.and_(image, manager.not_(reached))
+            self.stats.max("peak_frontier_bdd", manager.size(frontier))
+            self.stats.max("peak_reached_bdd", manager.size(reached))
+            if _obs.ENABLED:
+                _obs.tick("bdd", manager, bag=self.stats)
+            manager.trim_caches()
+            if frontier == BDD_FALSE:
+                return self._result(Status.PROVED, iteration)
+            layers.append(frontier)
+            reached = manager.or_(reached, frontier)
+            if manager.and_(frontier, target) != BDD_FALSE:
+                return self._failed(layers)
+        return self._result(Status.UNKNOWN, self.options.max_iterations)
+
+    def _direction(self) -> tuple[int, int, Callable[[int], int]]:
+        """The start set, the hit target and the image function."""
+        raise NotImplementedError
+
+    def _path(
+        self, layers: list[int]
+    ) -> tuple[list[dict[int, bool]], list[dict[int, bool]]]:
+        """States and inputs of a path from an initial state to a bad
+        state, one state per layer."""
+        raise NotImplementedError
+
+    def _failed(self, layers: list[int]) -> VerificationResult:
+        states, inputs = self._path(layers)
+        violation = self.model.violation_inputs(states[-1])
+        trace = Trace(states=states, inputs=inputs, violation_inputs=violation)
+        return self._result(Status.FAILED, len(layers) - 1, trace)
+
+    def _result(
+        self, status: Status, iterations: int, trace: Trace | None = None
+    ) -> VerificationResult:
+        """Surface the kernel cache counters, then build the result."""
+        manager = self.model.manager
+        if status is not Status.UNKNOWN:
+            self.stats.set("iterations", iterations)
+        for key, value in manager.cache_summary().items():
+            self.stats.set(f"bdd_{key}", value)
+        self.stats.set("manager_nodes", manager.num_nodes)
+        return VerificationResult(
+            status=status,
+            engine=self.engine,
+            trace=trace,
+            iterations=iterations,
+            stats=self.stats,
+        )
+
+
+class _BackwardTraversal(_BddTraversal):
+    """From the bad states through pre-images until init is hit."""
+
+    engine = "reach_bdd"
+    image_span = "bdd.preimage"
+
+    def _direction(self) -> tuple[int, int, Callable[[int], int]]:
+        return self.model.bad, self.model.init, self.model.preimage
+
+    def _path(self, layers):
+        """From init, which only the last layer holds, choose inputs that
+        steer into each nearer layer down to a bad state."""
+        model = self.model
+        states = [dict(model.netlist.init_assignment())]
+        inputs: list[dict[int, bool]] = []
+        for layer in reversed(layers[:-1]):
+            target = model.preimage_into(layer, states[-1])
+            cube = model.manager.pick_cube(target)
+            if cube is None:
+                raise ModelCheckingError("trace reconstruction failed")
+            inputs.append(model.values(cube, model.netlist.input_nodes))
+            states.append(model.netlist.simulate_step(states[-1], inputs[-1]))
+        return states, inputs
+
+
+class _ForwardTraversal(_BddTraversal):
+    """From init through post-images (onion rings) until bad is hit."""
+
+    engine = "reach_bdd_fwd"
+    image_span = "bdd.postimage"
+
+    def _direction(self) -> tuple[int, int, Callable[[int], int]]:
+        return self.model.init, self.model.bad, self.model.postimage
+
+    def _path(self, layers):
+        """Pick a bad state in the last ring, walk predecessors back."""
+        model = self.model
+        manager = model.manager
+        latches = model.netlist.latch_nodes
+        cube = manager.pick_cube(manager.and_(layers[-1], model.bad))
+        states = [model.values(cube, latches)]
+        inputs: list[dict[int, bool]] = []
+        for ring in reversed(layers[:-1]):
+            # Predecessors in the previous ring: ring(s) AND C(s, i) AND
+            # delta(s, i) == target, solved by one cube pick.
+            target = states[0]
+            predecessors = manager.and_(ring, model.constraint)
+            for node, fn in model.delta.items():
+                literal = fn if target[node] else manager.not_(fn)
+                predecessors = manager.and_(predecessors, literal)
+            cube = manager.pick_cube(predecessors)
+            if cube is None:
+                raise ModelCheckingError("ring state has no predecessor")
+            states.insert(0, model.values(cube, latches))
+            inputs.insert(0, model.values(cube, model.netlist.input_nodes))
+        return states, inputs
 
 
 def bdd_backward_reachability(
-    netlist: Netlist,
-    max_iterations: int = 10_000,
-    max_nodes: int | None = None,
-    options: BddReachOptions | None = None,
+    netlist: Netlist, options: BddReachOptions | None = None
 ) -> VerificationResult:
     """Backward BDD traversal; same verdict contract as the AIG engine.
 
     Raises :class:`~repro.errors.BddLimitExceeded` when ``max_nodes`` is
     exceeded — the memory-explosion outcome the paper's method avoids.
     """
-    if options is None:
-        options = BddReachOptions(
-            max_iterations=max_iterations, max_nodes=max_nodes
-        )
-    stats = StatsBag()
-    model = _BddModel(netlist, options)
-    manager = model.manager
-    layers = [model.bad]
-    reached = model.bad
-    frontier = model.bad
-    iteration = 0
-    if manager.and_(model.init, model.bad) != BDD_FALSE:
-        return _bdd_counterexample(model, layers, stats, iteration)
-    while iteration < options.max_iterations:
-        iteration += 1
-        with _obs.span("bdd.preimage", "bdd", iteration=iteration):
-            preimage = model.preimage(frontier)
-        new_frontier = manager.and_(preimage, manager.not_(reached))
-        stats.max("peak_frontier_bdd", manager.size(new_frontier))
-        stats.max("peak_reached_bdd", manager.size(reached))
-        if _obs.ENABLED:
-            _obs.bdd_tick(manager, bag=stats)
-        manager.trim_caches()
-        if new_frontier == BDD_FALSE:
-            stats.set("iterations", iteration)
-            _finalize_stats(model, stats)
-            return VerificationResult(
-                status=Status.PROVED,
-                engine="reach_bdd",
-                iterations=iteration,
-                stats=stats,
-            )
-        layers.append(new_frontier)
-        reached = manager.or_(reached, new_frontier)
-        frontier = new_frontier
-        if manager.and_(model.init, new_frontier) != BDD_FALSE:
-            stats.set("iterations", iteration)
-            return _bdd_counterexample(model, layers, stats, iteration)
-    _finalize_stats(model, stats)
-    return VerificationResult(
-        status=Status.UNKNOWN,
-        engine="reach_bdd",
-        iterations=options.max_iterations,
-        stats=stats,
-    )
-
-
-def _bdd_counterexample(
-    model: _BddModel,
-    layers: list[int],
-    stats: StatsBag,
-    iterations: int,
-) -> VerificationResult:
-    """Replay from init through the distance layers, choosing inputs."""
-    manager = model.manager
-    netlist = model.netlist
-    state = dict(netlist.init_assignment())
-    states = [dict(state)]
-    inputs: list[dict[int, bool]] = []
-    # Find the deepest layer containing init = distance to violation.
-    containing = [
-        k
-        for k, layer in enumerate(layers)
-        if manager.evaluate(
-            layer, {model.var_of_node[n]: v for n, v in state.items()}
-        )
-    ]
-    if not containing:
-        raise ModelCheckingError("init not in any layer (engine bug)")
-    distance = min(containing)
-    for layer_index in range(distance - 1, -1, -1):
-        # Choose inputs steering into the next layer: satisfy
-        # layer(delta(s, i)) with s fixed.
-        target = model.preimage_into(layers[layer_index], state)
-        cube = manager.pick_cube(target)
-        if cube is None:
-            raise ModelCheckingError("trace reconstruction failed")
-        step_inputs = {
-            node: cube.get(model.var_of_node[node], False)
-            for node in netlist.input_nodes
-        }
-        inputs.append(step_inputs)
-        state = netlist.simulate_step(state, step_inputs)
-        states.append(dict(state))
-    # Witness inputs for an input-reading property in the final state.
-    restricted = model.bad_raw
-    for node, value in state.items():
-        restricted = manager.restrict(
-            restricted, model.var_of_node[node], value
-        )
-    witness_cube = manager.pick_cube(restricted)
-    violation = None
-    if witness_cube is not None:
-        violation = {
-            node: witness_cube.get(model.var_of_node[node], False)
-            for node in netlist.input_nodes
-        }
-    _finalize_stats(model, stats)
-    return VerificationResult(
-        status=Status.FAILED,
-        engine="reach_bdd",
-        trace=Trace(
-            states=states, inputs=inputs, violation_inputs=violation
-        ),
-        iterations=iterations,
-        stats=stats,
-    )
+    return _BackwardTraversal(netlist, options or BddReachOptions()).run()
 
 
 def bdd_forward_reachability(
-    netlist: Netlist,
-    max_iterations: int = 10_000,
-    max_nodes: int | None = None,
-    options: BddReachOptions | None = None,
+    netlist: Netlist, options: BddReachOptions | None = None
 ) -> VerificationResult:
     """Forward BDD traversal with onion-ring trace reconstruction."""
-    if options is None:
-        options = BddReachOptions(
-            max_iterations=max_iterations, max_nodes=max_nodes
-        )
-    stats = StatsBag()
-    model = _BddModel(netlist, options)
-    manager = model.manager
-    rings = [model.init]
-    reached = model.init
-    frontier = model.init
-    iteration = 0
-    if manager.and_(frontier, model.bad) != BDD_FALSE:
-        return _bdd_forward_counterexample(model, rings, stats)
-    while iteration < options.max_iterations:
-        iteration += 1
-        with _obs.span("bdd.postimage", "bdd", iteration=iteration):
-            image = model.postimage(frontier)
-        new_frontier = manager.and_(image, manager.not_(reached))
-        stats.max("peak_frontier_bdd", manager.size(new_frontier))
-        stats.max("peak_reached_bdd", manager.size(reached))
-        if _obs.ENABLED:
-            _obs.bdd_tick(manager, bag=stats)
-        manager.trim_caches()
-        if new_frontier == BDD_FALSE:
-            stats.set("iterations", iteration)
-            _finalize_stats(model, stats)
-            return VerificationResult(
-                status=Status.PROVED,
-                engine="reach_bdd_fwd",
-                iterations=iteration,
-                stats=stats,
-            )
-        rings.append(new_frontier)
-        reached = manager.or_(reached, new_frontier)
-        frontier = new_frontier
-        if manager.and_(new_frontier, model.bad) != BDD_FALSE:
-            stats.set("iterations", iteration)
-            return _bdd_forward_counterexample(model, rings, stats)
-    _finalize_stats(model, stats)
-    return VerificationResult(
-        status=Status.UNKNOWN,
-        engine="reach_bdd_fwd",
-        iterations=options.max_iterations,
-        stats=stats,
-    )
-
-
-def _bdd_forward_counterexample(
-    model: _BddModel,
-    rings: list[int],
-    stats: StatsBag,
-) -> VerificationResult:
-    """Pick a bad state in the last ring, walk predecessors back to init."""
-    manager = model.manager
-    netlist = model.netlist
-    bad_cube = manager.pick_cube(manager.and_(rings[-1], model.bad))
-    if bad_cube is None:
-        raise ModelCheckingError("bad ring is empty (engine bug)")
-    states = [_state_from_cube(model, bad_cube)]
-    inputs: list[dict[int, bool]] = []
-    for ring_index in range(len(rings) - 2, -1, -1):
-        # Predecessors in the previous ring: ring(s) AND C(s, i) AND
-        # delta(s, i) == target, solved by one cube pick.
-        target = states[0]
-        predecessors = manager.and_(rings[ring_index], model.constraint)
-        for node, fn in model.delta.items():
-            literal = fn if target[node] else manager.not_(fn)
-            predecessors = manager.and_(predecessors, literal)
-        cube = manager.pick_cube(predecessors)
-        if cube is None:
-            raise ModelCheckingError(
-                "onion-ring state has no predecessor (engine bug)"
-            )
-        states.insert(0, _state_from_cube(model, cube))
-        inputs.insert(
-            0,
-            {
-                node: cube.get(model.var_of_node[node], False)
-                for node in netlist.input_nodes
-            },
-        )
-    # Witness inputs for an input-reading property in the final state.
-    restricted = model.bad_raw
-    for node, value in states[-1].items():
-        restricted = manager.restrict(
-            restricted, model.var_of_node[node], value
-        )
-    witness_cube = manager.pick_cube(restricted)
-    violation = None
-    if witness_cube is not None:
-        violation = {
-            node: witness_cube.get(model.var_of_node[node], False)
-            for node in netlist.input_nodes
-        }
-    _finalize_stats(model, stats)
-    return VerificationResult(
-        status=Status.FAILED,
-        engine="reach_bdd_fwd",
-        trace=Trace(
-            states=states, inputs=inputs, violation_inputs=violation
-        ),
-        iterations=len(rings) - 1,
-        stats=stats,
-    )
+    return _ForwardTraversal(netlist, options or BddReachOptions()).run()

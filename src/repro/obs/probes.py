@@ -7,7 +7,7 @@ module-level :data:`ENABLED` flag —
     from repro.obs import probes as _obs
     ...
     if _obs.ENABLED:
-        _obs.solver_tick(self)
+        _obs.tick("sat", self)
 
 so the disabled cost is one attribute load and a predicted branch, and
 the search trajectory (decisions, conflicts, cache contents) is
@@ -17,7 +17,9 @@ kernel counters, never mutate them.
 When enabled, every probe is additionally throttled by the active
 tracer's tick (:meth:`repro.obs.trace.Tracer.should_sample`), so even a
 solver making hundreds of thousands of propagations per second emits a
-bounded sample stream.
+bounded sample stream.  :func:`tick` is the one kernel sampler: a table
+maps each probe kind to its series and to the reader of their values,
+and the reader runs only once the throttle has admitted the sample.
 
 Probe catalogue (all samples land in the tracer's counter series and,
 where a :class:`~repro.util.stats.StatsBag` is at hand, in its attached
@@ -102,24 +104,6 @@ def sample(name: str, value: float, bag=None) -> None:
 # ---------------------------------------------------------------------- #
 
 
-def solver_tick(solver, bag=None) -> None:
-    """Sample a CDCL solver's cumulative counters (tick-guarded)."""
-    t = _TRACER
-    if t is None or not t.should_sample("sat.conflicts"):
-        return
-    now = t.now()
-    pairs = (
-        ("sat.conflicts", solver.conflicts),
-        ("sat.propagations", solver.propagations),
-        ("sat.restarts", solver.restarts),
-        ("sat.learned_db", len(solver._learnt_ids)),
-    )
-    for name, value in pairs:
-        t.sample(name, value)
-        if bag is not None:
-            bag.sample(name, value, t=now)
-
-
 def begin_solve(solver) -> tuple[float, int, int]:
     """Snapshot taken at ``solve()`` entry; paired with :func:`end_solve`."""
     t = _TRACER
@@ -143,20 +127,16 @@ def end_solve(solver, snapshot: tuple[float, int, int], result) -> None:
         conflicts=solver.conflicts - conflicts0,
         propagations=solver.propagations - propagations0,
     )
-    solver_tick(solver)
+    tick("sat", solver)
 
 
-def bdd_tick(manager, bag=None) -> None:
-    """Sample a BDD manager's node count and cache behaviour.
+def _bdd_values(manager) -> tuple[int, float, int]:
+    """Node count, cache hit rate and cache entries of a BDD manager.
 
     Reads the manager's scalar per-operation counters and cache ``len``s
     directly instead of building a :meth:`cache_summary` dict, so a tick
-    costs a handful of attribute loads and no allocation.
+    costs a handful of attribute loads.
     """
-    t = _TRACER
-    if t is None or not t.should_sample("bdd.nodes"):
-        return
-    now = t.now()
     hits = (
         manager._hits_ite + manager._hits_and + manager._hits_or
         + manager._hits_xor + manager._hits_not + manager._hits_exists
@@ -171,80 +151,66 @@ def bdd_tick(manager, bag=None) -> None:
     entries = 0
     for cache in manager._caches.values():
         entries += len(cache)
-    pairs = (
-        ("bdd.nodes", manager.num_nodes),
-        ("bdd.cache_hit_rate", hits / lookups if lookups else 0.0),
-        ("bdd.cache_entries", entries),
+    return (
+        manager.num_nodes, hits / lookups if lookups else 0.0, entries
     )
-    for name, value in pairs:
-        t.sample(name, value)
-        if bag is not None:
-            bag.sample(name, value, t=now)
 
 
-def cnc_tick(
-    open_cubes: int,
-    solved_cubes: int,
-    refuted_cubes: int,
-    active_workers: int,
-    bag=None,
-) -> None:
-    """Sample the cube-and-conquer engine's cube and worker gauges."""
-    t = _TRACER
-    if t is None or not t.should_sample("cnc.open_cubes"):
-        return
-    now = t.now()
-    pairs = (
-        ("cnc.open_cubes", open_cubes),
-        ("cnc.solved_cubes", solved_cubes),
-        ("cnc.refuted_cubes", refuted_cubes),
-        ("cnc.active_workers", active_workers),
-    )
-    for name, value in pairs:
-        t.sample(name, value)
-        if bag is not None:
-            bag.sample(name, value, t=now)
+# kind -> (series names, reader of their values from the tick's source).
+# The first series name is the throttle key.
+_PROBES = {
+    # source: a CDCL solver
+    "sat": (
+        ("sat.conflicts", "sat.propagations", "sat.restarts",
+         "sat.learned_db"),
+        lambda solver: (
+            solver.conflicts, solver.propagations, solver.restarts,
+            len(solver._learnt_ids),
+        ),
+    ),
+    # source: a BddManager
+    "bdd": (
+        ("bdd.nodes", "bdd.cache_hit_rate", "bdd.cache_entries"),
+        _bdd_values,
+    ),
+    # source: (open cubes, solved cubes, refuted cubes, active workers)
+    "cnc": (
+        ("cnc.open_cubes", "cnc.solved_cubes", "cnc.refuted_cubes",
+         "cnc.active_workers"),
+        tuple,
+    ),
+    # source: a service Worker; its queue is read only when admitted
+    "svc": (
+        ("svc.queue_depth", "svc.active_leases", "svc.completed_jobs"),
+        lambda worker: (
+            worker.queue.depth(), worker.queue.active_leases(),
+            worker.jobs_completed,
+        ),
+    ),
+    # source: (obligation queue depth, PDR frames)
+    "pdr": (
+        ("pdr.queue_depth", "pdr.lemmas", "pdr.frames"),
+        lambda source: (
+            source[0], source[1].lemma_count(), source[1].num_frames
+        ),
+    ),
+}
 
 
-def svc_tick(
-    queue_depth: int,
-    active_leases: int,
-    completed_jobs: int,
-    bag=None,
-) -> None:
-    """Sample the verification service's queue/lease/worker gauges.
+def tick(kind: str, source, bag=None) -> None:
+    """Sample the ``kind`` probe's series from ``source`` (tick-guarded).
 
-    Same read-only contract as every other probe: the worker loop calls
-    this between claims, so a traced service run is observable without
-    perturbing any verdict (pinned by the svc stats-identity test).
+    A throttled tick returns before the reader runs, so it reads nothing
+    from ``source``.
     """
     t = _TRACER
-    if t is None or not t.should_sample("svc.queue_depth"):
+    if t is None:
+        return
+    names, read = _PROBES[kind]
+    if not t.should_sample(names[0]):
         return
     now = t.now()
-    pairs = (
-        ("svc.queue_depth", queue_depth),
-        ("svc.active_leases", active_leases),
-        ("svc.completed_jobs", completed_jobs),
-    )
-    for name, value in pairs:
-        t.sample(name, value)
-        if bag is not None:
-            bag.sample(name, value, t=now)
-
-
-def pdr_tick(queue_depth: int, frames, bag=None) -> None:
-    """Sample PDR's obligation queue depth and frame/lemma gauges."""
-    t = _TRACER
-    if t is None or not t.should_sample("pdr.queue_depth"):
-        return
-    now = t.now()
-    pairs = (
-        ("pdr.queue_depth", queue_depth),
-        ("pdr.lemmas", frames.lemma_count()),
-        ("pdr.frames", frames.num_frames),
-    )
-    for name, value in pairs:
+    for name, value in zip(names, read(source)):
         t.sample(name, value)
         if bag is not None:
             bag.sample(name, value, t=now)

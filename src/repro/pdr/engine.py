@@ -169,7 +169,7 @@ class _Pdr:
             _, _, obligation = heapq.heappop(queue)
             self._obligations += 1
             if _obs.ENABLED:
-                _obs.pdr_tick(len(queue), self.frames, self.stats)
+                _obs.tick("pdr", (len(queue), self.frames), self.stats)
             if self._obligations > self.options.max_obligations:
                 raise ResourceLimit(
                     f"PDR exceeded {self.options.max_obligations} "

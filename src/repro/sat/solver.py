@@ -1051,7 +1051,7 @@ class Solver:
                     conflicts_since_restart = 0
                     self._cancel_until(0)
                     if observed:
-                        _obs.solver_tick(self)
+                        _obs.tick("sat", self)
                 if self.learned_clauses and \
                         len(self._learnt_ids) > max_learnts:
                     self._reduce_db()

@@ -13,7 +13,7 @@ are persisted content-addressed.  While a job runs:
 * every :class:`~repro.api.session.ProgressEvent` is appended to the
   job's event stream in the store (and, when :mod:`repro.obs` tracing
   is active, the run is additionally wrapped in a ``svc.job`` span with
-  ``svc_tick`` queue/lease gauges sampled between claims);
+  ``svc`` queue/lease gauges sampled between claims);
 * the session's ``cancel_poll`` reads the job's cancel flag, so a
   wire-level cancel takes effect at the next engine-race boundary.
 
@@ -122,11 +122,7 @@ class Worker:
                 break
             self.queue.requeue_expired()
             if _obs.ENABLED:
-                _obs.svc_tick(
-                    self.queue.depth(),
-                    self.queue.active_leases(),
-                    self.jobs_completed,
-                )
+                _obs.tick("svc", self)
             if self.run_one():
                 completed += 1
                 continue

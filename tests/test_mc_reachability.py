@@ -13,7 +13,7 @@ from repro.aig.ops import xor
 from repro.aig.simulate import eval_edge, truth_table
 from repro.circuits import generators as G
 from repro.core.quantify import QuantifyOptions
-from repro.errors import ModelCheckingError, ResourceLimit
+from repro.errors import BddLimitExceeded, ModelCheckingError, ResourceLimit
 from repro.mc.engine import verify
 from repro.mc.reach_aig import (
     REENCODE_MAX_ABORTS,
@@ -24,6 +24,7 @@ from repro.mc.reach_aig import (
 )
 from repro.mc.reach_aig_fwd import ForwardReachability
 from repro.mc.reach_bdd import (
+    BddReachOptions,
     bdd_backward_reachability,
     bdd_forward_reachability,
 )
@@ -450,9 +451,26 @@ class TestBddEngines:
 
     def test_iteration_limit(self):
         result = bdd_backward_reachability(
-            G.mod_counter(4, 12, safe=False), max_iterations=3
+            G.mod_counter(4, 12, safe=False), BddReachOptions(max_iterations=3)
         )
         assert result.status is Status.UNKNOWN
+        assert result.iterations == 3
+
+    def test_forward_iteration_limit(self):
+        # Unbounded, the forward run hits the bug at iteration 11.
+        result = bdd_forward_reachability(
+            G.mod_counter(4, 12, safe=False), BddReachOptions(max_iterations=3)
+        )
+        assert result.status is Status.UNKNOWN
+        assert result.iterations == 3
+
+    @pytest.mark.parametrize("method", ["reach_bdd", "reach_bdd_fwd"])
+    def test_node_budget_raises(self, method):
+        # The full runs end with 113 (backward) and 183 (forward) nodes.
+        net = G.mod_counter(4, 12, safe=False)
+        assert verify(net, method=method).failed
+        with pytest.raises(BddLimitExceeded, match="budget of 60"):
+            verify(net, method=method, options=BddReachOptions(max_nodes=60))
 
 
 class TestEnginesAgree:

@@ -212,8 +212,8 @@ class TestEnableDisable:
 
 
 class TestBddTickDirectReads:
-    """``bdd_tick`` reads the manager's scalar counters and cache lens
-    directly (no summary dict per tick); its samples must stay
+    """The ``"bdd"`` tick reads the manager's scalar counters and cache
+    lens directly (no summary dict per tick); its samples must stay
     numerically identical to what :meth:`cache_summary` reports."""
 
     def test_bdd_tick_matches_cache_summary(self):
@@ -228,7 +228,7 @@ class TestBddTickDirectReads:
         tracer = Tracer(tick=0.0)
         probes.activate(tracer)
         try:
-            probes.bdd_tick(manager)
+            probes.tick("bdd", manager)
         finally:
             probes.deactivate()
 
@@ -238,6 +238,52 @@ class TestBddTickDirectReads:
         assert sampled["bdd.cache_hit_rate"] == summary["cache_hit_rate"]
         assert sampled["bdd.cache_entries"] == summary["cache_entries"]
         assert summary["cache_hits"] > 0
+
+
+class TestOneSampler:
+    """Every probe kind goes through :func:`probes.tick`, which checks
+    the throttle before its reader touches the source."""
+
+    @pytest.mark.parametrize("kind,first_series", [
+        ("sat", "sat.conflicts"),
+        ("bdd", "bdd.nodes"),
+        ("cnc", "cnc.open_cubes"),
+        ("svc", "svc.queue_depth"),
+        ("pdr", "pdr.queue_depth"),
+    ])
+    def test_throttled_tick_reads_nothing(self, kind, first_series):
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"throttled tick read {name}")
+
+            def __getitem__(self, index):
+                raise AssertionError(f"throttled tick read [{index}]")
+
+            def __iter__(self):
+                raise AssertionError("throttled tick iterated")
+
+        tracer = Tracer(tick=3600.0)
+        assert tracer.should_sample(first_series)  # this hour's sample
+        probes.activate(tracer)
+        try:
+            probes.tick(kind, Unreadable())
+        finally:
+            probes.deactivate()
+        assert not tracer.counters
+
+    def test_admitted_tick_samples_every_series(self):
+        tracer = Tracer(tick=0.0)
+        probes.activate(tracer)
+        try:
+            probes.tick("cnc", (4, 3, 2, 1))
+        finally:
+            probes.deactivate()
+        assert [(rec.name, rec.value) for rec in tracer.counters] == [
+            ("cnc.open_cubes", 4.0),
+            ("cnc.solved_cubes", 3.0),
+            ("cnc.refuted_cubes", 2.0),
+            ("cnc.active_workers", 1.0),
+        ]
 
 
 class TestZeroCostDisabled:

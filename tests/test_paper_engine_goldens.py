@@ -12,9 +12,9 @@ not.  These tests pin the verdict and each engine's counters below on:
   table live for the whole run, and a reset in mid-run shows as extra
   SAT checks;
 * the baseline engines on the tiny (``BENCH_TINY=1``) families of the
-  ``benchmarks/bench_t14``–``t17`` experiments: ``reach_bdd_fwd`` under
-  both BDD image pipelines, ``itp``, ``pdr``, and ``cnc`` with its
-  cubes solved in-process (``workers=0``).
+  ``benchmarks/bench_t14``–``t17`` experiments: ``reach_bdd_fwd`` with
+  its scheduled image, ``itp``, ``pdr``, and ``cnc`` with its cubes
+  solved in-process (``workers=0``).
 
 They repeat exactly under any ``PYTHONHASHSEED``.
 
@@ -133,7 +133,7 @@ def _runs(source, variant):
         return [(net.name, net, "reach_aig", {"max_depth": MAX_DEPTH})]
     if source == "t14_bdd_image":
         families = t14.TINY_FAMILIES
-        engine, keywords = "reach_bdd_fwd", {"image": variant}
+        engine, keywords = "reach_bdd_fwd", {}
     elif source == "t15_itp":
         families = t15.TINY_FAMILIES
         engine, keywords = "itp", {"max_depth": t15.TINY_MAX_DEPTH}
@@ -220,14 +220,6 @@ GOLDENS = {
         ("updown_12", "PROVED", (4096, 13, 27, 115357, 60428, 174626)),
         ("mod_counter_12_3000", "PROVED",
          (3000, 12, 20, 75678, 36017, 118276)),
-    ),
-    ("t14_bdd_image", "monolithic"): (
-        ("mod_counter_6_40", "PROVED", (40, 6, 6, 1717, 966, 2083)),
-        ("gray_counter_5", "PROVED", (33, 10, 96, 5455, 1651, 6021)),
-        ("fifo_level_4", "PROVED", (15, 4, 4, 730, 525, 911)),
-        ("updown_5", "PROVED", (32, 6, 6, 2027, 1303, 2464)),
-        ("onehot_8", "PROVED", (8, 8, 15, 1112, 385, 1227)),
-        ("arbiter_6", "PROVED", (6, 6, 11, 910, 367, 1099)),
     ),
     ("t14_bdd_image", "scheduled"): (
         ("mod_counter_6_40", "PROVED", (40, 6, 6, 670, 410, 999)),

@@ -1,8 +1,9 @@
-"""Scheduled partitioned BDD image computation vs the monolithic baseline.
+"""Scheduled partitioned BDD image computation vs the monolithic reference.
 
-The scheduled pipeline must be a pure optimization: identical images,
-identical verdicts, identical iteration counts — only faster.  Random
-netlists use a fixed seed so failures reproduce.
+The scheduled pipeline, the only one the traversals run, must be a pure
+optimization of the monolithic conjoin-then-quantify image: the same
+BDD node at every step.  Random netlists use a fixed seed so failures
+reproduce.
 """
 
 import random
@@ -95,7 +96,7 @@ class TestScheduledPostimageEquivalence:
         manager = model.manager
         frontier = reached = model.init
         for _ in range(6):
-            scheduled = model.postimage_scheduled(frontier)
+            scheduled = model.postimage(frontier)
             monolithic = model.postimage_monolithic(frontier)
             assert scheduled == monolithic
             frontier = manager.and_(scheduled, manager.not_(reached))
@@ -117,7 +118,7 @@ class TestScheduledPostimageEquivalence:
         manager = model.manager
         frontier = model.init
         for _ in range(4):
-            scheduled = model.postimage_scheduled(frontier)
+            scheduled = model.postimage(frontier)
             assert scheduled == model.postimage_monolithic(frontier), name
             frontier = scheduled
 
@@ -126,33 +127,21 @@ class TestScheduledPostimageEquivalence:
     def test_every_schedule_agrees(self, schedule):
         net = G.up_down_counter(4)
         model = _BddModel(net, BddReachOptions(schedule=schedule))
-        reference = _BddModel(net, BddReachOptions(image="monolithic"))
-        frontier_s = model.init
-        frontier_m = reference.init
+        frontier = model.init
         for _ in range(4):
-            frontier_s = model.postimage(frontier_s)
-            frontier_m = reference.postimage(frontier_m)
-            # Different managers: compare by satisfying-set counts and
-            # structural size (both canonical per manager).
-            assert (
-                model.manager.sat_count(frontier_s, 10)
-                == reference.manager.sat_count(frontier_m, 10)
-            )
+            scheduled = model.postimage(frontier)
+            assert scheduled == model.postimage_monolithic(frontier)
+            frontier = scheduled
 
 
 class TestVerifyIntegration:
-    @pytest.mark.parametrize("image", ["scheduled", "monolithic"])
-    def test_forward_verdicts_match(self, image):
-        safe = verify(
-            G.gray_counter(4), method="reach_bdd_fwd", max_depth=100,
-            image=image,
-        )
+    def test_forward_verdicts_match(self):
+        safe = verify(G.gray_counter(4), method="reach_bdd_fwd", max_depth=100)
         assert safe.status is Status.PROVED
         buggy = verify(
             G.mod_counter(4, 10, safe=False),
             method="reach_bdd_fwd",
             max_depth=100,
-            image=image,
         )
         assert buggy.status is Status.FAILED
         assert buggy.trace is not None
@@ -167,7 +156,7 @@ class TestVerifyIntegration:
         assert result.status is Status.PROVED
 
     def test_options_object_accepted(self):
-        options = BddReachOptions(max_iterations=100, image="monolithic")
+        options = BddReachOptions(max_iterations=100)
         result = verify(
             G.ring_counter(4), method="reach_bdd", options=options
         )
@@ -184,16 +173,6 @@ class TestVerifyIntegration:
         assert result.stats.get("bdd_cache_hits") > 0
         assert 0.0 < result.stats.get("bdd_cache_hit_rate") <= 1.0
         assert result.stats.get("manager_nodes") > 0
-
-    def test_random_verdicts_agree_across_modes(self):
-        for seed in range(SEED, SEED + 8):
-            net = random_netlist(seed)
-            results = [
-                verify(net, method="reach_bdd_fwd", max_depth=64, image=mode)
-                for mode in ("scheduled", "monolithic")
-            ]
-            assert results[0].status is results[1].status, seed
-            assert results[0].iterations == results[1].iterations, seed
 
 
 class TestScheduledAigPostimage:
