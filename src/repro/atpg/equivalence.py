@@ -23,6 +23,7 @@ from repro.aig.ops import xnor
 from repro.atpg.faults import OUTPUT, Fault
 from repro.atpg.podem import PodemGenerator, PodemVerdict
 from repro.atpg.satgen import SatTestGenerator
+from repro.errors import AigError
 
 
 def check_equal_via_atpg(
@@ -31,7 +32,6 @@ def check_equal_via_atpg(
     b: int,
     engine: str = "sat",
     budget: int = 20_000,
-    split_workers: int = 0,
 ) -> tuple[bool | None, dict[int, bool] | None]:
     """Equivalence of two edges posed as a comparison-gate fault.
 
@@ -41,11 +41,10 @@ def check_equal_via_atpg(
     ``False`` comes with the distinguishing test pattern; ``None`` means
     the budget ran out.
 
-    ``engine="cnc"`` routes the fault through
-    :func:`repro.cnc.engine.split_solve` — the cube-and-conquer path for
-    comparators too hard for one monolithic SAT call; ``split_workers``
-    sizes its conquer pool (0 = in-process).
+    ``engine`` picks the test generator: ``"sat"`` or ``"podem"``.
     """
+    if engine not in ("sat", "podem"):
+        raise AigError(f"unknown ATPG engine: {engine!r}")
     if a == b:
         return True, None
     comparator = xnor(aig, a, b)
@@ -57,25 +56,6 @@ def check_equal_via_atpg(
 
         pattern = {n: False for n in support_many(aig, [a, b])}
         return False, pattern
-    if engine == "cnc":
-        from repro.aig.graph import edge_not
-        from repro.aig.ops import support_many
-        from repro.cnc.engine import split_solve
-        from repro.sat.solver import SolveResult
-
-        outcome = split_solve(
-            aig,
-            edge_not(comparator),
-            workers=split_workers,
-            conflict_budget=budget,
-        )
-        if outcome.verdict is SolveResult.UNSAT:
-            return True, None
-        if outcome.verdict is SolveResult.SAT:
-            pattern = {n: False for n in support_many(aig, [a, b])}
-            pattern.update(outcome.model)
-            return False, pattern
-        return None, None
     # Stuck-at-1 on the comparator *function*: when the comparator edge is
     # complemented, that is stuck-at-0 on the underlying node.
     node = comparator >> 1

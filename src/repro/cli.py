@@ -338,7 +338,7 @@ def _cmd_fraig(args: argparse.Namespace) -> int:
     if not roots:
         print("error: no outputs to reduce", file=sys.stderr)
         return 2
-    result = fraig(netlist.aig, roots, engine=args.engine)
+    result = fraig(netlist.aig, roots)
     print(f"size: {result.stats.get('size_before'):.0f} -> "
           f"{result.size} AND nodes "
           f"({result.stats.get('rounds'):.0f} rounds, "
@@ -856,9 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fraig", help="functionally reduce the output cones"
     )
     p_fraig.add_argument("file")
-    p_fraig.add_argument(
-        "--engine", default="cnf", choices=["cnf", "circuit"]
-    )
     p_fraig.set_defaults(func=_cmd_fraig)
 
     p_serve = sub.add_parser(

@@ -5,8 +5,8 @@ Cube stage splits one hard target into many genuinely smaller
 subproblems (:mod:`repro.cnc.lookahead`, :mod:`repro.cnc.cube`), a
 multiprocessing conquer pool races them (:mod:`repro.cnc.conquer`), and
 :mod:`repro.cnc.engine` packages the scheme as the registered ``cnc``
-model-checking engine plus the :func:`split_solve` utility API used by
-equivalence checking, SAT sweeping and PDR certificate validation.
+model-checking engine plus :func:`split_solve`, the split machinery
+for one combinational target edge.
 """
 
 from repro.cnc.conquer import ConquerTask, CubeOutcome, conquer, make_task
@@ -17,12 +17,7 @@ from repro.cnc.cube import (
     assume_literal,
     build_cube_tree,
 )
-from repro.cnc.engine import (
-    SplitOutcome,
-    cnc_verify,
-    split_solve,
-    split_solve_many,
-)
+from repro.cnc.engine import SplitOutcome, cnc_verify, split_solve
 from repro.cnc.lookahead import (
     LookaheadResult,
     analyze,
@@ -49,7 +44,6 @@ __all__ = [
     "gate_weights",
     "make_task",
     "split_solve",
-    "split_solve_many",
     "ternary_eval",
     "ternary_lookahead",
 ]

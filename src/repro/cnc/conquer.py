@@ -8,10 +8,9 @@ the same spawn/budget/kill machinery the portfolio race uses — with
 parent-scheduled work stealing: at most ``workers`` cubes are in flight
 and every finished worker frees a slot for the next pending cube.
 
-Verdict aggregation is per *group* (the ``cnc`` engine uses one group;
-:func:`repro.cnc.engine.split_solve_many` one per independent target):
+Verdict aggregation over the cubes of the one split target:
 
-* the first SAT in a group wins — its siblings are killed/cancelled;
+* the first SAT wins — its siblings are killed/cancelled;
 * an UNSAT's assumption core names the tail literals actually needed, so
   the falsified cube is ``prefix AND core`` — every pending or running
   sibling whose literal set contains that cube is pruned unsolved;
@@ -49,7 +48,6 @@ class ConquerTask:
     """One cube, extracted and ready for a worker."""
 
     tag: int
-    group: int
     literals: tuple[CubeLiteral, ...]
     aig: Aig
     target: int
@@ -63,7 +61,6 @@ class CubeOutcome:
     """How one cube's solve ended."""
 
     tag: int
-    group: int
     verdict: str  # sat / unsat / unknown / pruned / cancelled / crashed
     model: dict[int, bool] | None = None
     refuted_cube: frozenset[CubeLiteral] | None = None
@@ -71,9 +68,7 @@ class CubeOutcome:
     solver_stats: dict[str, int] = field(default_factory=dict)
 
 
-def make_task(
-    aig: Aig, leaf: CubeLeaf, tag: int, group: int = 0
-) -> ConquerTask:
+def make_task(aig: Aig, leaf: CubeLeaf, tag: int) -> ConquerTask:
     """Extract one open leaf into a standalone solver payload."""
     cons_edges = [literal.edge for literal in leaf.assumed]
     small, edges, node_map = aig.extract([leaf.base_target, *cons_edges])
@@ -84,7 +79,6 @@ def make_task(
     }
     return ConquerTask(
         tag=tag,
-        group=group,
         literals=leaf.literals,
         aig=small,
         target=edges[0],
@@ -171,15 +165,15 @@ def conquer(
     lookahead_refuted: int = 0,
     stats: StatsBag | None = None,
 ) -> list[CubeOutcome]:
-    """Solve every task, with per-group SAT cancellation and core pruning.
+    """Solve every task, with SAT cancellation and core pruning.
 
     Returns one :class:`CubeOutcome` per task, in task order.
     """
     bag = stats if stats is not None else StatsBag()
     outcomes: dict[int, CubeOutcome] = {}
     pending = list(tasks)
-    sat_groups: set[int] = set()
-    refuted: list[tuple[int, frozenset[CubeLiteral]]] = []
+    sat_found = False
+    refuted: list[frozenset[CubeLiteral]] = []
     solved = 0
 
     def tick(active: int) -> None:
@@ -192,19 +186,19 @@ def conquer(
 
     def absorb(task: ConquerTask, verdict: str, payload, solver_stats,
                elapsed: float) -> None:
-        nonlocal solved
+        nonlocal solved, sat_found
         outcome = CubeOutcome(
-            tag=task.tag, group=task.group, verdict=verdict,
+            tag=task.tag, verdict=verdict,
             elapsed=elapsed, solver_stats=solver_stats or {},
         )
         if verdict == "sat":
             outcome.model = payload
-            sat_groups.add(task.group)
+            sat_found = True
             bag.incr("cnc_cubes_sat")
         elif verdict == "unsat":
             cube = _refuted_cube(task, payload or ())
             outcome.refuted_cube = cube
-            refuted.append((task.group, cube))
+            refuted.append(cube)
             bag.incr("cnc_cubes_unsat")
         elif verdict == "unknown":
             bag.incr("cnc_cubes_unknown")
@@ -217,18 +211,16 @@ def conquer(
 
     def dead(task: ConquerTask) -> str | None:
         """Why this task no longer needs solving (None = still live)."""
-        if task.group in sat_groups:
+        if sat_found:
             return "cancelled"
         literals = set(task.literals)
-        for group, cube in refuted:
-            if group == task.group and cube <= literals:
+        for cube in refuted:
+            if cube <= literals:
                 return "pruned"
         return None
 
     def retire(task: ConquerTask, why: str) -> None:
-        outcomes[task.tag] = CubeOutcome(
-            tag=task.tag, group=task.group, verdict=why
-        )
+        outcomes[task.tag] = CubeOutcome(tag=task.tag, verdict=why)
         bag.incr(f"cnc_cubes_{why}")
 
     if workers <= 0:

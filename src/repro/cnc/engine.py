@@ -13,10 +13,8 @@ standard, validated :class:`~repro.mc.result.Trace`), all-UNSAT is a
 bound-exhausted UNKNOWN — or a PROVED verdict when the netlist is
 combinational, where depth 0 covers the whole space.
 
-:func:`split_solve` / :func:`split_solve_many` expose the same split
-machinery for plain combinational targets: hard equivalence miters
-(:mod:`repro.atpg.equivalence`, :mod:`repro.sweep.satsweep`) and bursty
-proof-obligation batches (PDR certificate checking).
+:func:`split_solve` is the split machinery itself, applied to any one
+combinational target edge; the engine calls it on the unrolled target.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ def _aggregate(
     outcomes,
     stats: StatsBag,
 ) -> SplitOutcome:
-    """Fold one group's cube outcomes into a single verdict."""
+    """Fold the cube outcomes into a single verdict."""
     split = SplitOutcome(
         verdict=SolveResult.UNSAT,
         cubes=len(tree.leaves),
@@ -142,66 +140,6 @@ def split_solve(
             stats=bag,
         )
     return _aggregate(aig, target, tree, outcomes, bag)
-
-
-def split_solve_many(
-    aig: Aig,
-    targets,
-    *,
-    cube_depth: int = 0,
-    candidates_limit: int = 10,
-    workers: int = 0,
-    assume_tail: int = 1,
-    conflict_budget: int | None = None,
-    cube_budget: float | None = None,
-    stats: StatsBag | None = None,
-) -> list[SplitOutcome]:
-    """Split-solve a batch of independent targets over one shared pool.
-
-    This is the bursty-obligation entry point (PDR certificate clauses,
-    sweeping candidate batches): every target forms its own cancellation
-    group — a SAT cube only cancels cubes of the *same* target — and the
-    pool is shared, so ``workers`` bounds total concurrency across the
-    batch.  ``cube_depth`` defaults to 0 (one cube per target: pure
-    fan-out), matching obligations that are individually easy but
-    numerous.
-    """
-    bag = stats if stats is not None else StatsBag()
-    workers = _effective_workers(workers)
-    targets = list(targets)
-    trees: list[CubeTree] = []
-    tasks = []
-    with _obs.span("cnc.cube", "engine", cube_depth=cube_depth,
-                   targets=len(targets)):
-        for group, target in enumerate(targets):
-            tree = build_cube_tree(
-                aig,
-                target,
-                cube_depth=cube_depth,
-                candidates_limit=candidates_limit,
-                assume_tail=assume_tail,
-                stats=bag,
-            )
-            trees.append(tree)
-            for leaf in tree.open_leaves:
-                tasks.append(
-                    make_task(aig, leaf, tag=len(tasks), group=group)
-                )
-    with _obs.span("cnc.conquer", "engine", cubes=len(tasks),
-                   workers=workers):
-        outcomes = conquer(
-            tasks,
-            workers=workers,
-            conflict_budget=conflict_budget,
-            cube_budget=cube_budget,
-            lookahead_refuted=sum(t.refuted_leaves for t in trees),
-            stats=bag,
-        )
-    results = []
-    for group, (target, tree) in enumerate(zip(targets, trees)):
-        grouped = [o for o in outcomes if o.group == group]
-        results.append(_aggregate(aig, target, tree, grouped, bag))
-    return results
 
 
 # ---------------------------------------------------------------------- #

@@ -35,11 +35,6 @@ from repro.util.stats import StatsBag
 # points and a table holding earlier sweeps starts over.
 BDD_NODE_LIMIT = 2000
 
-# Node budget of the AIG traversals' per-run re-encoding table
-# (:class:`repro.mc.reach_aig.ReencodingTable`); past it, the run drops
-# the table.
-REENCODE_NODE_LIMIT = 4000
-
 
 def merge_cofactors(
     aig: Aig,

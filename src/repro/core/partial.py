@@ -88,7 +88,8 @@ class PartialQuantifier:
         current = edge
         quantified: list[int] = []
         aborted: list[int] = []
-        # Cheapest-dependence first, like the full quantifier.
+        # Caller order, duplicates dropped; a variable that leaves the
+        # support on the way counts as quantified for free.
         remaining = [v for v in dict.fromkeys(variables)]
         while remaining:
             present = support(aig, current)

@@ -46,7 +46,6 @@ from repro.bdd.from_aig import aig_to_bdd, bdd_to_aig
 from repro.bdd.manager import BDD_FALSE, BddManager
 from repro.circuits.netlist import Netlist
 from repro.core.images import ImageComputer, ImageResult
-from repro.core.merge import REENCODE_NODE_LIMIT
 from repro.core.quantify import QuantifyOptions
 from repro.errors import BddLimitExceeded, ModelCheckingError, ResourceLimit
 from repro.mc.result import Status, Trace, VerificationResult
@@ -77,6 +76,10 @@ class ReachOptions:
     max_manager_nodes: int = 2_000_000
     allsat_max_cubes: int | None = None
 
+
+# Node budget of a run's re-encoding table (:class:`ReencodingTable`);
+# past it, the run drops the table.
+REENCODE_NODE_LIMIT = 4000
 
 # Budget overruns after which a run stops re-encoding its images.
 REENCODE_MAX_ABORTS = 2

@@ -29,7 +29,6 @@ from repro.core.images import ImageComputer, ImageResult
 from repro.core.quantify import QuantifyOptions
 from repro.errors import ModelCheckingError
 from repro.mc.reach_aig import AigTraversal
-from repro.mc.result import VerificationResult
 
 # Unused here (AigTraversal maps the violation); perfbench/tracing.py
 # patches this name on this module.
@@ -127,10 +126,3 @@ class ForwardReachability(AigTraversal):
             node: model.get(node, False) for node in self.model.input_nodes
         }
         return state, inputs
-
-
-def forward_reachability(
-    netlist: Netlist, options: ForwardReachOptions | None = None
-) -> VerificationResult:
-    """Convenience wrapper: build the forward engine and run it."""
-    return ForwardReachability(netlist, options).run()

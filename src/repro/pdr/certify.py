@@ -58,78 +58,11 @@ def _edge_unsatisfiable(netlist: Netlist, edge: int) -> bool:
     return mapper.solver.solve([mapper.lit_for(edge)]) is not SolveResult.SAT
 
 
-def _check_certificate_split(
-    netlist: Netlist, certificate: InvariantCertificate, workers: int
-) -> None:
-    """The three certificate conditions as one cube-and-conquer batch.
-
-    Initiation and safety are one obligation each; consecution is posed
-    per clause — ``Inv ∧ C ∧ ¬clause'`` with the primed clause built by
-    substituting every latch with its next-state function (the same
-    single-step transition semantics as the Unroller path).  The batch
-    goes through :func:`repro.cnc.engine.split_solve_many`, so the bursty
-    obligations share one conquer pool instead of serializing on fresh
-    solvers.
-    """
-    from repro.cnc.engine import split_solve_many
-
-    aig = netlist.aig
-    inv = invariant_edge(netlist, certificate)
-    constraint = netlist.constraint_edge()
-    source = aig.and_(inv, constraint)
-    substitution = {
-        latch.node: latch.next_edge
-        for latch in netlist.latches
-        if latch.next_edge is not None
-    }
-    cache: dict[int, int] = {}
-    targets = [
-        aig.and_(netlist.init_state_edge(), edge_not(inv)),
-        aig.and_(source, edge_not(netlist.property_edge)),
-    ]
-    labels = ["initiation", "safety"]
-    latch_nodes = set(netlist.latch_nodes)
-    for clause in certificate.clauses:
-        literal_edges = []
-        for lit in clause:
-            node = abs(lit)
-            if node not in latch_nodes:
-                raise CertificateError(
-                    f"certificate literal {lit} is not a latch of "
-                    f"{netlist.name!r}"
-                )
-            literal_edges.append(2 * node if lit > 0 else 2 * node + 1)
-        primed = aig.rebuild(
-            or_all(aig, literal_edges), substitution, cache
-        )
-        targets.append(aig.and_(source, edge_not(primed)))
-        labels.append(f"consecution of clause {clause}")
-    outcomes = split_solve_many(aig, targets, workers=workers)
-    failures = [
-        label
-        for label, outcome in zip(labels, outcomes)
-        if outcome.verdict is not SolveResult.UNSAT
-    ]
-    if failures:
-        raise CertificateError(
-            "certificate fails " + "; ".join(failures)
-        )
-
-
 def check_certificate(
     netlist: Netlist,
     certificate: InvariantCertificate,
-    split_workers: int | None = None,
 ) -> None:
-    """Raise :class:`CertificateError` unless the certificate holds.
-
-    ``split_workers`` (``None`` = off) discharges the obligations as a
-    cube-and-conquer batch — initiation, safety and one consecution
-    obligation per certificate clause over a shared conquer pool.
-    """
-    if split_workers is not None:
-        _check_certificate_split(netlist, certificate, split_workers)
-        return
+    """Raise :class:`CertificateError` unless the certificate holds."""
     aig = netlist.aig
     inv = invariant_edge(netlist, certificate)
     if not _edge_unsatisfiable(

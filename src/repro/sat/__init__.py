@@ -6,13 +6,14 @@ This package provides the stand-in: a CDCL solver
 (:class:`repro.sat.solver.Solver`) with an assumption-based incremental
 interface so that "several checks [are factorized] together within a single
 run" exactly as the paper describes, and a slow reference DPLL solver used
-as a test oracle.
+as a test oracle.  The CDCL solver, fed through
+:class:`repro.aig.cnf.CnfMapper`, is the one SAT back end:
+sweeping sessions and one-shot equivalence and certificate checks alike.
 """
 
 from repro.sat.cnf import CNF, Clause, neg
 from repro.sat.solver import ProofLog, Solver, SolveResult
 from repro.sat.dpll import DpllSolver
-from repro.sat.circuit import CircuitSolver, prove_edges_equivalent_circuit
 
 __all__ = [
     "CNF",
@@ -21,7 +22,5 @@ __all__ = [
     "Solver",
     "SolveResult",
     "DpllSolver",
-    "CircuitSolver",
-    "prove_edges_equivalent_circuit",
     "neg",
 ]

@@ -15,18 +15,19 @@ Simulation signatures (:mod:`repro.sweep.signatures`) pre-filter candidate
 pairs for the SAT engine, and every SAT counterexample refines the
 signatures — "any SAT solver solution thus potentially rules-out several
 non matching couples".
+
+:mod:`repro.sweep.fraig` repeats the SAT sweep and extracts the swept
+cones into a fresh manager, so that superseded logic is really dropped.
 """
 
 from repro.sweep.signatures import SignatureTable
 from repro.sweep.satsweep import SatSweeper, prove_edges_equivalent
-from repro.sweep.circuitsweep import CircuitSweeper
 from repro.sweep.bddsweep import BddSweepTable, bdd_sweep
 from repro.sweep.fraig import fraig, fraig_netlist, FraigResult
 
 __all__ = [
     "SignatureTable",
     "SatSweeper",
-    "CircuitSweeper",
     "prove_edges_equivalent",
     "BddSweepTable",
     "bdd_sweep",

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.aig.graph import Aig
-from repro.errors import AigError
-from repro.sweep.circuitsweep import CircuitSweeper
 from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
 
@@ -41,7 +39,6 @@ class FraigResult:
 def fraig(
     aig: Aig,
     roots: list[int],
-    engine: str = "cnf",
     conflict_budget: int = 3000,
     max_rounds: int = 4,
     sim_words: int = 4,
@@ -50,17 +47,14 @@ def fraig(
 ) -> FraigResult:
     """Functionally reduce the cones of ``roots`` into a fresh manager.
 
-    ``engine`` selects the proof back end for the sweep: ``"cnf"`` (the
-    factorized incremental CDCL session) or ``"circuit"`` (the
-    justification-based circuit solver).  Rounds repeat while merges keep
-    landing, up to ``max_rounds``.
+    Each round sweeps with a :class:`SatSweeper` (the factorized
+    incremental CDCL session).  Rounds repeat while merges keep landing,
+    up to ``max_rounds``.
 
     Returns a :class:`FraigResult` whose ``node_map`` maps the original
     manager's *input nodes* to the new manager's input nodes, so callers
     (e.g. :func:`fraig_netlist`) can re-anchor latches and inputs.
     """
-    if engine not in ("cnf", "circuit"):
-        raise AigError(f"unknown fraig engine: {engine!r}")
     stats = StatsBag()
     stats.set("size_before", _live_ands(aig, roots))
     current_aig = aig
@@ -68,20 +62,12 @@ def fraig(
     # original input node -> current manager's input node
     input_map = {node: node for node in aig.inputs}
     for _ in range(max_rounds):
-        if engine == "cnf":
-            sweeper = SatSweeper(
-                current_aig,
-                conflict_budget=conflict_budget,
-                sim_words=sim_words,
-                seed=seed,
-            )
-        else:
-            sweeper = CircuitSweeper(
-                current_aig,
-                conflict_budget=conflict_budget,
-                sim_words=sim_words,
-                seed=seed,
-            )
+        sweeper = SatSweeper(
+            current_aig,
+            conflict_budget=conflict_budget,
+            sim_words=sim_words,
+            seed=seed,
+        )
         swept_roots, _ = sweeper.sweep(current_roots)
         stats.merge(sweeper.stats)
         stats.incr("rounds")

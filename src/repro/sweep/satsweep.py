@@ -126,12 +126,8 @@ class SatSweeper:
     def _learn_counterexample(self) -> None:
         if self.signatures is None:
             return
-        self.signatures.add_pattern(self._model_inputs())
+        self.signatures.add_pattern(self.mapper.model_inputs())
         self.stats.incr("counterexamples_learned")
-
-    def _model_inputs(self) -> dict[int, bool]:
-        """Input values of the last SAT answer."""
-        return self.mapper.model_inputs()
 
     def signature_table(self, roots: Sequence[int]) -> SignatureTable:
         """The shared signature table, covering the cones of ``roots``.
@@ -316,42 +312,15 @@ def prove_edges_equivalent(
     a: int,
     b: int,
     conflict_budget: int | None = None,
-    split_workers: int | None = None,
 ) -> tuple[bool | None, dict[int, bool] | None]:
     """One-shot combinational equivalence check of two edges.
 
     Returns ``(verdict, counterexample)``: verdict True (equal), False
     (different, with a distinguishing input assignment), or None (budget
     exhausted).
-
-    ``split_workers`` (``None`` = off) reroutes the check through
-    :func:`repro.cnc.engine.split_solve`: the XOR difference miter is
-    cube-split and conquered on that many worker processes (0 keeps the
-    cubes in-process) — the escape hatch for the rare merge candidate
-    hard enough to dominate a sweeping session.
     """
     if a == b:
         return True, None
-    if split_workers is not None:
-        from repro.aig.ops import support_many, xnor
-        from repro.cnc.engine import split_solve
-
-        diff = edge_not(xnor(aig, a, b))
-        if diff == FALSE:
-            return True, None
-        if diff == TRUE:
-            return False, {n: False for n in support_many(aig, [a, b])}
-        outcome = split_solve(
-            aig, diff, workers=split_workers,
-            conflict_budget=conflict_budget,
-        )
-        if outcome.verdict is SolveResult.UNSAT:
-            return True, None
-        if outcome.verdict is SolveResult.SAT:
-            pattern = {n: False for n in support_many(aig, [a, b])}
-            pattern.update(outcome.model)
-            return False, pattern
-        return None, None
     mapper = CnfMapper(aig, Solver())
     lit_a = mapper.lit_for(a)
     lit_b = mapper.lit_for(b)

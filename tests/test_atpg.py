@@ -363,6 +363,13 @@ class TestEquivalenceBridge:
         assert verdict is False
         assert cex is not None
 
+    def test_unknown_engine_rejected(self):
+        aig = Aig()
+        a, b = aig.add_inputs(2)
+        for engine in ("cnc", "circuit"):
+            with pytest.raises(AigError, match="unknown ATPG engine"):
+                check_equal_via_atpg(aig, aig.and_(a, b), a, engine=engine)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_bridge_agrees_with_sweeping_equivalence(self, seed):
         rng = random.Random(300 + seed)

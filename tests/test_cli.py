@@ -302,9 +302,6 @@ class TestFraigCommand:
         assert main(["fraig", s27_bench]) == 0
         assert "size:" in capsys.readouterr().out
 
-    def test_fraig_circuit_engine(self, s27_bench, capsys):
-        assert main(["fraig", s27_bench, "--engine", "circuit"]) == 0
-
 
 class TestAtpgCommand:
     def test_atpg_campaign(self, s27_bench, capsys):

@@ -11,8 +11,8 @@ The load-bearing claims, each checked by SAT or exhaustive simulation:
   satisfy the original target;
 * the registered ``cnc`` engine never contradicts bmc/pdr on the tier-1
   families, and its counterexamples replay through standard validation;
-* the split machinery reached through equivalence checking, sweeping and
-  PDR certificate validation gives the verdicts of the plain paths.
+* the one-shot checkers (equivalence and PDR certificate validation)
+  give the expected verdicts on the miter and handshake families.
 """
 
 import random
@@ -33,7 +33,6 @@ from repro.cnc import (
     assume_literal,
     build_cube_tree,
     split_solve,
-    split_solve_many,
     ternary_eval,
     ternary_lookahead,
 )
@@ -199,19 +198,6 @@ class TestSplitSolve:
         outcome = split_solve(aig, FALSE)
         assert outcome.verdict is SolveResult.UNSAT
 
-    def test_split_solve_many_groups_are_independent(self):
-        aig, inputs, root = build_random_aig(5, 18, seed=4)
-        contradiction = aig.and_(root, edge_not(root))
-        outcomes = split_solve_many(
-            aig, [root, contradiction, edge_not(root)], cube_depth=2
-        )
-        assert outcomes[1].verdict is SolveResult.UNSAT
-        for outcome, target in zip(outcomes, (root, None, edge_not(root))):
-            if outcome.verdict is SolveResult.SAT:
-                assignment = {node >> 1: False for node in inputs}
-                assignment.update(outcome.model)
-                assert eval_edge(aig, target, assignment)
-
     def test_unsat_miter_exercises_core_pruning_counters(self):
         netlist = mul_miter2(True)
         bag = StatsBag()
@@ -306,48 +292,43 @@ class TestCncEngine:
 
 
 # ---------------------------------------------------------------------- #
-# split_solve consumers: equivalence, sweeping, certificates
+# One-shot checkers on the families cnc is tested on
 # ---------------------------------------------------------------------- #
 
 
-class TestSplitSolveConsumers:
-    def test_equivalence_via_cnc_agrees_with_sat_engine(self):
+class TestMonolithicCheckers:
+    def test_equivalence_via_atpg_on_miter(self):
         netlist = mul_miter2(True)
         aig = netlist.aig
-        verdict, cex = check_equal_via_atpg(
-            aig, netlist.property_edge, 1, engine="cnc"
-        )
+        verdict, cex = check_equal_via_atpg(aig, netlist.property_edge, 1)
         assert verdict is True and cex is None
         buggy = mul_miter2(False)
         verdict, cex = check_equal_via_atpg(
-            buggy.aig, buggy.property_edge, 1, engine="cnc"
+            buggy.aig, buggy.property_edge, 1
         )
         assert verdict is False
         assert not eval_edge(buggy.aig, buggy.property_edge, cex)
 
-    def test_prove_edges_equivalent_split_path(self):
+    def test_prove_edges_equivalent_on_miter(self):
         netlist = mul_miter2(True)
         verdict, cex = prove_edges_equivalent(
-            netlist.aig, netlist.property_edge, 1, split_workers=0
+            netlist.aig, netlist.property_edge, 1
         )
         assert verdict is True and cex is None
         buggy = mul_miter2(False)
         verdict, cex = prove_edges_equivalent(
-            buggy.aig, buggy.property_edge, 1, split_workers=0
+            buggy.aig, buggy.property_edge, 1
         )
         assert verdict is False
         assert not eval_edge(buggy.aig, buggy.property_edge, cex)
 
-    def test_certificate_batch_accepts_a_real_invariant(self):
+    def test_certificate_accepts_a_real_invariant(self):
         result = verify(handshake(True), method="pdr", max_depth=30)
         assert result.status is Status.PROVED
-        check_certificate(handshake(True), result.certificate,
-                          split_workers=0)
+        check_certificate(handshake(True), result.certificate)
 
-    def test_certificate_batch_rejects_a_wrong_invariant(self):
-        # The safe design's invariant cannot certify the buggy variant:
-        # the split path must reject it just like the Unroller path.
+    def test_certificate_rejects_a_wrong_invariant(self):
+        # The safe design's invariant cannot certify the buggy variant.
         result = verify(handshake(True), method="pdr", max_depth=30)
         with pytest.raises(CertificateError):
-            check_certificate(handshake(False), result.certificate,
-                              split_workers=0)
+            check_certificate(handshake(False), result.certificate)

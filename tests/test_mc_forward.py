@@ -11,11 +11,7 @@ from repro.circuits.library import handshake, s27_with_property
 from repro.core.quantify import QuantifyOptions
 from repro.errors import ModelCheckingError
 from repro.mc.engine import verify
-from repro.mc.reach_aig_fwd import (
-    ForwardReachability,
-    ForwardReachOptions,
-    forward_reachability,
-)
+from repro.mc.reach_aig_fwd import ForwardReachability, ForwardReachOptions
 from repro.mc.reach_bdd import bdd_forward_reachability
 from repro.mc.result import Status
 
@@ -39,28 +35,28 @@ BUGGY_DESIGNS = {
 class TestVerdicts:
     @pytest.mark.parametrize("design", list(SAFE_DESIGNS))
     def test_safe_designs_proved(self, design):
-        result = forward_reachability(SAFE_DESIGNS[design]())
+        result = ForwardReachability(SAFE_DESIGNS[design]()).run()
         assert result.status is Status.PROVED
         assert result.iterations > 0
 
     @pytest.mark.parametrize("design", list(BUGGY_DESIGNS))
     def test_buggy_designs_failed_with_valid_trace(self, design):
         netlist = BUGGY_DESIGNS[design]()
-        result = forward_reachability(netlist)
+        result = ForwardReachability(netlist).run()
         assert result.status is Status.FAILED
         assert result.trace is not None
         assert result.trace.validate(BUGGY_DESIGNS[design]())
 
     @pytest.mark.parametrize("design", list(BUGGY_DESIGNS))
     def test_counterexample_depth_matches_backward_engine(self, design):
-        forward = forward_reachability(BUGGY_DESIGNS[design]())
+        forward = ForwardReachability(BUGGY_DESIGNS[design]()).run()
         backward = verify(BUGGY_DESIGNS[design](), method="reach_aig")
         # Both engines are breadth-first, so both find shortest traces.
         assert forward.trace.depth == backward.trace.depth
 
     @pytest.mark.parametrize("design", list(SAFE_DESIGNS))
     def test_agrees_with_bdd_forward(self, design):
-        aig_result = forward_reachability(SAFE_DESIGNS[design]())
+        aig_result = ForwardReachability(SAFE_DESIGNS[design]()).run()
         bdd_result = bdd_forward_reachability(SAFE_DESIGNS[design]())
         assert aig_result.status == bdd_result.status
 
@@ -74,9 +70,9 @@ class TestOptionsAndErrors:
 
     def test_iteration_budget_gives_unknown(self):
         netlist = G.mod_counter(4, 12)
-        result = forward_reachability(
+        result = ForwardReachability(
             netlist, ForwardReachOptions(max_iterations=2)
-        )
+        ).run()
         assert result.status is Status.UNKNOWN
         assert result.iterations == 2
 
@@ -85,7 +81,7 @@ class TestOptionsAndErrors:
         options = ForwardReachOptions(
             quantify=QuantifyOptions.preset("hash")
         )
-        result = forward_reachability(netlist, options)
+        result = ForwardReachability(netlist, options).run()
         assert result.status is Status.PROVED
 
     def test_verify_dispatch(self):
@@ -94,7 +90,7 @@ class TestOptionsAndErrors:
         assert result.status is Status.PROVED
 
     def test_stats_record_frontier_series(self):
-        result = forward_reachability(G.mod_counter(3, 6))
+        result = ForwardReachability(G.mod_counter(3, 6)).run()
         assert "frontier_size_1" in result.stats
         assert result.stats.get("peak_frontier_size") > 0
 
@@ -107,7 +103,7 @@ class TestImmediateViolation:
         latch = netlist.add_latch("l", init=True)
         netlist.set_next(latch, latch)
         netlist.set_property(latch ^ 1)  # NOT l: false initially
-        result = forward_reachability(netlist)
+        result = ForwardReachability(netlist).run()
         assert result.status is Status.FAILED
         assert result.trace.depth == 0
 
@@ -123,7 +119,7 @@ class TestImmediateViolation:
         netlist.set_property(
             edge_not(netlist.aig.and_(latch, grant))
         )
-        result = forward_reachability(netlist)
+        result = ForwardReachability(netlist).run()
         assert result.status is Status.FAILED
         assert result.trace.validate(netlist)
         assert result.trace.violation_inputs is not None

@@ -1,11 +1,9 @@
 """Tests for FRAIG functional reduction (sweep + garbage collection)."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.graph import Aig, edge_not
 from repro.aig.ops import or_, transfer, xor
-from repro.errors import AigError
 from repro.sweep.fraig import fraig
 from tests.conftest import build_random_aig, edges_equivalent
 
@@ -22,12 +20,11 @@ def _equivalent_across_managers(old_aig, old_edge, result, inputs):
 
 
 class TestFraig:
-    @pytest.mark.parametrize("engine", ["cnf", "circuit"])
-    def test_function_preserved(self, engine):
+    def test_function_preserved(self):
         aig, inputs, root = build_random_aig(
             num_inputs=5, num_gates=40, seed=2
         )
-        result = fraig(aig, [root], engine=engine)
+        result = fraig(aig, [root])
         assert _equivalent_across_managers(aig, root, result, inputs)
 
     def test_redundant_logic_disappears(self):
@@ -70,12 +67,6 @@ class TestFraig:
         fat = fraig(aig, [f], keep_all_inputs=True)
         assert slim.aig.num_inputs == 2
         assert fat.aig.num_inputs == 3
-
-    def test_unknown_engine_rejected(self):
-        aig = Aig()
-        a = aig.add_input()
-        with pytest.raises(AigError):
-            fraig(aig, [a], engine="bdd")
 
     def test_node_map_covers_live_inputs(self):
         aig, inputs, root = build_random_aig(
