@@ -302,6 +302,14 @@ class TestFraigCommand:
         assert main(["fraig", s27_bench]) == 0
         assert "size:" in capsys.readouterr().out
 
+    def test_fraig_rejects_removed_engine_option(self, s27_bench, capsys):
+        # fraig has one SAT back end; the old --engine switch is a usage
+        # error, not silently ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fraig", s27_bench, "--engine", "circuit"])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
 
 class TestAtpgCommand:
     def test_atpg_campaign(self, s27_bench, capsys):

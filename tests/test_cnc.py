@@ -198,6 +198,17 @@ class TestSplitSolve:
         outcome = split_solve(aig, FALSE)
         assert outcome.verdict is SolveResult.UNSAT
 
+    def test_root_contradiction_and_complement(self):
+        aig, inputs, root = build_random_aig(5, 18, seed=4)
+        contradiction = aig.and_(root, edge_not(root))
+        for target in (root, contradiction, edge_not(root)):
+            outcome = split_solve(aig, target, cube_depth=2)
+            assert outcome.verdict is solve_edge(aig, target)
+            if outcome.verdict is SolveResult.SAT:
+                assignment = {node >> 1: False for node in inputs}
+                assignment.update(outcome.model)
+                assert eval_edge(aig, target, assignment)
+
     def test_unsat_miter_exercises_core_pruning_counters(self):
         netlist = mul_miter2(True)
         bag = StatsBag()

@@ -3,7 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.graph import Aig, edge_not
-from repro.aig.ops import or_, transfer, xor
+from repro.aig.ops import cofactor, or_, transfer, xor
+from repro.circuits.combinational import adder_sum_parity
 from repro.sweep.fraig import fraig
 from tests.conftest import build_random_aig, edges_equivalent
 
@@ -26,6 +27,18 @@ class TestFraig:
         )
         result = fraig(aig, [root])
         assert _equivalent_across_managers(aig, root, result, inputs)
+
+    def test_cofactor_pair_preserved(self):
+        aig, inputs, root = adder_sum_parity(5)
+        var = inputs[0] >> 1
+        pair = [cofactor(aig, root, var, value) for value in (False, True)]
+        result = fraig(aig, pair)
+        inverse = {new: 2 * old for old, new in result.node_map.items()}
+        for old_edge, new_edge in zip(pair, result.edges):
+            back = transfer(result.aig, new_edge, aig, inverse)
+            assert edges_equivalent(
+                aig, old_edge, back, [e >> 1 for e in inputs]
+            )
 
     def test_redundant_logic_disappears(self):
         aig = Aig()
