@@ -316,15 +316,19 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
     print(f"size: {outcome.stats.get('initial_size'):.0f} -> "
           f"{outcome.size} AND nodes "
           f"(peak {outcome.stats.get('peak_size', 0):.0f})")
-    for key in (
-        "sat_checks",
-        "proved_equal",
-        "merge_sat_checks",
-        "input_dc_checks",
-        "input_dc_replacements",
-    ):
-        if key in outcome.stats:
-            print(f"{key}: {outcome.stats.get(key):.0f}")
+    # Every counter of each phase the preset runs, zeros included: a
+    # phase that made no check prints 0 rather than nothing.
+    counters = []
+    if options.bdd_sweep:
+        counters.append("bdd_merges")
+    if options.sat_merge or options.optimize:
+        counters.append("sat_checks")
+    if options.sat_merge:
+        counters += ["proved_equal", "merge_sat_checks"]
+    if options.optimize:
+        counters += ["input_dc_checks", "input_dc_replacements"]
+    for key in counters:
+        print(f"{key}: {outcome.stats.get(key):.0f}")
     return 0
 
 

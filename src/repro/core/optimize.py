@@ -3,6 +3,9 @@
 After merging, ``f0 OR f1`` can still shrink: we transform each cofactor
 using the *other* cofactor's onset as an input don't-care set — the
 "category 1" optimizations the paper says it dedicates most effort to.
+A multi-variable quantification runs the phase once, on the pair whose
+disjunction is its result (see :func:`repro.core.quantify.quantify_exists`);
+the single-variable step runs it on its one pair.
 
 The algorithm per direction (simplify f1 under f0's onset):
 

@@ -5,9 +5,14 @@ variable can double the circuit, so the engine interleaves
 
 * the **merge phase** — structural hashing (always: the AIG manager
   hashes every node it builds), optional BDD sweeping, optional SAT-based
-  checks in backward or forward order (:mod:`repro.core.merge`);
+  checks in backward or forward order (:mod:`repro.core.merge`), run on
+  every variable's cofactor pair;
 * the **optimization phase** — cofactor-vs-cofactor input don't-care
-  simplification (:mod:`repro.core.optimize`).
+  simplification (:mod:`repro.core.optimize`).  :func:`quantify_exists`
+  runs it once per call, on the cofactor pair whose disjunction becomes
+  the result: the next variable would cofactor an optimized disjunction
+  again, so optimizing every intermediate pair is mostly thrown away.
+  :func:`quantify_exists_one` runs it on its one pair.
 
 :class:`QuantifyOptions` holds the five settings of a run.
 ``QuantifyOptions.preset`` builds the ablation ladder the benchmarks
@@ -41,7 +46,9 @@ class QuantifyOptions:
     bdd_sweep: bool = True
     sat_merge: bool = True
     merge_order: str = "backward"
-    # Optimization phase: input don't-care simplification.
+    # Optimization phase: input don't-care simplification, once per
+    # quantify_exists call (on the pair that becomes the result) and on
+    # every quantify_exists_one step.
     optimize: bool = True
     # Variable-ordering heuristic; see repro.core.schedule for choices.
     schedule: str = "min_dependence"
@@ -83,28 +90,16 @@ class QuantifyOutcome:
         return int(self.stats.get("final_size"))
 
 
-def quantify_exists_one(
+def _merge_phase(
     aig: Aig,
-    edge: int,
-    var_node: int,
-    options: QuantifyOptions | None = None,
-    sweeper: SatSweeper | None = None,
-    stats: StatsBag | None = None,
-    bdd_table: BddSweepTable | None = None,
-) -> int:
-    """``exists var . edge`` for a single input variable."""
-    if options is None:
-        options = QuantifyOptions()
-    if stats is None:
-        stats = StatsBag()
-    cache: dict[int, int] = {}
-    cof0 = cofactor(aig, edge, var_node, False, cache)
-    cof1 = cofactor(aig, edge, var_node, True)
-    stats.incr("vars_quantified")
-    if cof0 == cof1:
-        # Variable was not semantically in the support.
-        stats.incr("independent_vars")
-        return cof0
+    cof0: int,
+    cof1: int,
+    options: QuantifyOptions,
+    sweeper: SatSweeper | None,
+    stats: StatsBag,
+    bdd_table: BddSweepTable | None,
+) -> tuple[int, int]:
+    """Run ``options``' merge phase on a cofactor pair; stats into ``stats``."""
     cof0, cof1, merge_stats = merge_cofactors(
         aig,
         cof0,
@@ -116,14 +111,54 @@ def quantify_exists_one(
         bdd_table=bdd_table,
     )
     stats.merge(merge_stats)
-    if options.optimize:
-        result, opt_stats = optimize_disjunction(
-            aig, cof0, cof1, sweeper=sweeper
-        )
-        stats.merge(opt_stats)
-    else:
-        result = or_(aig, cof0, cof1)
+    return cof0, cof1
+
+
+def _disjoin(
+    aig: Aig,
+    cof0: int,
+    cof1: int,
+    options: QuantifyOptions,
+    sweeper: SatSweeper | None,
+    stats: StatsBag,
+) -> int:
+    """``cof0 OR cof1``, through the optimization phase if it is on."""
+    if not options.optimize:
+        return or_(aig, cof0, cof1)
+    result, opt_stats = optimize_disjunction(aig, cof0, cof1, sweeper=sweeper)
+    stats.merge(opt_stats)
     return result
+
+
+def quantify_exists_one(
+    aig: Aig,
+    edge: int,
+    var_node: int,
+    options: QuantifyOptions | None = None,
+    sweeper: SatSweeper | None = None,
+    stats: StatsBag | None = None,
+    bdd_table: BddSweepTable | None = None,
+) -> int:
+    """``exists var . edge`` for a single input variable.
+
+    Runs the whole pipeline on the one pair: merge phase, then the
+    optimization phase if ``options.optimize`` is on.
+    """
+    if options is None:
+        options = QuantifyOptions()
+    if stats is None:
+        stats = StatsBag()
+    cof0 = cofactor(aig, edge, var_node, False)
+    cof1 = cofactor(aig, edge, var_node, True)
+    stats.incr("vars_quantified")
+    if cof0 == cof1:
+        # Variable was not semantically in the support.
+        stats.incr("independent_vars")
+        return cof0
+    cof0, cof1 = _merge_phase(
+        aig, cof0, cof1, options, sweeper, stats, bdd_table
+    )
+    return _disjoin(aig, cof0, cof1, options, sweeper, stats)
 
 
 def quantify_exists(
@@ -149,6 +184,13 @@ def quantify_exists(
 
     Like the ``sweeper``, one BDD sweeping table serves every variable;
     pass ``bdd_table`` to share it beyond this call.
+
+    The merge phase runs on every variable's cofactor pair; the
+    optimization phase only once, on the last pair whose merged
+    cofactors differ, after the loop.  A variable whose cofactors
+    coincide cofactors that pair as well, so its disjunction stays the
+    result, and variables that leave the support on the way do not
+    lose it.
     """
     if options is None:
         options = QuantifyOptions()
@@ -168,6 +210,10 @@ def quantify_exists(
     )
     current = edge
     quantified: list[int] = []
+    # With the optimization phase on: the merged cofactor pair whose
+    # disjunction ``current`` is, or None before the first pair that
+    # differs.
+    pair: tuple[int, int] | None = None
     while remaining:
         present = support(aig, current)
         remaining = [v for v in remaining if v in present]
@@ -179,12 +225,34 @@ def quantify_exists(
         else:
             var = scheduler(aig, current, remaining)
         remaining.remove(var)
-        current = quantify_exists_one(
-            aig, current, var, options, sweeper=sweeper, stats=stats,
-            bdd_table=bdd_table,
-        )
+        cache: dict[int, int] = {}
+        cof0 = cofactor(aig, current, var, False, cache)
+        cof1 = cofactor(aig, current, var, True)
+        stats.incr("vars_quantified")
+        if cof0 == cof1:
+            # Not semantically in the support: ``current`` is its own
+            # quantification, and the pair's 0-cofactors (mostly already
+            # in ``cache``) still disjoin to it.
+            stats.incr("independent_vars")
+            current = cof0
+            if pair is not None:
+                pair = (
+                    cofactor(aig, pair[0], var, False, cache),
+                    cofactor(aig, pair[1], var, False, cache),
+                )
+        else:
+            cof0, cof1 = _merge_phase(
+                aig, cof0, cof1, options, sweeper, stats, bdd_table
+            )
+            current = or_(aig, cof0, cof1)
+            if options.optimize:
+                pair = (cof0, cof1) if cof0 != cof1 else None
         quantified.append(var)
         stats.max("peak_size", cone_size(aig, current))
+    if pair is not None:
+        # The next variable would cofactor an optimized disjunction
+        # again, so only the pair that becomes the result is optimized.
+        current = _disjoin(aig, pair[0], pair[1], options, sweeper, stats)
     stats.set("final_size", cone_size(aig, current))
     return QuantifyOutcome(edge=current, quantified=quantified, stats=stats)
 

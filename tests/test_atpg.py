@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.graph import Aig, edge_not
-from repro.aig.ops import and_all, ite, or_, xor
+from repro.aig.ops import or_
 from repro.aig.simulate import eval_edge, random_input_words
 from repro.atpg.equivalence import check_equal_via_atpg
 from repro.atpg.faults import (

@@ -9,6 +9,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.aig.analysis import cone_size
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import and_all, or_, support, xor
 from repro.bdd.from_aig import aig_to_bdd
@@ -22,6 +23,7 @@ from repro.circuits.combinational import (
     random_logic,
     ripple_adder,
 )
+from repro.core import quantify as quantify_module
 from repro.core.merge import merge_cofactors
 from repro.core.quantify import (
     QuantifyOptions,
@@ -291,6 +293,101 @@ class TestSizeContainment:
             assert aig_f.cone_and_count(full.edge) <= aig_s.cone_and_count(
                 shannon.edge
             )
+
+
+class TestOptimizationOncePerCall:
+    """The don't-care phase runs on the pair that becomes the result."""
+
+    @pytest.fixture
+    def optimize_calls(self, monkeypatch):
+        calls = []
+        optimize = quantify_module.optimize_disjunction
+
+        def counting(aig, f0, f1, **kwargs):
+            result = optimize(aig, f0, f1, **kwargs)
+            calls.append((f0, f1, result[0]))
+            return result
+
+        monkeypatch.setattr(quantify_module, "optimize_disjunction", counting)
+        return calls
+
+    @pytest.mark.parametrize("family", list(T1_FAMILIES))
+    def test_at_most_once_per_quantification(self, family, optimize_calls):
+        _, outcome = quantify_t1_family(family, "full")
+        assert len(outcome.quantified) > 1
+        assert len(optimize_calls) <= 1
+        if optimize_calls:
+            assert optimize_calls[0][2] == outcome.edge
+
+    def test_multi_variable_call_optimizes_once(self, optimize_calls):
+        _, outcome = quantify_t1_family("comparator8", "full")
+        assert len(outcome.quantified) == 5
+        assert len(optimize_calls) == 1
+
+    def test_single_variable_step_still_optimizes(self, optimize_calls):
+        aig, inputs, root = comparator(8)
+        quantify_exists_one(aig, root, inputs[0] >> 1)
+        assert len(optimize_calls) == 1
+
+    def test_off_when_preset_disables_it(self, optimize_calls):
+        quantify_t1_family("comparator8", "sat")
+        assert optimize_calls == []
+
+    def test_last_pair_optimized_when_variables_leave_support(
+        self, optimize_calls
+    ):
+        # One of the three variables drops out of the support after the
+        # second: the loop ends early, and the pair it stopped on is still
+        # optimized, which shrinks its disjunction.
+        aig, inputs, root = random_logic(8, 60, seed=31)
+        variables = [e >> 1 for e in inputs[:3]]
+        outcome = assert_quantification_correct(
+            aig, root, inputs, variables, "full"
+        )
+        assert len(outcome.quantified) < len(variables)
+        assert len(optimize_calls) == 1
+        f0, f1, optimized = optimize_calls[0]
+        assert optimized == outcome.edge
+        assert outcome.size < cone_size(aig, or_(aig, f0, f1))
+
+    def test_independent_variable_cofactors_the_pair(self, optimize_calls):
+        # exists a . c & (a | b) = c & (c & b | c) structurally, in which
+        # b is not semantically present: the pair is cofactored at b = 0
+        # and optimized, and b leaves the support.
+        aig = Aig()
+        a, b, c = aig.add_inputs(3)
+        root = aig.and_(c, or_(aig, a, b))
+        outcome = quantify_exists(
+            aig, root, [a >> 1, b >> 1], order=[a >> 1, b >> 1]
+        )
+        assert outcome.stats.get("independent_vars") == 1
+        assert outcome.edge == c
+        assert len(optimize_calls) == 1
+        assert optimize_calls[0][2] == outcome.edge
+
+
+class TestFullPresetSizes:
+    """``full`` final sizes, pinned as upper bounds: no larger than this."""
+
+    @pytest.mark.parametrize(
+        "family,bound",
+        [
+            ("comparator8", 23),
+            ("adder_parity6", 0),
+            ("random_12x120", 2),
+            ("slices_4x3", 0),
+        ],
+    )
+    def test_t1_family(self, family, bound):
+        _, outcome = quantify_t1_family(family, "full")
+        assert outcome.size <= bound
+
+    def test_comparator10_seven_variables(self):
+        aig, inputs, root = comparator(10)
+        outcome = assert_quantification_correct(
+            aig, root, inputs, [e >> 1 for e in inputs[:7]], "full"
+        )
+        assert outcome.size <= 27
 
 
 @settings(max_examples=15, deadline=None)

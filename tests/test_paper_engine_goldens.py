@@ -161,33 +161,33 @@ GOLDENS = {
         ("mod_counter_5_20", "FAILED",
          (19, 19, 25, 68, 25, 25, 2, 10, 0, 1, 19, 0, 737, 19, 0, 0)),
         ("arbiter_8", "PROVED",
-         (1, 8, 80, 0, 80, 41, 0, 63, 0, 5, 0, 0, 2272, 1, 0, 0)),
+         (1, 8, 46, 14, 46, 9, 0, 63, 0, 1, 0, 0, 2327, 1, 0, 0)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 51, 6, 46, 4, 0, 83, 0, 2, 1, 0, 86, 1, 0, 0)),
+         (1, 2, 10, 7, 5, 1, 0, 84, 0, 1, 1, 0, 68, 1, 0, 0)),
     ),
     ("bwd_quant", 2): (
         ("mod_counter_5_20", "FAILED",
          (19, 19, 25, 68, 25, 25, 2, 10, 0, 1, 19, 0, 737, 19, 0, 0)),
         ("arbiter_8", "PROVED",
-         (1, 8, 61, 0, 61, 40, 0, 63, 0, 5, 0, 0, 2272, 1, 0, 0)),
+         (1, 8, 41, 14, 40, 7, 0, 63, 0, 1, 0, 0, 2325, 1, 0, 0)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 46, 7, 40, 5, 0, 84, 0, 2, 1, 0, 68, 1, 0, 0)),
+         (1, 2, 10, 7, 4, 1, 0, 84, 0, 1, 1, 0, 68, 1, 0, 0)),
     ),
     ("fwd_image", 1): (
         ("fifo_level_4", "PROVED",
-         (15, 90, 96, 175, 90, 22, 0, 12, 91, 20, 0, 0, 7157, 15, 0, 2)),
+         (15, 90, 6, 163, 0, 0, 0, 12, 91, 3, 0, 0, 7314, 15, 0, 2)),
         ("gray_counter_4", "PROVED",
-         (17, 136, 63, 35, 56, 0, 0, 15, 156, 17, 0, 0, 136, 0, 0, 0)),
+         (17, 136, 31, 35, 24, 0, 0, 15, 156, 18, 0, 0, 136, 0, 0, 0)),
         ("mod_counter_5_20", "PROVED",
-         (20, 100, 64, 37, 61, 0, 0, 9, 96, 15, 0, 0, 100, 0, 0, 0)),
+         (20, 100, 6, 37, 0, 0, 0, 9, 96, 6, 0, 0, 100, 0, 0, 0)),
     ),
     ("fwd_image", 2): (
         ("fifo_level_4", "PROVED",
-         (15, 90, 96, 175, 90, 22, 0, 12, 91, 20, 0, 0, 7157, 15, 0, 2)),
+         (15, 90, 6, 163, 0, 0, 0, 12, 91, 3, 0, 0, 7314, 15, 0, 2)),
         ("gray_counter_4", "PROVED",
-         (17, 136, 77, 37, 65, 0, 0, 15, 160, 21, 0, 0, 136, 0, 0, 0)),
+         (17, 136, 36, 37, 24, 0, 0, 15, 160, 17, 0, 0, 136, 0, 0, 0)),
         ("mod_counter_5_20", "PROVED",
-         (20, 100, 79, 48, 73, 0, 0, 9, 87, 19, 0, 0, 100, 0, 0, 0)),
+         (20, 100, 6, 48, 0, 0, 0, 9, 87, 6, 0, 0, 100, 0, 0, 0)),
     ),
     ("bwd_deep", 1): (
         ("bug_at_depth_30", "FAILED",
@@ -256,16 +256,16 @@ SAT_COUNTERS = ("decisions", "conflicts", "propagations", "solve_calls")
 # summed over all Solver.solve calls of the run.
 SAT_GOLDENS = {
     ("bwd_quant", 1): (
-        (84, 51, 1219, 25), (327, 117, 8247, 80), (248, 33, 7460, 51),
+        (84, 51, 1219, 25), (99, 20, 4139, 46), (79, 25, 1604, 10),
     ),
     ("bwd_quant", 2): (
-        (84, 51, 1219, 25), (294, 109, 6718, 61), (245, 46, 7000, 46),
+        (84, 51, 1219, 25), (177, 22, 4099, 41), (53, 4, 968, 10),
     ),
     ("fwd_image", 1): (
-        (510, 114, 12490, 111), (231, 31, 3966, 80), (192, 39, 3661, 84),
+        (64, 21, 1493, 21), (97, 21, 2311, 48), (26, 20, 519, 26),
     ),
     ("fwd_image", 2): (
-        (510, 114, 12490, 111), (285, 38, 4550, 94), (248, 41, 4866, 99),
+        (64, 21, 1493, 21), (103, 24, 2505, 53), (26, 20, 893, 26),
     ),
     ("bwd_deep", 1): (
         (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0),
