@@ -326,7 +326,9 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
     if options.sat_merge:
         counters += ["proved_equal", "merge_sat_checks"]
     if options.optimize:
-        counters += ["input_dc_checks", "input_dc_replacements"]
+        counters += [
+            "input_dc_checks", "input_dc_trivial", "input_dc_replacements"
+        ]
     for key in counters:
         print(f"{key}: {outcome.stats.get(key):.0f}")
     return 0

@@ -8,16 +8,18 @@ Existential quantification over AIG state sets via Shannon expansion
 * the synthesis-based optimization phase (:mod:`repro.core.optimize`,
   don't-care machinery in :mod:`repro.core.dontcare`).
 
-Section 3's traversal support lives in :mod:`repro.core.images`
-(pre/post-image) and :mod:`repro.core.substitution` (quantification by
-in-lining); Section 4's partial quantification in :mod:`repro.core.partial`.
+:func:`quantify_exists` (:mod:`repro.core.quantify`) is the one loop
+that runs this pipeline over variables.  Section 3's traversal support
+lives in :mod:`repro.core.images` (pre/post-image) and
+:mod:`repro.core.substitution` (quantification by in-lining); Section 4's
+partial quantification in :mod:`repro.core.partial`, which calls
+:func:`quantify_exists` once per variable.
 """
 
 from repro.core.quantify import (
     QuantifyOptions,
     QuantifyOutcome,
     quantify_exists,
-    quantify_exists_one,
     quantify_forall,
 )
 from repro.core.partial import PartialQuantifier, PartialOutcome
@@ -28,7 +30,6 @@ __all__ = [
     "QuantifyOptions",
     "QuantifyOutcome",
     "quantify_exists",
-    "quantify_exists_one",
     "quantify_forall",
     "PartialQuantifier",
     "PartialOutcome",

@@ -26,6 +26,10 @@ from repro.sweep.signatures import SignatureTable
 from repro.util.stats import StatsBag
 
 
+# Merge candidates proposed per node.
+MAX_MERGE_CANDIDATES = 4
+
+
 class DontCareOracle:
     """SAT-backed validity checks for node transformations under DCs.
 
@@ -63,7 +67,6 @@ def care_set_candidates(
     f0: int,
     f1: int,
     signatures: SignatureTable,
-    max_merge_candidates: int = 4,
 ) -> dict[int, list[int]]:
     """Simulation-based candidate transformations for nodes of f1's cone.
 
@@ -71,9 +74,9 @@ def care_set_candidates(
     (see :meth:`SignatureTable.patterns`).  Patterns where ``f0`` is 1 are
     don't-cares, so signatures are compared only on care patterns
     (``f0 == 0``).  Returns node -> candidate replacement edges, most
-    promising first: constants, then merges with other nodes (modulo
-    complement).  Purely heuristic — every candidate still goes through
-    the :class:`DontCareOracle`.
+    promising first: constants, then up to ``MAX_MERGE_CANDIDATES``
+    merges with other nodes (modulo complement).  Purely heuristic —
+    every candidate still goes through the :class:`DontCareOracle`.
     """
     input_words, words = signatures.patterns([f0, f1])
     values = simulate_nodes(aig, input_words, [f0, f1], words)
@@ -102,7 +105,7 @@ def care_set_candidates(
                 continue
             entries.append((2 * other) ^ int(complemented))
             added += 1
-            if added >= max_merge_candidates:
+            if added >= MAX_MERGE_CANDIDATES:
                 break
         if entries:
             candidates[node] = entries

@@ -37,12 +37,11 @@ BDDs only for nodes no earlier cofactor pair has shown it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.aig.graph import Aig, edge_not
 from repro.aig.ops import and_all, compose, support, xnor
 from repro.circuits.netlist import Netlist
-from repro.core.merge import new_bdd_table
 from repro.core.partial import PartialQuantifier, allsat_quantify
 from repro.core.quantify import QuantifyOptions, quantify_exists
 from repro.core.schedule import (
@@ -91,6 +90,8 @@ class ImageComputer:
         self.netlist = netlist
         self.aig: Aig = netlist.aig
         self.options = options if options is not None else QuantifyOptions()
+        # A plan step's variables arrive in plan order: quantify them so.
+        self._step_options = replace(self.options, schedule="static")
         self.elimination = elimination
         self.growth_factor = growth_factor
         self.max_cubes = max_cubes
@@ -116,7 +117,7 @@ class ImageComputer:
         """The BDD sweeping table every quantification shares (built on
         first use, like the sweeper)."""
         if self._bdd_table is None:
-            self._bdd_table = new_bdd_table(self.aig)
+            self._bdd_table = BddSweepTable(self.aig)
         return self._bdd_table
 
     # ------------------------------------------------------------------ #
@@ -243,8 +244,9 @@ class ImageComputer:
         The conjuncts are folded into the product along the
         :func:`~repro.core.schedule.plan_partitioned_quantification` plan;
         each plan step hands its freed variables to the circuit-based
-        quantifier at once, so no variable ever waits for conjuncts it does
-        not depend on.  The plan depends only on the transition relation,
+        quantifier at once, to be quantified in plan order (the ``static``
+        schedule), so no variable ever waits for conjuncts it does not
+        depend on.  The plan depends only on the transition relation,
         so it is computed once and reused across traversal steps.
         """
         aig = self.aig
@@ -280,9 +282,8 @@ class ImageComputer:
                     aig,
                     product,
                     step.quantify,
-                    self.options,
+                    self._step_options,
                     sweeper=self.sweeper,
-                    order=step.quantify,
                     bdd_table=self.bdd_table,
                 )
                 product = outcome.edge

@@ -11,15 +11,19 @@ SAT stage supports both processing directions the paper compares:
   merges as it goes (wins when cofactors are dissimilar — behaves like
   BDD sweeping).
 
+Quantification always merges backward; ``forward`` is there for the
+direction comparison (experiment T3).
+
 BDD sweeping runs in a :class:`~repro.sweep.bddsweep.BddSweepTable` of
-``BDD_NODE_LIMIT`` nodes.  A caller that merges many cofactor pairs (a
-quantification, or every image of a traversal) passes one table to every
-call, so each pair builds BDDs only for the nodes earlier pairs have not
-seen.  A pair that overruns a table holding earlier pairs restarts in a
-fresh one (``bdd_recycles``), and a support guard keeps a representative
-from an earlier pair from bringing back a variable that is already
-quantified (see :mod:`repro.sweep.bddsweep`).  Without a table, each call
-sweeps in a fresh table of its own.
+:data:`~repro.sweep.bddsweep.BDD_NODE_LIMIT` nodes.  A caller that
+merges many cofactor pairs (a quantification, or every image of a
+traversal) passes one table to every call, so each pair builds BDDs only
+for the nodes earlier pairs have not seen.  A pair that overruns a table
+holding earlier pairs restarts in a fresh one (``bdd_recycles``), and a
+support guard keeps a representative from an earlier pair from bringing
+back a variable that is already quantified (see
+:mod:`repro.sweep.bddsweep`).  Without a table, each call sweeps in a
+fresh table of its own.
 """
 
 from __future__ import annotations
@@ -29,11 +33,6 @@ from repro.errors import AigError
 from repro.sweep.bddsweep import BddSweepTable, bdd_sweep
 from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
-
-
-# Node budget of a BDD sweeping table; past it, a fresh table makes cut
-# points and a table holding earlier sweeps starts over.
-BDD_NODE_LIMIT = 2000
 
 
 def merge_cofactors(
@@ -57,7 +56,7 @@ def merge_cofactors(
     stats = StatsBag()
     if use_bdd_sweep:
         (cof0, cof1), _, bdd_stats = bdd_sweep(
-            aig, [cof0, cof1], node_limit=BDD_NODE_LIMIT, table=bdd_table
+            aig, [cof0, cof1], table=bdd_table
         )
         stats.merge(bdd_stats)
     if use_sat_merge:
@@ -73,8 +72,3 @@ def merge_cofactors(
         stats.merge(sweeper_stats)
         stats.incr("merge_sat_checks", sweeper_stats.get("sat_checks"))
     return cof0, cof1, stats
-
-
-def new_bdd_table(aig: Aig) -> BddSweepTable:
-    """An empty BDD sweeping table of ``BDD_NODE_LIMIT`` nodes."""
-    return BddSweepTable(aig, node_limit=BDD_NODE_LIMIT)

@@ -3,9 +3,8 @@
 After merging, ``f0 OR f1`` can still shrink: we transform each cofactor
 using the *other* cofactor's onset as an input don't-care set — the
 "category 1" optimizations the paper says it dedicates most effort to.
-A multi-variable quantification runs the phase once, on the pair whose
-disjunction is its result (see :func:`repro.core.quantify.quantify_exists`);
-the single-variable step runs it on its one pair.
+A quantification runs the phase once, on the pair whose disjunction is
+its result (see :func:`repro.core.quantify.quantify_exists`).
 
 The algorithm per direction (simplify f1 under f0's onset):
 
@@ -33,9 +32,7 @@ from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
 
 
-# Merge candidates proposed per node, and input-DC SAT checks made per
-# simplification direction.
-MAX_MERGE_CANDIDATES = 4
+# Input-DC SAT checks made per simplification direction.
 MAX_INPUT_DC_CHECKS = 200
 
 
@@ -52,7 +49,6 @@ def _simplify_against(
         reference,
         target,
         oracle.sweeper.signature_table([reference, target]),
-        max_merge_candidates=MAX_MERGE_CANDIDATES,
     )
     care_edge = edge_not(reference)
     replacements: dict[int, int] = {}

@@ -3,13 +3,14 @@
 "Our methodology adopts partial quantification, i.e., it accepts effective
 quantification and aborts the expensive ones (in terms of size)."
 
-Each variable is quantified tentatively; if the result grew beyond
-``growth_factor`` times the input (or above ``absolute_limit``), the
-variable is *aborted* — the original function is kept and the variable is
-reported as residual.  Downstream engines (all-solutions SAT pre-image,
-BMC, induction) then treat only the residual variables as decision
-variables, which is exactly how the paper combines circuit quantification
-with SAT-based methods.
+Each variable is quantified tentatively, by one
+:func:`~repro.core.quantify.quantify_exists` call (the whole pipeline:
+cofactor, merge phase, optimization phase); if the result grew beyond
+``growth_factor`` times the input, the variable is *aborted* — the
+original function is kept and the variable is reported as residual.
+Downstream engines (all-solutions SAT pre-image, BMC, induction) then
+treat only the residual variables as decision variables, which is exactly
+how the paper combines circuit quantification with SAT-based methods.
 
 :func:`allsat_quantify` is that all-solutions SAT engine (Ganai et al.
 [2]): a SAT solver produces one satisfying assignment at a time; instead
@@ -31,8 +32,7 @@ from repro.aig.analysis import cone_size
 from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, TRUE, Aig
 from repro.aig.ops import or_, support
-from repro.core.merge import new_bdd_table
-from repro.core.quantify import QuantifyOptions, quantify_exists_one
+from repro.core.quantify import QuantifyOptions, quantify_exists
 from repro.errors import ResourceLimit
 from repro.sat.solver import SolveResult, Solver
 from repro.sweep.bddsweep import BddSweepTable
@@ -62,7 +62,6 @@ class PartialQuantifier:
         aig: Aig,
         options: QuantifyOptions | None = None,
         growth_factor: float = 1.5,
-        absolute_limit: int | None = None,
         sweeper: SatSweeper | None = None,
         bdd_table: BddSweepTable | None = None,
     ) -> None:
@@ -71,12 +70,15 @@ class PartialQuantifier:
         self.aig = aig
         self.options = options if options is not None else QuantifyOptions()
         self.growth_factor = growth_factor
-        self.absolute_limit = absolute_limit
         self.sweeper = sweeper
         self.bdd_table = bdd_table
 
     def quantify(self, edge: int, variables: Iterable[int]) -> PartialOutcome:
-        """Quantify every variable whose result stays within budget."""
+        """Quantify every variable whose result stays within budget.
+
+        Variables are tried in caller order, duplicates dropped; one that
+        has left the support by its turn counts as quantified for free.
+        """
         aig = self.aig
         stats = StatsBag()
         if self.sweeper is None and (
@@ -84,39 +86,27 @@ class PartialQuantifier:
         ):
             self.sweeper = SatSweeper(aig)
         if self.bdd_table is None and self.options.bdd_sweep:
-            self.bdd_table = new_bdd_table(aig)
+            self.bdd_table = BddSweepTable(aig)
         current = edge
         quantified: list[int] = []
         aborted: list[int] = []
-        # Caller order, duplicates dropped; a variable that leaves the
-        # support on the way counts as quantified for free.
-        remaining = [v for v in dict.fromkeys(variables)]
-        while remaining:
-            present = support(aig, current)
-            still_present = [v for v in remaining if v in present]
-            for gone in remaining:
-                if gone not in present and gone not in quantified:
-                    quantified.append(gone)  # free: out of support
-            remaining = still_present
-            if not remaining:
-                break
-            var = remaining.pop(0)
-            size_before = cone_size(aig, current)
-            candidate = quantify_exists_one(
+        for var in dict.fromkeys(variables):
+            outcome = quantify_exists(
                 aig,
                 current,
-                var,
+                [var],
                 self.options,
                 sweeper=self.sweeper,
-                stats=stats,
                 bdd_table=self.bdd_table,
             )
-            size_after = cone_size(aig, candidate)
-            limit = self.growth_factor * max(size_before, 1)
-            if self.absolute_limit is not None:
-                limit = min(limit, self.absolute_limit)
-            if size_after <= limit:
-                current = candidate
+            stats.merge(outcome.stats)
+            if not outcome.quantified:
+                quantified.append(var)  # free: out of support
+                continue
+            size_before = outcome.stats.get("initial_size")
+            size_after = outcome.stats.get("final_size")
+            if size_after <= self.growth_factor * max(size_before, 1):
+                current = outcome.edge
                 quantified.append(var)
                 stats.incr("accepted")
             else:

@@ -4,17 +4,24 @@
 variable can double the circuit, so the engine interleaves
 
 * the **merge phase** — structural hashing (always: the AIG manager
-  hashes every node it builds), optional BDD sweeping, optional SAT-based
-  checks in backward or forward order (:mod:`repro.core.merge`), run on
-  every variable's cofactor pair;
+  hashes every node it builds), optional BDD sweeping and optional
+  backward SAT merging (:mod:`repro.core.merge`), run on every
+  variable's cofactor pair;
 * the **optimization phase** — cofactor-vs-cofactor input don't-care
   simplification (:mod:`repro.core.optimize`).  :func:`quantify_exists`
   runs it once per call, on the cofactor pair whose disjunction becomes
   the result: the next variable would cofactor an optimized disjunction
   again, so optimizing every intermediate pair is mostly thrown away.
-  :func:`quantify_exists_one` runs it on its one pair.
 
-:class:`QuantifyOptions` holds the five settings of a run.
+:func:`quantify_exists` is the one variable loop: Section 4's partial
+quantifier (:mod:`repro.core.partial`) calls it once per variable, and
+the partitioned post-image once per plan step.
+
+:class:`QuantifyOptions` holds the four settings of a run; the phases'
+budgets are module constants (``BDD_NODE_LIMIT`` in
+:mod:`repro.sweep.bddsweep`, the sweeper's in :mod:`repro.sweep.satsweep`,
+the optimization phase's in :mod:`repro.core.dontcare` and
+:mod:`repro.core.optimize`).
 ``QuantifyOptions.preset`` builds the ablation ladder the benchmarks
 sweep: ``"shannon"`` and ``"hash"`` (the same configuration: Shannon
 expansion in a hashing manager), ``"bdd"``, ``"sat"`` and ``"full"``.
@@ -23,12 +30,12 @@ expansion in a hashing manager), ``"bdd"``, ``"sat"`` and ``"full"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.aig.analysis import cone_size
 from repro.aig.graph import Aig
 from repro.aig.ops import cofactor, or_, support
-from repro.core.merge import merge_cofactors, new_bdd_table
+from repro.core.merge import merge_cofactors
 from repro.core.optimize import optimize_disjunction
 from repro.core.schedule import get_scheduler
 from repro.errors import AigError
@@ -41,14 +48,12 @@ from repro.util.stats import StatsBag
 class QuantifyOptions:
     """Configuration of one quantification run."""
 
-    # Merge phase: BDD sweeping, SAT merging and the SAT stage's order,
-    # "backward" or "forward" (see repro.core.merge).
+    # Merge phase: BDD sweeping and backward SAT merging (see
+    # repro.core.merge).
     bdd_sweep: bool = True
     sat_merge: bool = True
-    merge_order: str = "backward"
     # Optimization phase: input don't-care simplification, once per
-    # quantify_exists call (on the pair that becomes the result) and on
-    # every quantify_exists_one step.
+    # quantify_exists call, on the pair that becomes the result.
     optimize: bool = True
     # Variable-ordering heuristic; see repro.core.schedule for choices.
     schedule: str = "min_dependence"
@@ -90,97 +95,21 @@ class QuantifyOutcome:
         return int(self.stats.get("final_size"))
 
 
-def _merge_phase(
-    aig: Aig,
-    cof0: int,
-    cof1: int,
-    options: QuantifyOptions,
-    sweeper: SatSweeper | None,
-    stats: StatsBag,
-    bdd_table: BddSweepTable | None,
-) -> tuple[int, int]:
-    """Run ``options``' merge phase on a cofactor pair; stats into ``stats``."""
-    cof0, cof1, merge_stats = merge_cofactors(
-        aig,
-        cof0,
-        cof1,
-        options.bdd_sweep,
-        options.sat_merge,
-        options.merge_order,
-        sweeper=sweeper,
-        bdd_table=bdd_table,
-    )
-    stats.merge(merge_stats)
-    return cof0, cof1
-
-
-def _disjoin(
-    aig: Aig,
-    cof0: int,
-    cof1: int,
-    options: QuantifyOptions,
-    sweeper: SatSweeper | None,
-    stats: StatsBag,
-) -> int:
-    """``cof0 OR cof1``, through the optimization phase if it is on."""
-    if not options.optimize:
-        return or_(aig, cof0, cof1)
-    result, opt_stats = optimize_disjunction(aig, cof0, cof1, sweeper=sweeper)
-    stats.merge(opt_stats)
-    return result
-
-
-def quantify_exists_one(
-    aig: Aig,
-    edge: int,
-    var_node: int,
-    options: QuantifyOptions | None = None,
-    sweeper: SatSweeper | None = None,
-    stats: StatsBag | None = None,
-    bdd_table: BddSweepTable | None = None,
-) -> int:
-    """``exists var . edge`` for a single input variable.
-
-    Runs the whole pipeline on the one pair: merge phase, then the
-    optimization phase if ``options.optimize`` is on.
-    """
-    if options is None:
-        options = QuantifyOptions()
-    if stats is None:
-        stats = StatsBag()
-    cof0 = cofactor(aig, edge, var_node, False)
-    cof1 = cofactor(aig, edge, var_node, True)
-    stats.incr("vars_quantified")
-    if cof0 == cof1:
-        # Variable was not semantically in the support.
-        stats.incr("independent_vars")
-        return cof0
-    cof0, cof1 = _merge_phase(
-        aig, cof0, cof1, options, sweeper, stats, bdd_table
-    )
-    return _disjoin(aig, cof0, cof1, options, sweeper, stats)
-
-
 def quantify_exists(
     aig: Aig,
     edge: int,
     variables: Iterable[int],
     options: QuantifyOptions | None = None,
     sweeper: SatSweeper | None = None,
-    order: Sequence[int] | None = None,
     bdd_table: BddSweepTable | None = None,
 ) -> QuantifyOutcome:
     """``exists {vars} . edge`` — quantifies one variable at a time.
 
     Variables outside the structural support are skipped (already
     quantified for free).  ``options.schedule`` picks the next variable at
-    every step — by default the greedy minimum-dependence order, which
-    keeps intermediate results small (see :mod:`repro.core.schedule`).
-
-    ``order`` overrides the dynamic scheduler with a precomputed static
-    order (e.g. one slice of a partitioned-image plan from
-    :func:`repro.core.schedule.schedule_variable_order`); variables not
-    mentioned in ``order`` fall back to caller order.
+    every step with more than one candidate — by default the greedy
+    minimum-dependence order, which keeps intermediate results small (see
+    :mod:`repro.core.schedule`); ``"static"`` keeps the caller's order.
 
     Like the ``sweeper``, one BDD sweeping table serves every variable;
     pass ``bdd_table`` to share it beyond this call.
@@ -199,15 +128,9 @@ def quantify_exists(
     if sweeper is None and (options.sat_merge or options.optimize):
         sweeper = SatSweeper(aig)
     if bdd_table is None and options.bdd_sweep:
-        bdd_table = new_bdd_table(aig)
+        bdd_table = BddSweepTable(aig)
     scheduler = get_scheduler(options.schedule)
-    remaining = [v for v in dict.fromkeys(variables)]
-    remaining_set = set(remaining)
-    plan = (
-        [v for v in dict.fromkeys(order) if v in remaining_set]
-        if order is not None
-        else None
-    )
+    remaining = list(dict.fromkeys(variables))
     current = edge
     quantified: list[int] = []
     # With the optimization phase on: the merged cofactor pair whose
@@ -219,9 +142,8 @@ def quantify_exists(
         remaining = [v for v in remaining if v in present]
         if not remaining:
             break
-        if plan is not None:
-            plan = [v for v in plan if v in remaining]
-            var = plan[0] if plan else remaining[0]
+        if len(remaining) == 1:
+            var = remaining[0]
         else:
             var = scheduler(aig, current, remaining)
         remaining.remove(var)
@@ -241,9 +163,11 @@ def quantify_exists(
                     cofactor(aig, pair[1], var, False, cache),
                 )
         else:
-            cof0, cof1 = _merge_phase(
-                aig, cof0, cof1, options, sweeper, stats, bdd_table
+            cof0, cof1, merge_stats = merge_cofactors(
+                aig, cof0, cof1, options.bdd_sweep, options.sat_merge,
+                sweeper=sweeper, bdd_table=bdd_table,
             )
+            stats.merge(merge_stats)
             current = or_(aig, cof0, cof1)
             if options.optimize:
                 pair = (cof0, cof1) if cof0 != cof1 else None
@@ -252,7 +176,10 @@ def quantify_exists(
     if pair is not None:
         # The next variable would cofactor an optimized disjunction
         # again, so only the pair that becomes the result is optimized.
-        current = _disjoin(aig, pair[0], pair[1], options, sweeper, stats)
+        current, opt_stats = optimize_disjunction(
+            aig, pair[0], pair[1], sweeper=sweeper
+        )
+        stats.merge(opt_stats)
     stats.set("final_size", cone_size(aig, current))
     return QuantifyOutcome(edge=current, quantified=quantified, stats=stats)
 

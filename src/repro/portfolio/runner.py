@@ -268,6 +268,17 @@ def run_portfolio(
     def launching() -> bool:
         return bool(pending) and (winner is None or not stop_on_decisive)
 
+    def time_out(run: WorkerHandle, elapsed: float) -> None:
+        finish(
+            run,
+            EngineOutcome(
+                run.label,
+                _unknown(run.label, "timed_out", budget),
+                elapsed,
+                timed_out=True,
+            ),
+        )
+
     while running or launching():
         while launching() and len(running) < jobs:
             method = pending.pop(0)
@@ -303,6 +314,10 @@ def run_portfolio(
                     continue
                 elapsed = run.elapsed
                 run.kill()
+                if elapsed > budget:
+                    # Past the deadline: as if it had never arrived.
+                    time_out(run, elapsed)
+                    continue
                 if kind != "ok":
                     result = _unknown(run.label, "engine_crashed", budget)
                     result.stats.set("crash_note", 1)
@@ -357,15 +372,7 @@ def run_portfolio(
             elif run.elapsed > budget:
                 progressed = True
                 run.kill()
-                finish(
-                    run,
-                    EngineOutcome(
-                        run.label,
-                        _unknown(run.label, "timed_out", budget),
-                        run.elapsed,
-                        timed_out=True,
-                    ),
-                )
+                time_out(run, run.elapsed)
             elif not run.process.is_alive():
                 progressed = True
                 run.kill()

@@ -36,17 +36,22 @@ from repro.errors import BddLimitExceeded
 from repro.util.stats import StatsBag
 
 
+# Node budget of a BDD sweeping table; past it, a fresh table makes cut
+# points and a table holding earlier sweeps starts over.
+BDD_NODE_LIMIT = 2000
+
+
 class BddSweepTable:
     """The BDD manager and node maps that successive sweeps share."""
 
-    def __init__(self, aig: Aig, node_limit: int = 5000) -> None:
+    def __init__(self, aig: Aig) -> None:
         self.aig = aig
-        self.node_limit = node_limit
         self.reset()
 
     def reset(self) -> None:
-        """Forget every sweep: the next one starts in an empty manager."""
-        self.manager = BddManager(max_nodes=self.node_limit)
+        """Forget every sweep: the next one starts in an empty manager of
+        ``BDD_NODE_LIMIT`` nodes."""
+        self.manager = BddManager(max_nodes=BDD_NODE_LIMIT)
         # Primary input (or cut point) -> its BDD variable.
         self.var_of_input: dict[int, int] = {}
         self.node_bdd: dict[int, int] = {0: BDD_FALSE}
@@ -152,20 +157,19 @@ class BddSweepTable:
 def bdd_sweep(
     aig: Aig,
     roots: list[int],
-    node_limit: int = 5000,
     table: BddSweepTable | None = None,
 ) -> tuple[list[int], dict[int, int], StatsBag]:
     """Sweep the cones of ``roots`` by bounded BDD construction.
 
     Returns ``(new_roots, rebuilt, stats)``: ``rebuilt`` maps original
     nodes to representative edges in the same AIG manager.  Without a
-    ``table`` the sweep runs in a fresh one of ``node_limit`` nodes; with
-    one it reuses what earlier sweeps built, and a budget overrun starts
-    the table over (``bdd_recycles``).
+    ``table`` the sweep runs in a fresh one of ``BDD_NODE_LIMIT`` nodes;
+    with one it reuses what earlier sweeps built, and a budget overrun
+    starts the table over (``bdd_recycles``).
     """
     stats = StatsBag()
     if table is None:
-        table = BddSweepTable(aig, node_limit)
+        table = BddSweepTable(aig)
     try:
         new_roots = table.sweep(roots, stats)
     except BddLimitExceeded:

@@ -22,6 +22,10 @@ from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
 
 
+# Sweep-and-extract rounds at most, however many merges keep landing.
+MAX_ROUNDS = 4
+
+
 @dataclass
 class FraigResult:
     """A functionally reduced copy of the requested cones."""
@@ -39,17 +43,13 @@ class FraigResult:
 def fraig(
     aig: Aig,
     roots: list[int],
-    conflict_budget: int = 3000,
-    max_rounds: int = 4,
-    sim_words: int = 4,
-    seed: int = 2005,
     keep_all_inputs: bool = False,
 ) -> FraigResult:
     """Functionally reduce the cones of ``roots`` into a fresh manager.
 
-    Each round sweeps with a :class:`SatSweeper` (the factorized
-    incremental CDCL session).  Rounds repeat while merges keep landing,
-    up to ``max_rounds``.
+    Each round sweeps with a fresh :class:`SatSweeper` (the factorized
+    incremental CDCL session, with its module's budgets).  Rounds repeat
+    while merges keep landing, up to ``MAX_ROUNDS``.
 
     Returns a :class:`FraigResult` whose ``node_map`` maps the original
     manager's *input nodes* to the new manager's input nodes, so callers
@@ -61,13 +61,8 @@ def fraig(
     current_roots = list(roots)
     # original input node -> current manager's input node
     input_map = {node: node for node in aig.inputs}
-    for _ in range(max_rounds):
-        sweeper = SatSweeper(
-            current_aig,
-            conflict_budget=conflict_budget,
-            sim_words=sim_words,
-            seed=seed,
-        )
+    for _ in range(MAX_ROUNDS):
+        sweeper = SatSweeper(current_aig)
         swept_roots, _ = sweeper.sweep(current_roots)
         stats.merge(sweeper.stats)
         stats.incr("rounds")

@@ -43,25 +43,23 @@ from repro.sweep.signatures import SignatureTable
 from repro.util.stats import StatsBag
 
 
+# Conflicts allowed per check before it answers unknown; candidate
+# representatives tried per node of a forward sweep; and the words and
+# seed of the random patterns a sweeper's signature table starts from.
+CONFLICT_BUDGET = 3000
+MAX_CANDIDATES = 8
+SIM_WORDS = 4
+SIM_SEED = 2005
+
+
 class SatSweeper:
     """Incremental SAT sweeping over one AIG manager."""
 
-    def __init__(
-        self,
-        aig: Aig,
-        signatures: SignatureTable | None = None,
-        conflict_budget: int = 3000,
-        max_candidates: int = 8,
-        sim_words: int = 4,
-        seed: int = 2005,
-    ) -> None:
+    def __init__(self, aig: Aig) -> None:
         self.aig = aig
         self.mapper = CnfMapper(aig, Solver())
-        self.signatures = signatures
-        self.conflict_budget = conflict_budget
-        self.max_candidates = max_candidates
-        self._sim_words = sim_words
-        self._seed = seed
+        # Built over the first operation's roots (see signature_table).
+        self.signatures: SignatureTable | None = None
         self.stats = StatsBag()
         # Live cone size of the latest operation (see fit_solver); checks
         # made outside any operation leave the solver unbounded.
@@ -88,9 +86,7 @@ class SatSweeper:
         # selector -> (a != b)
         solver.add_clause([-selector, lit_a, lit_b])
         solver.add_clause([-selector, -lit_a, -lit_b])
-        result = solver.solve(
-            [selector], conflict_budget=self.conflict_budget
-        )
+        result = solver.solve([selector], conflict_budget=CONFLICT_BUDGET)
         solver.add_clause([-selector])  # retire this check's clauses
         if result is SolveResult.UNSAT:
             self.stats.incr("proved_equal")
@@ -112,7 +108,7 @@ class SatSweeper:
         self.stats.incr("sat_checks")
         [lit] = self._literals(target)
         result = self.mapper.solver.solve(
-            [lit], conflict_budget=self.conflict_budget
+            [lit], conflict_budget=CONFLICT_BUDGET
         )
         if result is SolveResult.UNSAT:
             self.stats.incr("proved_constant")
@@ -137,7 +133,7 @@ class SatSweeper:
         """
         if self.signatures is None:
             self.signatures = SignatureTable(
-                self.aig, roots, words=self._sim_words, seed=self._seed
+                self.aig, roots, words=SIM_WORDS, seed=SIM_SEED
             )
         else:
             self.signatures.refresh_roots(roots)
@@ -218,7 +214,7 @@ class SatSweeper:
             phase, key = signatures.signature_key(node)
             merged = False
             candidates = reps.get(key, ())
-            for normalized_rep in candidates[: self.max_candidates]:
+            for normalized_rep in candidates[:MAX_CANDIDATES]:
                 candidate = normalized_rep ^ int(phase)
                 if candidate == default:
                     rebuilt[node] = default

@@ -289,6 +289,9 @@ class TestQuantify:
         out = capsys.readouterr().out
         assert "\ninput_dc_checks: " in out
         assert "\nmerge_sat_checks: " in out
+        # A replacement whose difference folds to FALSE needs no SAT
+        # check; it is counted, and printed, as trivially valid.
+        assert "\ninput_dc_trivial: " in out
 
     def test_quantify_unknown_var(self, s27_bench, capsys):
         code = main(

@@ -146,7 +146,6 @@ def _simplify_bottom_up(aig, reference, target):
         reference,
         target,
         oracle.sweeper.signature_table([reference, target]),
-        max_merge_candidates=optimize.MAX_MERGE_CANDIDATES,
     )
     care_edge = edge_not(reference)
     replacements = {}

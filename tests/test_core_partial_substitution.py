@@ -65,17 +65,6 @@ class TestPartialQuantifier:
         with pytest.raises(ValueError):
             PartialQuantifier(aig, growth_factor=0)
 
-    def test_absolute_limit(self):
-        aig, inputs, root = parity(10)
-        quantifier = PartialQuantifier(
-            aig,
-            options=QuantifyOptions.preset("hash"),
-            growth_factor=100.0,
-            absolute_limit=1,
-        )
-        outcome = quantifier.quantify(root, [e >> 1 for e in inputs[:2]])
-        assert outcome.aborted
-
     def test_out_of_support_vars_count_as_quantified(self):
         aig = Aig()
         a, b, c = aig.add_inputs(3)
@@ -83,6 +72,17 @@ class TestPartialQuantifier:
         quantifier = PartialQuantifier(aig)
         outcome = quantifier.quantify(f, [c >> 1])
         assert c >> 1 in outcome.quantified
+
+    def test_caller_order_and_duplicates_dropped(self):
+        aig = Aig()
+        a, b, c = aig.add_inputs(3)
+        f = aig.and_(a, b)
+        quantifier = PartialQuantifier(aig, growth_factor=1000.0)
+        variables = [b >> 1, c >> 1, a >> 1, b >> 1]
+        outcome = quantifier.quantify(f, variables)
+        assert outcome.quantified == [b >> 1, c >> 1, a >> 1]
+        assert outcome.edge == TRUE
+        assert outcome.stats.get("accepted") == 2
 
 
 class TestInlining:

@@ -25,10 +25,10 @@ from repro.circuits.combinational import (
 )
 from repro.core import quantify as quantify_module
 from repro.core.merge import merge_cofactors
+from repro.core.partial import PartialQuantifier
 from repro.core.quantify import (
     QuantifyOptions,
     quantify_exists,
-    quantify_exists_one,
     quantify_forall,
 )
 from repro.errors import AigError
@@ -245,9 +245,9 @@ class TestMergePhase:
 
 
 class TestPresets:
-    def test_five_settings(self):
+    def test_four_settings(self):
         assert [f.name for f in dataclasses.fields(QuantifyOptions)] == [
-            "bdd_sweep", "sat_merge", "merge_order", "optimize", "schedule"
+            "bdd_sweep", "sat_merge", "optimize", "schedule"
         ]
 
     @pytest.mark.parametrize("family", list(T1_FAMILIES))
@@ -324,10 +324,35 @@ class TestOptimizationOncePerCall:
         assert len(outcome.quantified) == 5
         assert len(optimize_calls) == 1
 
-    def test_single_variable_step_still_optimizes(self, optimize_calls):
+    def test_single_variable_call_optimizes(self, optimize_calls):
         aig, inputs, root = comparator(8)
-        quantify_exists_one(aig, root, inputs[0] >> 1)
+        outcome = quantify_exists(aig, root, [inputs[0] >> 1])
+        assert outcome.quantified == [inputs[0] >> 1]
         assert len(optimize_calls) == 1
+        assert optimize_calls[0][2] == outcome.edge
+
+    def test_partial_quantifier_optimizes_every_differing_pair(
+        self, optimize_calls, monkeypatch
+    ):
+        # PartialQuantifier runs quantify_exists once per variable, so
+        # each variable whose merged cofactors differ is optimized.
+        differing = []
+        merge = quantify_module.merge_cofactors
+
+        def recording(*args, **kwargs):
+            result = merge(*args, **kwargs)
+            differing.append(result[0] != result[1])
+            return result
+
+        monkeypatch.setattr(quantify_module, "merge_cofactors", recording)
+        aig, inputs, root = comparator(8)
+        variables = [e >> 1 for e in inputs[:5]]
+        outcome = PartialQuantifier(aig, growth_factor=100.0).quantify(
+            root, variables
+        )
+        assert outcome.quantified == variables
+        assert sum(differing) > 1
+        assert len(optimize_calls) == sum(differing)
 
     def test_off_when_preset_disables_it(self, optimize_calls):
         quantify_t1_family("comparator8", "sat")
@@ -358,12 +383,53 @@ class TestOptimizationOncePerCall:
         a, b, c = aig.add_inputs(3)
         root = aig.and_(c, or_(aig, a, b))
         outcome = quantify_exists(
-            aig, root, [a >> 1, b >> 1], order=[a >> 1, b >> 1]
+            aig, root, [a >> 1, b >> 1], QuantifyOptions(schedule="static")
         )
         assert outcome.stats.get("independent_vars") == 1
         assert outcome.edge == c
         assert len(optimize_calls) == 1
         assert optimize_calls[0][2] == outcome.edge
+
+
+class TestScheduler:
+    @pytest.fixture
+    def consulted(self, monkeypatch):
+        """Candidate lists the scheduler is asked to choose from."""
+        calls = []
+        get_scheduler = quantify_module.get_scheduler
+
+        def spying(name):
+            scheduler = get_scheduler(name)
+
+            def spy(aig, edge, candidates):
+                calls.append(list(candidates))
+                return scheduler(aig, edge, candidates)
+
+            return spy
+
+        monkeypatch.setattr(quantify_module, "get_scheduler", spying)
+        return calls
+
+    @pytest.mark.parametrize("family", list(T1_FAMILIES))
+    def test_never_consulted_with_one_candidate(self, family, consulted):
+        _, outcome = quantify_t1_family(family, "full")
+        assert consulted
+        assert all(len(candidates) > 1 for candidates in consulted)
+        assert len(consulted) <= len(outcome.quantified)
+
+    def test_single_variable_skips_the_scheduler(self, consulted):
+        aig, inputs, root = comparator(8)
+        outcome = quantify_exists(aig, root, [inputs[0] >> 1])
+        assert outcome.quantified == [inputs[0] >> 1]
+        assert consulted == []
+
+    def test_static_keeps_caller_order(self):
+        aig, inputs, root = comparator(8)
+        variables = [e >> 1 for e in reversed(inputs[:5])]
+        outcome = quantify_exists(
+            aig, root, variables, QuantifyOptions(schedule="static")
+        )
+        assert outcome.quantified == variables
 
 
 class TestFullPresetSizes:

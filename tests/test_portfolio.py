@@ -21,6 +21,7 @@ from repro.portfolio import (
     select_plan,
     structural_hash,
 )
+from repro.portfolio import runner as runner_module
 from repro.sweep.fraig import fraig_netlist
 from repro.util.stats import StatsBag
 
@@ -176,6 +177,33 @@ class TestRunner:
         assert timed_out.timed_out
         # Enforcement promise: never exceed the budget by more than 2x.
         assert timed_out.elapsed < 2 * budget
+
+    def test_verdict_after_the_budget_times_out(self, monkeypatch):
+        # Every worker finishes before the parent first polls it, so its
+        # final verdict is already waiting in the pipe: arriving past the
+        # deadline, it must count as a timeout, not a win.
+        class FinishedFirst(runner_module.WorkerHandle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.process.join(timeout=30.0)
+
+        monkeypatch.setattr(runner_module, "WorkerHandle", FinishedFirst)
+        outcome = run_portfolio(
+            G.mod_counter(3, 6, safe=False), ["bmc", "reach_aig"],
+            budget=1e-6,
+        )
+        assert outcome.winner is None
+        assert outcome.result.status is Status.UNKNOWN
+        assert all(o.timed_out for o in outcome.outcomes)
+
+    def test_tiny_budget_times_out(self):
+        outcome = run_portfolio(
+            G.mod_counter(3, 6, safe=False), ["bmc"], budget=1e-6
+        )
+        assert outcome.winner is None
+        assert outcome.result.status is Status.UNKNOWN
+        (timed_out,) = outcome.outcomes
+        assert timed_out.timed_out
 
     def test_crash_maps_to_unknown(self):
         netlist = G.mod_counter(3, 6)

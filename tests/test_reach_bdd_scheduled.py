@@ -12,6 +12,7 @@ import pytest
 
 from repro.circuits import generators as G
 from repro.circuits.netlist import Netlist
+from repro.core import images as images_module
 from repro.core.images import ImageComputer
 from repro.core.schedule import (
     ImageStep,
@@ -196,6 +197,40 @@ class TestScheduledAigPostimage:
             assert eval_edge(scheduled.aig, image_s, assignment) == eval_edge(
                 monolithic.aig, image_m, assignment
             ), (seed, bits)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: G.gray_counter(4),
+            lambda: G.mod_counter(4, 12, with_enable=True),
+            lambda: G.fifo_level(3),
+        ],
+        ids=["gray_counter_4", "mod_counter_en", "fifo_level_3"],
+    )
+    def test_steps_quantify_in_plan_order(self, build, monkeypatch):
+        # Each plan step's variables arrive in plan order, and the step
+        # quantifies them in that order under the default options too:
+        # no step consults a reordering scheduler.
+        steps = []
+        quantify_exists = images_module.quantify_exists
+
+        def recording(aig, edge, variables, options, **kwargs):
+            outcome = quantify_exists(aig, edge, variables, options, **kwargs)
+            steps.append((list(variables), options.schedule, outcome))
+            return outcome
+
+        monkeypatch.setattr(images_module, "quantify_exists", recording)
+        net = build()
+        computer = ImageComputer(net)
+        assert computer.options.schedule == "min_dependence"
+        state = net.init_state_edge()
+        for _ in range(3):
+            state = computer.postimage(state).edge
+        assert any(len(outcome.quantified) > 1 for _, _, outcome in steps)
+        for variables, schedule, outcome in steps:
+            assert schedule == "static"
+            done = set(outcome.quantified)
+            assert outcome.quantified == [v for v in variables if v in done]
 
 
 class TestDeepChainCircuit:

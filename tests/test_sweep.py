@@ -1,6 +1,7 @@
 """Tests for the merge-phase engines: signatures, SAT sweep, BDD sweep."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from repro.circuits.combinational import (
     equality_with_constant_slices,
 )
 from repro.core.quantify import QuantifyOptions, quantify_exists
+from repro.sweep import bddsweep
 from repro.sweep.bddsweep import BddSweepTable, bdd_sweep
 from repro.sweep.satsweep import SatSweeper, prove_edges_equivalent
 from repro.sweep.signatures import SignatureTable
@@ -235,13 +237,14 @@ class TestBddSweep:
         assert s1 == s2
         assert stats.get("bdd_merges") >= 1
 
-    def test_cut_points_on_tiny_budget(self):
+    def test_cut_points_on_tiny_budget(self, monkeypatch):
+        monkeypatch.setattr(bddsweep, "BDD_NODE_LIMIT", 8)
         aig = Aig()
         xs = aig.add_inputs(10)
         acc = FALSE
         for x in xs:
             acc = xor(aig, acc, x)
-        [swept], rebuilt, stats = bdd_sweep(aig, [acc], node_limit=8)
+        [swept], rebuilt, stats = bdd_sweep(aig, [acc])
         nodes = [e >> 1 for e in xs]
         assert truth_table(aig, swept, nodes) == truth_table(aig, acc, nodes)
         assert stats.get("cut_points") >= 1
@@ -282,11 +285,12 @@ class TestBddSweepTable:
                     )
                 pool.extend(swept)
 
-    def test_overrun_restarts_in_a_fresh_table(self):
+    def test_overrun_restarts_in_a_fresh_table(self, monkeypatch):
+        monkeypatch.setattr(bddsweep, "BDD_NODE_LIMIT", 8)
         aig = Aig()
         xs = aig.add_inputs(10)
         nodes = [e >> 1 for e in xs]
-        table = BddSweepTable(aig, node_limit=8)
+        table = BddSweepTable(aig)
         roots = [aig.and_(xs[0], xs[1])]
         for shift in range(4):
             acc = FALSE
@@ -340,5 +344,6 @@ def test_sweep_function_preservation_property(seed):
     sweeper = SatSweeper(aig)
     [swept], _ = sweeper.sweep([root])
     assert truth_table(aig, swept, nodes) == reference
-    [bdd_swept], _, _ = bdd_sweep(aig, [root], node_limit=200)
+    with mock.patch.object(bddsweep, "BDD_NODE_LIMIT", 200):
+        [bdd_swept], _, _ = bdd_sweep(aig, [root])
     assert truth_table(aig, bdd_swept, nodes) == reference

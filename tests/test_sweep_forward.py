@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.aig.graph import Aig, edge_not
 from repro.aig.ops import cofactor, or_, xor
 from repro.circuits.combinational import adder_sum_parity, random_logic
+from repro.sweep import satsweep
 from repro.sweep.satsweep import SatSweeper
 from tests.conftest import build_random_aig, edges_equivalent
 
@@ -64,7 +65,7 @@ class TestFunctionPreservation:
 
 class TestMergeBehaviour:
     @pytest.mark.parametrize("seed", range(8))
-    def test_same_merge_yield_on_identical_builds(self, seed):
+    def test_same_merge_yield_on_identical_builds(self, seed, monkeypatch):
         # Identical managers and signature seeds give identical candidate
         # classes and verdicts, hence the same final cone; the sweep never
         # grows the cone it started from.
@@ -74,8 +75,9 @@ class TestMergeBehaviour:
         aig_b, _, root_b = build_random_aig(
             num_inputs=5, num_gates=40, seed=seed
         )
-        (new_a,), _ = SatSweeper(aig_a, seed=7).sweep([root_a])
-        (new_b,), _ = SatSweeper(aig_b, seed=7).sweep([root_b])
+        monkeypatch.setattr(satsweep, "SIM_SEED", 7)
+        (new_a,), _ = SatSweeper(aig_a).sweep([root_a])
+        (new_b,), _ = SatSweeper(aig_b).sweep([root_b])
         assert new_a == new_b
         assert aig_a.cone_and_count(new_a) == aig_b.cone_and_count(new_b)
         assert aig_a.cone_and_count(new_a) <= aig_a.cone_and_count(root_a)
@@ -94,9 +96,11 @@ class TestMergeBehaviour:
             aig, cof1, new1, [e >> 1 for e in inputs]
         )
 
-    def test_counterexamples_feed_signatures(self):
+    def test_counterexamples_feed_signatures(self, monkeypatch):
         aig, _, root = random_logic(8, 60, seed=11)
-        sweeper = SatSweeper(aig, sim_words=1, seed=3)
+        monkeypatch.setattr(satsweep, "SIM_WORDS", 1)
+        monkeypatch.setattr(satsweep, "SIM_SEED", 3)
+        sweeper = SatSweeper(aig)
         sweeper.sweep([root])
         # With one word of random patterns some false candidates are
         # expected; each SAT (different) verdict must be learned.
