@@ -9,6 +9,7 @@ worst segments).
 
 import pytest
 
+from repro.aig.analysis import cone_size
 from repro.circuits.combinational import adder_sum_parity, random_logic
 from repro.core import PartialQuantifier, QuantifyOptions, quantify_exists
 
@@ -31,7 +32,7 @@ def test_f2_size_curve(benchmark, record_row, workload, preset):
         for edge in inputs[:max_vars]:
             outcome = quantify_exists(aig, current, [edge >> 1], options)
             current = outcome.edge
-            sizes.append(aig.cone_and_count(current))
+            sizes.append(cone_size(aig, current))
         return sizes
 
     sizes = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -15,6 +15,7 @@ at a time), so the FRAIG series sits at or below the live series.
 
 import pytest
 
+from repro.aig.analysis import cone_size
 from repro.aig.ops import or_
 from repro.circuits import generators as G
 from repro.core.images import ImageComputer
@@ -40,7 +41,7 @@ def test_f3_fraig_series(benchmark, record_row, design):
         for _ in range(STEPS):
             frontier = images.preimage(frontier).edge
             reached = or_(aig, reached, frontier)
-            live_series.append(aig.cone_and_count(reached))
+            live_series.append(cone_size(aig, reached))
             fraig_series.append(fraig(aig, [reached]).size)
         return live_series, fraig_series
 

@@ -9,6 +9,7 @@ result outright).
 
 import pytest
 
+from repro.aig.analysis import cone_size
 from repro.circuits.combinational import (
     adder_sum_parity,
     comparator,
@@ -41,7 +42,7 @@ def test_t1_quantification(benchmark, record_row, family, preset):
         return aig, outcome
 
     aig, outcome = benchmark.pedantic(run, rounds=1, iterations=1)
-    size = aig.cone_and_count(outcome.edge)
+    size = cone_size(aig, outcome.edge)
     benchmark.extra_info.update(
         {
             "family": family,

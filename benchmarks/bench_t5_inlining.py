@@ -9,6 +9,7 @@ quantifies |inputs| + |latches| and pays for it.
 
 import pytest
 
+from repro.aig.analysis import cone_size
 from repro.aig.graph import edge_not
 from repro.circuits import generators as G
 from repro.core.quantify import QuantifyOptions, quantify_exists
@@ -58,7 +59,7 @@ def test_t5_preimage_routes(benchmark, record_row, design, route):
         return aig, outcome, quantified
 
     aig, outcome, quantified = benchmark.pedantic(run, rounds=1, iterations=1)
-    size = aig.cone_and_count(outcome.edge)
+    size = cone_size(aig, outcome.edge)
     benchmark.extra_info.update(
         {
             "design": design,

@@ -10,6 +10,7 @@ an injected bug.
 Run:  python examples/equivalence_checking.py
 """
 
+from repro.aig.analysis import cone_size
 from repro.aig.graph import Aig, edge_not
 from repro.aig.ops import and_all, or_, or_all, xor
 from repro.sweep import prove_edges_equivalent
@@ -43,8 +44,8 @@ def main() -> None:
 
     ripple = ripple_carry_out(aig, a, b)
     lookahead = lookahead_carry_out(aig, a, b)
-    print(f"ripple cone: {aig.cone_and_count(ripple)} ANDs, "
-          f"lookahead cone: {aig.cone_and_count(lookahead)} ANDs")
+    print(f"ripple cone: {cone_size(aig, ripple)} ANDs, "
+          f"lookahead cone: {cone_size(aig, lookahead)} ANDs")
 
     verdict, counterexample = prove_edges_equivalent(aig, ripple, lookahead)
     print(f"equivalent: {verdict}")

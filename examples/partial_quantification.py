@@ -10,6 +10,7 @@ computation for an arbiter.
 Run:  python examples/partial_quantification.py
 """
 
+from repro.aig.analysis import cone_size
 from repro.aig.graph import edge_not
 from repro.aig.ops import support
 from repro.circuits import generators
@@ -27,14 +28,14 @@ def main() -> None:
         node for node in netlist.input_nodes
         if node in support(aig, composed)
     ]
-    print(f"pre-image problem: {aig.cone_and_count(composed)} AND nodes, "
+    print(f"pre-image problem: {cone_size(aig, composed)} AND nodes, "
           f"{len(inputs)} input variables to eliminate")
 
     # --- baseline: pure all-SAT enumeration over every input -----------
     pure, pure_stats = allsat_quantify(aig, composed, inputs)
     print(f"\npure all-SAT:      {pure_stats.get('decision_vars'):.0f} "
           f"decision vars, {pure_stats.get('cubes'):.0f} cofactor cubes, "
-          f"result {aig.cone_and_count(pure)} ANDs")
+          f"result {cone_size(aig, pure)} ANDs")
 
     # --- the paper's combination: partial quantification first ---------
     quantifier = PartialQuantifier(
@@ -46,14 +47,14 @@ def main() -> None:
     print(f"partial circuit quantification: "
           f"{len(outcome.quantified)} accepted, "
           f"{len(outcome.aborted)} aborted "
-          f"(result so far {aig.cone_and_count(outcome.edge)} ANDs)")
+          f"(result so far {cone_size(aig, outcome.edge)} ANDs)")
 
     combined, combo_stats = allsat_quantify(
         aig, outcome.edge, outcome.aborted
     )
     print(f"all-SAT residual:  {combo_stats.get('decision_vars'):.0f} "
           f"decision vars, {combo_stats.get('cubes'):.0f} cofactor cubes, "
-          f"result {aig.cone_and_count(combined)} ANDs")
+          f"result {cone_size(aig, combined)} ANDs")
 
     # --- both routes compute the same state set ------------------------
     from repro.sweep import prove_edges_equivalent

@@ -9,6 +9,7 @@ explosion that plain Shannon expansion causes.
 Run:  python examples/quantifier_elimination.py
 """
 
+from repro.aig.analysis import cone_size
 from repro.circuits.combinational import comparator, random_logic
 from repro.core import QuantifyOptions, quantify_exists
 
@@ -28,7 +29,7 @@ def demonstrate(family_name: str, build, num_quantified: int) -> None:
             aig, root, variables, QuantifyOptions.preset(preset)
         )
         print(
-            f"{preset:<10} {aig.cone_and_count(outcome.edge):>12} "
+            f"{preset:<10} {cone_size(aig, outcome.edge):>12} "
             f"{outcome.stats.get('peak_size'):>10.0f} "
             f"{outcome.stats.get('sat_checks', 0):>11.0f}"
         )

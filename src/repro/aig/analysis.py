@@ -13,12 +13,18 @@ from repro.aig.graph import Aig
 
 
 def cone_size(aig: Aig, edge: int) -> int:
-    """Number of AND nodes in the cone of an edge (the paper's size metric)."""
-    return sum(1 for node in aig.cone([edge]) if aig.is_and(node))
+    """Number of AND nodes in the cone of an edge (the paper's size metric).
+
+    Read from the manager's cone memo: sizing a cone asked about before
+    walks nothing.
+    """
+    return aig.cone_entry(edge >> 1).ands
 
 
 def cone_size_many(aig: Aig, edges: Sequence[int]) -> int:
     """AND nodes in the union of the cones (counts shared logic once)."""
+    if len({edge >> 1 for edge in edges}) == 1:
+        return cone_size(aig, edges[0])
     return sum(1 for node in aig.cone(edges) if aig.is_and(node))
 
 

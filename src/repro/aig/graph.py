@@ -9,7 +9,7 @@ exploits "to early detect functionally equivalent map points".
 
 from __future__ import annotations
 
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.errors import AigError
 
@@ -17,6 +17,22 @@ FALSE = 0
 TRUE = 1
 
 _CONST_NODE = 0
+
+# Budget of a manager's single-root cone memo, counted in stored cone
+# nodes.  An overrun clears the memo wholesale, like the simulation plan
+# cache; a node's cone never changes, so the memo never goes stale.
+CONE_MEMO_NODE_LIMIT = 200_000
+
+
+class ConeEntry(NamedTuple):
+    """A memoized single-root cone."""
+
+    order: tuple[int, ...]    # the nodes, in the order ``Aig.cone`` returns
+    ands: int                 # AND nodes among them
+    inputs: tuple[int, ...]   # input nodes among them
+
+
+_EMPTY_CONE = ConeEntry((), 0, ())
 
 
 def edge_node(edge: int) -> int:
@@ -55,6 +71,13 @@ class Aig:
         self._inputs: list[int] = []
         self._input_names: dict[int, str] = {}
         self._strash: dict[tuple[int, int], int] = {}
+        # Per-manager caches.  Both stay valid forever, because the
+        # manager only grows: single-root cones by root node (see
+        # ``cone``), and ``simulate.cone_plan``'s levelized plans by
+        # target node set.
+        self._cones: dict[int, ConeEntry] = {}
+        self._cone_nodes = 0
+        self._sim_plans: dict = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -171,7 +194,7 @@ class Aig:
     # ------------------------------------------------------------------ #
 
     def cone(
-        self, edges: Iterable[int], known: Container[int] = ()
+        self, edges: Iterable[int], known: Container[int] | None = None
     ) -> list[int]:
         """Nodes in the transitive fanin of ``edges``, topologically sorted.
 
@@ -180,11 +203,66 @@ class Aig:
         that keep per-node state over a cone-closed node set (every known
         node's cone is known too) get exactly the new nodes, in the order
         the full walk would have returned them.
+
+        Without ``known``, single-root cones come from the manager's memo
+        (walked once, on a miss); several roots whose cones are all
+        memoized are served by concatenating those cones from the last
+        root to the first, dropping repeats — the order the walk, which
+        pops the last root first, returns.  The result is a fresh list.
         """
+        nodes = [edge >> 1 for edge in edges]
+        if known is not None:
+            return self._walk(nodes, known)
+        # The walk pops the last root first, so a repeated root counts at
+        # its last position.
+        roots = [
+            node for node in dict.fromkeys(reversed(nodes))
+            if node != _CONST_NODE
+        ]
+        if len(roots) == 1:
+            return list(self._memo_cone(roots[0]).order)
+        cones = self._cones
+        if not all(root in cones for root in roots):
+            return self._walk(nodes, ())
+        order: list[int] = []
+        seen: set[int] = set()
+        for root in roots:
+            if root in seen:        # seen is closed under fanins
+                continue
+            for node in cones[root].order:
+                if node not in seen:
+                    seen.add(node)
+                    order.append(node)
+        return order
+
+    def cone_entry(self, node: int) -> ConeEntry:
+        """The memoized cone of ``node``: its order, AND count and inputs."""
+        entry = self._cones.get(node)
+        if entry is None:
+            self.cone([2 * node])   # a miss walks inside ``cone``
+            entry = self._cones.get(node, _EMPTY_CONE)
+        return entry
+
+    def _memo_cone(self, node: int) -> ConeEntry:
+        entry = self._cones.get(node)
+        if entry is None:
+            order = self._walk([node], ())
+            fanin0 = self._fanin0
+            inputs = tuple(n for n in order if fanin0[n] == -1)
+            entry = ConeEntry(tuple(order), len(order) - len(inputs), inputs)
+            if self._cone_nodes + len(order) > CONE_MEMO_NODE_LIMIT:
+                self._cones.clear()
+                self._cone_nodes = 0
+            self._cones[node] = entry
+            self._cone_nodes += len(order)
+        return entry
+
+    def _walk(self, roots: list[int], known: Container[int]) -> list[int]:
+        """The depth-first post-order walk behind ``cone``."""
         fanin0, fanin1 = self._fanin0, self._fanin1
         seen: set[int] = set()
         order: list[int] = []
-        stack: list[tuple[int, bool]] = [(edge >> 1, False) for edge in edges]
+        stack: list[tuple[int, bool]] = [(node, False) for node in roots]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -199,10 +277,6 @@ class Aig:
                 stack.append((f0 >> 1, False))
                 stack.append((fanin1[node] >> 1, False))
         return order
-
-    def cone_and_count(self, edge: int) -> int:
-        """Number of AND nodes in the cone of a single edge."""
-        return sum(1 for node in self.cone([edge]) if self.is_and(node))
 
     def extract(
         self, edges: Iterable[int], keep_all_inputs: bool = False

@@ -65,19 +65,15 @@ def or_all(aig: Aig, edges: Iterable[int]) -> int:
 def support(aig: Aig, edge: int) -> set[int]:
     """The set of input *nodes* the edge structurally depends on.
 
-    Rides the levelized plan cache: repeated support queries for the
-    same cone (netlist validation, solver-pool construction) skip the
-    cone walk entirely.
+    Read from the manager's cone memo: repeated support queries for the
+    same cone (the quantification loop, netlist validation) walk it once.
     """
-    from repro.aig.simulate import cone_plan
-
-    return {node for _, node in cone_plan(aig, (edge,)).inputs}
+    return set(aig.cone_entry(edge >> 1).inputs)
 
 
 def support_many(aig: Aig, edges: Sequence[int]) -> set[int]:
-    from repro.aig.simulate import cone_plan
-
-    return {node for _, node in cone_plan(aig, edges).inputs}
+    """The union of the edges' supports."""
+    return set().union(*(aig.cone_entry(edge >> 1).inputs for edge in edges))
 
 
 def cofactor(aig: Aig, edge: int, var_node: int, value: bool,

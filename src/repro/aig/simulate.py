@@ -10,11 +10,13 @@ so the per-node cost is a few interpreter ops.  The kernel runs on a
 *levelized cone plan*: one topological pass over flat integer arrays, with
 no per-node dict lookups.
 
-Plans are cached on the :class:`~repro.aig.graph.Aig` instance keyed by the
-target node set.  The manager is append-only, so a plan — the cone's
-topological order compiled to positional fanin/negation columns — stays
-valid forever; repeated simulations of the same targets (PDR's ternary
-generalization, FRAIG resimulation) skip the cone walk entirely.
+Plans are cached in the :class:`~repro.aig.graph.Aig` manager's
+``_sim_plans``, beside its cone memo, keyed by the target node set.  The
+manager is append-only, so a plan — the cone's topological order compiled
+to positional fanin/negation columns — stays valid forever; repeated
+simulations of the same targets (PDR's ternary generalization, FRAIG
+resimulation) skip compiling the plan entirely.  A new plan takes its
+cone from ``Aig.cone``, which serves memoized cones without a walk.
 """
 
 from __future__ import annotations
@@ -75,9 +77,7 @@ class ConePlan:
 def cone_plan(aig: Aig, edges: Sequence[int]) -> ConePlan:
     """The (cached) levelized plan for the cone of ``edges``."""
     key = tuple(sorted({edge >> 1 for edge in edges}))
-    plans = aig.__dict__.get("_sim_plans")
-    if plans is None:
-        plans = aig.__dict__["_sim_plans"] = {}
+    plans = aig._sim_plans
     plan = plans.get(key)
     if plan is None:
         if len(plans) >= _MAX_PLANS:

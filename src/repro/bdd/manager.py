@@ -542,7 +542,13 @@ class BddManager:
             cache[node] = result
             return result
 
-        return walk(f)
+        # ``walk`` refers to itself through its closure cell.  Deleting it
+        # breaks that cycle, so the manager (which the closure holds) is
+        # freed by reference counting instead of by the cyclic collector.
+        try:
+            return walk(f)
+        finally:
+            del walk
 
     def cube_pos(self, variables: Iterable[int]) -> int:
         """The positive cube (conjunction) of a set of variable indices.
@@ -732,7 +738,10 @@ class BddManager:
             cache[node] = result
             return result
 
-        return walk(f)
+        try:
+            return walk(f)
+        finally:
+            del walk   # breaks the self-reference (see restrict)
 
     def rename(self, f: int, mapping: Mapping[int, int]) -> int:
         """Variable-to-variable renaming (indices to indices).
@@ -769,7 +778,10 @@ class BddManager:
             cache[node] = result
             return result
 
-        return walk(f)
+        try:
+            return walk(f)
+        finally:
+            del walk   # breaks the self-reference (see restrict)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -818,7 +830,10 @@ class BddManager:
             cache[node] = total
             return total, var
 
-        count, top_var = walk(f)
+        try:
+            count, top_var = walk(f)
+        finally:
+            del walk   # breaks the self-reference (see restrict)
         return count << top_var if f > 1 else count * (1 << num_vars) if f == 1 else 0
 
     def pick_cube(self, f: int) -> dict[int, bool] | None:

@@ -27,6 +27,7 @@ for tests).
 
 from __future__ import annotations
 
+from repro.aig.analysis import cone_size
 from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, TRUE, edge_not
 from repro.aig.ops import or_
@@ -169,7 +170,7 @@ def _itp_round(
         with _obs.span("itp.interpolant", "engine", depth=depth,
                        iteration=iterations) as itp_span:
             interpolant = extract_interpolant(proof, split, aig, var_edge)
-            interpolant_nodes = float(aig.cone_and_count(interpolant))
+            interpolant_nodes = float(cone_size(aig, interpolant))
             itp_span.set(nodes=interpolant_nodes)
         stats.set("interpolant_nodes", interpolant_nodes)
         if _obs.ENABLED:
@@ -189,11 +190,11 @@ def _itp_round(
                                                edge_not(reach)), stats):
             # The over-approximation closed: reach is inductive and
             # excludes every bad state.
-            stats.set("reach_nodes", float(aig.cone_and_count(reach)))
+            stats.set("reach_nodes", float(cone_size(aig, reach)))
             return "proved", None, iterations
         reach = or_(aig, reach, interpolant)
         if _obs.ENABLED:
-            _obs.sample("itp.reach_nodes", aig.cone_and_count(reach),
+            _obs.sample("itp.reach_nodes", cone_size(aig, reach),
                         bag=stats)
     return "deepen", None, iterations
 

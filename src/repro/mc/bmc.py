@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.aig.analysis import cone_size
 from repro.aig.graph import edge_not
 from repro.circuits.netlist import Netlist
 from repro.core.images import ImageComputer
@@ -127,7 +128,7 @@ def fold_targets(
         result = computer.preimage(targets[-1])
         targets.append(result.edge)
         stats.merge(result.stats)
-    stats.set("fold_target_size", netlist.aig.cone_and_count(targets[-1]))
+    stats.set("fold_target_size", cone_size(netlist.aig, targets[-1]))
     return targets
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.aig.analysis import cone_size_many
 from repro.aig.graph import Aig
 from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
@@ -56,7 +57,7 @@ def fraig(
     (e.g. :func:`fraig_netlist`) can re-anchor latches and inputs.
     """
     stats = StatsBag()
-    stats.set("size_before", _live_ands(aig, roots))
+    stats.set("size_before", cone_size_many(aig, roots))
     current_aig = aig
     current_roots = list(roots)
     # original input node -> current manager's input node
@@ -80,7 +81,7 @@ def fraig(
         current_aig, current_roots = extracted, new_roots
         if merges == 0:
             break
-    stats.set("size_after", _live_ands(current_aig, current_roots))
+    stats.set("size_after", cone_size_many(current_aig, current_roots))
     return FraigResult(
         aig=current_aig,
         edges=current_roots,
@@ -136,7 +137,3 @@ def fraig_netlist(netlist) -> "Netlist":
         constraints=reduced.edges[cursor:],
         name=netlist.name,
     )
-
-
-def _live_ands(aig: Aig, roots: list[int]) -> int:
-    return sum(1 for node in aig.cone(roots) if aig.is_and(node))

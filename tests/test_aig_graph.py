@@ -5,7 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.aig import graph
+from repro.aig.analysis import cone_size, cone_size_many
 from repro.aig.graph import FALSE, TRUE, Aig, edge_is_complement, edge_node, edge_not
+from repro.aig.ops import support, support_many
 from repro.aig.simulate import truth_table
 from repro.errors import AigError
 from tests.conftest import build_random_aig
@@ -143,12 +146,12 @@ class TestCone:
         assert aig.cone([FALSE]) == []
         assert aig.cone([TRUE]) == []
 
-    def test_cone_and_count(self):
+    def test_cone_size(self):
         aig = Aig()
         a, b, c = aig.add_inputs(3)
         f = aig.and_(aig.and_(a, b), c)
-        assert aig.cone_and_count(f) == 2
-        assert aig.cone_and_count(a) == 0
+        assert cone_size(aig, f) == 2
+        assert cone_size(aig, a) == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cone_below_known_nodes_is_the_full_walk_minus_them(self, seed):
@@ -166,6 +169,143 @@ class TestCone:
         known = set(aig.cone([root, inputs[0]]))   # closed under fanins
         full = aig.cone([other])
         assert aig.cone([other], known) == [n for n in full if n not in known]
+
+
+def reference_cone(aig, edges, known=()):
+    """The plain depth-first walk the memoized ``Aig.cone`` must match."""
+    seen, order = set(), []
+    stack = [(edge >> 1, False) for edge in edges]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if node in seen or node == 0 or node in known:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        if aig.is_and(node):
+            f0, f1 = aig.fanins(node)
+            stack.append((f0 >> 1, False))
+            stack.append((f1 >> 1, False))
+    return order
+
+
+def grow(aig, rng, count):
+    """Add ``count`` random ANDs over the manager's nodes; their edges."""
+    added = []
+    for _ in range(count):
+        a = 2 * rng.randrange(aig.num_nodes) ^ rng.randint(0, 1)
+        b = 2 * rng.randrange(aig.num_nodes) ^ rng.randint(0, 1)
+        added.append(aig.and_(a, b))
+    return added
+
+
+def all_edges(aig):
+    return [2 * node ^ bit for node in aig.nodes() for bit in (0, 1)]
+
+
+class TestConeMemo:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_roots_match_the_walk(self, seed):
+        aig, _, _ = build_random_aig(5, 40, seed=seed)
+        for _ in range(2):      # a miss, then a hit
+            for edge in all_edges(aig):
+                assert aig.cone([edge]) == reference_cone(aig, [edge])
+        assert aig.cone([FALSE]) == aig.cone([TRUE]) == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_several_roots_match_the_walk(self, seed):
+        aig, _, _ = build_random_aig(5, 40, seed=seed)
+        rng = random.Random(seed)
+        edges = all_edges(aig)
+        for trial in range(60):
+            roots = [rng.choice(edges) for _ in range(rng.randint(2, 6))]
+            roots += rng.sample(roots, rng.randint(0, 2))   # duplicates
+            rng.shuffle(roots)
+            if trial % 3 == 0:
+                roots.append(rng.choice((FALSE, TRUE)))
+            if trial % 2:       # every root memoized: concatenation
+                for root in roots:
+                    aig.cone([root])
+            assert aig.cone(roots) == reference_cone(aig, roots)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_known_walks_match_the_walk(self, seed):
+        aig, inputs, root = build_random_aig(5, 40, seed=seed)
+        rng = random.Random(seed)
+        for edge in all_edges(aig):
+            aig.cone([edge])
+        for _ in range(20):
+            below = [rng.choice(all_edges(aig)) for _ in range(2)]
+            known = dict.fromkeys(reference_cone(aig, below))
+            roots = [root, rng.choice(all_edges(aig))]
+            assert aig.cone(roots, known) == reference_cone(aig, roots, known)
+            assert aig.cone([root], known) == reference_cone(
+                aig, [root], known
+            )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cones_stay_exact_as_the_manager_grows(self, seed):
+        aig, _, _ = build_random_aig(5, 20, seed=seed)
+        rng = random.Random(seed)
+        for _ in range(4):
+            cached = all_edges(aig)
+            for edge in cached:
+                aig.cone([edge])
+            fresh = grow(aig, rng, 15)
+            for edge in cached + fresh:
+                assert aig.cone([edge]) == reference_cone(aig, [edge])
+            roots = rng.sample(cached, 3) + fresh[-2:]
+            assert aig.cone(roots) == reference_cone(aig, roots)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_budget_overrun_clears_the_memo(self, seed, monkeypatch):
+        monkeypatch.setattr(graph, "CONE_MEMO_NODE_LIMIT", 25)
+        aig, _, _ = build_random_aig(6, 60, seed=seed)
+        rng = random.Random(seed)
+        edges = all_edges(aig)
+        for _ in range(3):
+            for edge in edges:
+                assert aig.cone([edge]) == reference_cone(aig, [edge])
+                stored = sum(len(e.order) for e in aig._cones.values())
+                assert stored == aig._cone_nodes
+                assert stored <= 25 or len(aig._cones) == 1
+            roots = rng.sample(edges, 4)
+            assert aig.cone(roots) == reference_cone(aig, roots)
+
+    def test_returned_lists_are_the_callers_own(self):
+        aig, _, root = build_random_aig(5, 30, seed=3)
+        expected = reference_cone(aig, [root])
+        first = aig.cone([root])
+        first.clear()
+        assert aig.cone([root]) == expected
+        second = aig.cone([root])
+        second.reverse()
+        assert aig.cone([root, root]) == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sizes_and_supports_read_from_the_memo(self, seed):
+        aig, _, _ = build_random_aig(6, 40, seed=seed)
+        rng = random.Random(seed)
+        edges = all_edges(aig)
+
+        def ands(nodes):
+            return sum(1 for node in nodes if aig.is_and(node))
+
+        def inputs(nodes):
+            return {node for node in nodes if aig.is_input(node)}
+
+        for _ in range(2):
+            for edge in edges:
+                walk = reference_cone(aig, [edge])
+                assert cone_size(aig, edge) == ands(walk)
+                assert support(aig, edge) == inputs(walk)
+            for _ in range(20):
+                roots = rng.sample(edges, rng.randint(1, 4))
+                walk = reference_cone(aig, roots)
+                assert cone_size_many(aig, roots) == ands(walk)
+                assert support_many(aig, roots) == inputs(walk)
 
 
 class TestExtract:

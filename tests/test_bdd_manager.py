@@ -1,6 +1,8 @@
 """Tests for the ROBDD manager: canonicity, algebra, quantification."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,3 +271,24 @@ def test_bdd_matches_python_semantics_property(ops):
     root, fn = pool[-1], fns[-1]
     for values in itertools.product([False, True], repeat=3):
         assert mgr.evaluate(root, dict(enumerate(values))) == fn(values)
+
+
+def test_walks_leave_no_cycle_holding_the_manager():
+    # A traversal makes thousands of these calls per run; a cycle through
+    # each walk's closure would keep every finished manager in memory
+    # until the cyclic collector ran.
+    gc.disable()
+    try:
+        mgr = BddManager()
+        x, y, z = (mgr.new_var(name) for name in "xyz")
+        f = mgr.or_(mgr.and_(x, y), z)
+        mgr.restrict(f, 0, True)
+        mgr.compose(f, {0: z})
+        mgr.rename(f, {0: 1, 1: 2, 2: 0})     # not order-preserving
+        mgr.rename(mgr.and_(x, y), {0: 1, 1: 2})  # relabeled in one pass
+        mgr.sat_count(f)
+        freed = weakref.ref(mgr)
+        del mgr
+        assert freed() is None
+    finally:
+        gc.enable()

@@ -290,8 +290,8 @@ class TestSizeContainment:
                 [e >> 1 for e in inputs_f[:4]],
                 QuantifyOptions.preset("full"),
             )
-            assert aig_f.cone_and_count(full.edge) <= aig_s.cone_and_count(
-                shannon.edge
+            assert cone_size(aig_f, full.edge) <= cone_size(
+                aig_s, shannon.edge
             )
 
 

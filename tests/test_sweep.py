@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.aig.analysis import cone_size
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import and_all, cofactor, or_, support, xor
 from repro.aig.simulate import truth_table
@@ -130,7 +131,7 @@ class TestSatSweeper:
             aig, inputs, root = build_random_aig(5, 40, seed=seed + 50)
             sweeper = SatSweeper(aig)
             [swept], _ = sweeper.sweep([root])
-            assert aig.cone_and_count(swept) <= aig.cone_and_count(root)
+            assert cone_size(aig, swept) <= cone_size(aig, root)
 
     def test_sweep_merges_redundant_logic(self):
         # Build f twice with different structure; sweeping should share.

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.aig.analysis import cone_size
 from repro.aig.graph import Aig, edge_not
 from repro.aig.ops import cofactor, or_, transfer, xor
 from repro.circuits.combinational import adder_sum_parity
@@ -49,14 +50,14 @@ class TestFraig:
         root = or_(aig, f, aig.and_(both, c))
         result = fraig(aig, [root])
         # root == f; everything reachable only through `both` must be gone.
-        assert result.size <= aig.cone_and_count(f)
+        assert result.size <= cone_size(aig, f)
 
     def test_size_never_grows(self):
         for seed in range(8):
             aig, _, root = build_random_aig(
                 num_inputs=6, num_gates=60, seed=seed
             )
-            before = aig.cone_and_count(root)
+            before = cone_size(aig, root)
             result = fraig(aig, [root])
             assert result.size <= before
             assert result.stats.get("size_after") <= result.stats.get(
