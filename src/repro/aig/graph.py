@@ -102,8 +102,10 @@ class Aig:
 
     def and_(self, a: int, b: int) -> int:
         """Return the edge for ``a AND b``, with simplification and hashing."""
-        self._check_edge(a)
-        self._check_edge(b)
+        limit = 2 * len(self._fanin0)
+        if not (0 <= a < limit and 0 <= b < limit):
+            self._check_edge(a)
+            self._check_edge(b)
         # Constant and trivial-structure simplifications.
         if a == FALSE or b == FALSE or a == edge_not(b):
             return FALSE
@@ -322,13 +324,46 @@ class Aig:
         ``leaf_map`` maps node ids to replacement edges; every node not in
         the map is rebuilt from its (rebuilt) fanins.  The result lives in
         *this* manager.  ``cache`` allows sharing work across calls.
+
+        Nodes are rebuilt in the depth-first post-order of :meth:`cone`,
+        so new nodes are created in the same order whichever walk serves
+        the call.  When every leaf is an input (a cofactor or a
+        composition), the walk stops at no node above the inputs, so the
+        cone's order is iterated directly: the memoized one when ``cache``
+        is empty, else the walk that stops at cached nodes.  A node whose
+        rebuilt fanins are its own is kept as it is, the edge structural
+        hashing would return.
         """
         self._check_edge(edge)
         if cache is None:
             cache = {}
         root = edge >> 1
-        stack = [root]
         fanin0, fanin1 = self._fanin0, self._fanin1
+        if root in cache:
+            return cache[root] ^ (edge & 1)
+        size = len(fanin0)
+        if root != _CONST_NODE and all(
+            node < size and fanin0[node] == -1 for node in leaf_map
+        ):
+            if cache:
+                order = self.cone([edge], known=cache)
+            else:
+                order = self.cone_entry(root).order
+            and_ = self.and_
+            for node in order:
+                f0 = fanin0[node]
+                if f0 == -1:
+                    replacement = leaf_map.get(node)
+                    cache[node] = (
+                        2 * node if replacement is None else replacement
+                    )
+                    continue
+                f1 = fanin1[node]
+                a = cache[f0 >> 1] ^ (f0 & 1)
+                b = cache[f1 >> 1] ^ (f1 & 1)
+                cache[node] = 2 * node if a == f0 and b == f1 else and_(a, b)
+            return cache[root] ^ (edge & 1)
+        stack = [root]
         while stack:
             node = stack[-1]
             if node in cache:
@@ -356,7 +391,9 @@ class Aig:
             stack.pop()
             a = cache[n0] ^ (f0 & 1)
             b = cache[n1] ^ (f1 & 1)
-            cache[node] = self.and_(a, b)
+            cache[node] = (
+                2 * node if a == f0 and b == f1 else self.and_(a, b)
+            )
         return cache[root] ^ (edge & 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

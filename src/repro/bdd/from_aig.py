@@ -11,7 +11,7 @@ to re-encode their images through a budgeted table
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Container, Mapping
 
 from repro.aig.graph import FALSE, TRUE, Aig
 from repro.aig.ops import ite as aig_ite
@@ -64,14 +64,22 @@ def bdd_to_aig(
     bdd_node: int,
     aig: Aig,
     var_edges: Mapping[int, int],
+    cache: dict[int, int] | None = None,
 ) -> int:
     """Convert a BDD to an AIG edge (one mux per BDD node).
 
-    ``var_edges`` maps BDD variable indices to AIG edges.
+    ``var_edges`` maps BDD variable indices to AIG edges.  ``cache`` (BDD
+    node -> AIG edge) may be shared across calls with the same manager,
+    AIG and ``var_edges``: the walk stops at cached nodes, so each call
+    builds muxes only for BDD nodes it has not seen.  Both managers only
+    grow, and a repeated mux is a structural-hashing hit, so the shared
+    cache changes no result and no node numbering.
     """
-    cache: dict[int, int] = {BDD_FALSE: FALSE, BDD_TRUE: TRUE}
-    order = _topological(manager, bdd_node)
-    for node in order:
+    if cache is None:
+        cache = {}
+    cache.setdefault(BDD_FALSE, FALSE)
+    cache.setdefault(BDD_TRUE, TRUE)
+    for node in _topological(manager, bdd_node, cache):
         var = manager.var_of(node)
         if var not in var_edges:
             raise BddError(f"BDD variable {var} missing from var_edges")
@@ -81,7 +89,11 @@ def bdd_to_aig(
     return cache[bdd_node]
 
 
-def _topological(manager: BddManager, root: int) -> list[int]:
+def _topological(
+    manager: BddManager, root: int, known: Container[int] = ()
+) -> list[int]:
+    """The BDD nodes below ``root``, children first, stopping at the
+    terminals and at nodes in ``known``."""
     order: list[int] = []
     seen: set[int] = set()
     stack: list[tuple[int, bool]] = [(root, False)]
@@ -90,7 +102,7 @@ def _topological(manager: BddManager, root: int) -> list[int]:
         if expanded:
             order.append(node)
             continue
-        if node <= 1 or node in seen:
+        if node <= 1 or node in seen or node in known:
             continue
         seen.add(node)
         stack.append((node, True))

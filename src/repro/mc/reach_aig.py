@@ -128,8 +128,10 @@ class ReencodingTable:
     ``REENCODE_NODE_LIMIT`` nodes, its variables in a
     :func:`structural_latch_order`, the AIG node -> BDD ``node_cache``
     of :func:`~repro.bdd.from_aig.aig_to_bdd` (the next-state cones that
-    every pre-image in-lines are built once), and the BDD of the run's
-    reached set once it is known.  Operations raise
+    every pre-image in-lines are built once), the BDD node -> mux edge
+    cache of :func:`~repro.bdd.from_aig.bdd_to_aig` (each decode builds
+    muxes only for BDD nodes no earlier one built), and the BDD of the
+    run's reached set once it is known.  Operations raise
     :class:`~repro.errors.BddLimitExceeded` past the budget; the owner
     then drops the whole table.
     """
@@ -142,6 +144,7 @@ class ReencodingTable:
         for node in order:
             self.manager.new_var(aig.input_name(node))
         self.node_cache: dict[int, int] = {}
+        self.mux_cache: dict[int, int] = {}
         self.reached: int | None = None
 
     def encode(self, edge: int) -> int:
@@ -152,7 +155,9 @@ class ReencodingTable:
 
     def decode(self, bdd: int) -> int:
         """The mux AIG of a BDD, one multiplexer per BDD node."""
-        return bdd_to_aig(self.manager, bdd, self.aig, self.var_edges)
+        return bdd_to_aig(
+            self.manager, bdd, self.aig, self.var_edges, self.mux_cache
+        )
 
     def add_reached(self, bdd: int) -> bool:
         """Fold ``bdd`` into the reached set; whether it added states."""

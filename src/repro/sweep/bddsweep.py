@@ -100,8 +100,12 @@ class BddSweepTable:
         node_bdd, rebuilt = self.node_bdd, self.rebuilt
         rebuilt_support = self.rebuilt_support
         representative = self.representative
+        fanin0, fanin1 = aig._fanin0, aig._fanin1
+        and_ = aig.and_
+        folds = 0
         for node in aig.cone(roots, known=node_bdd):
-            if aig.is_input(node):
+            f0 = fanin0[node]
+            if f0 == -1:
                 mask = 1 << manager.num_vars
                 bdd = self._fresh_var(node)
                 node_bdd[node] = bdd
@@ -109,16 +113,16 @@ class BddSweepTable:
                 rebuilt_support[node] = mask
                 self._represent(bdd, 2 * node, mask, fresh, stats)
                 continue
-            f0, f1 = aig.fanins(node)
-            default = aig.and_(
-                rebuilt[f0 >> 1] ^ (f0 & 1),
-                rebuilt[f1 >> 1] ^ (f1 & 1),
-            )
-            if default in (FALSE, TRUE):
+            f1 = fanin1[node]
+            a = rebuilt[f0 >> 1] ^ (f0 & 1)
+            b = rebuilt[f1 >> 1] ^ (f1 & 1)
+            # Unchanged fanins rebuild the node itself (a strash hit).
+            default = 2 * node if a == f0 and b == f1 else and_(a, b)
+            if default <= TRUE:
                 rebuilt[node] = default
                 rebuilt_support[node] = 0
                 node_bdd[node] = BDD_FALSE if default == FALSE else BDD_TRUE
-                stats.incr("constant_folds")
+                folds += 1
                 continue
             mask = rebuilt_support[f0 >> 1] | rebuilt_support[f1 >> 1]
             b0 = node_bdd[f0 >> 1]
@@ -151,6 +155,8 @@ class BddSweepTable:
             rebuilt[node] = default
             rebuilt_support[node] = mask
             self._represent(bdd, default, mask, fresh, stats)
+        if folds:
+            stats.incr("constant_folds", folds)
         return [rebuilt[e >> 1] ^ (e & 1) for e in roots]
 
 

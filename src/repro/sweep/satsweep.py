@@ -149,7 +149,10 @@ class SatSweeper:
         earlier operations are dead weight, as every SAT answer must
         assign them.
         """
-        self._live_nodes = len(self.aig.cone(roots))
+        cone_entry = self.aig.cone_entry
+        self._live_nodes = len(
+            set().union(*(cone_entry(root >> 1).order for root in roots))
+        )
         if self.mapper.num_nodes > 2 * self._live_nodes:
             self._fresh_solver()
 
@@ -259,9 +262,18 @@ class SatSweeper:
         self.fit_solver([a, b])
         signatures = self.signature_table([a, b])
         signatures.freeze()
-        shared = set(aig.cone([a]))
+        # Frozen, the table neither learns nor flushes: every node of both
+        # cones has its position, and its signature stays put.
+        pos, sigs = signatures._plan.pos, signatures._sigs
+        mask = word_mask(signatures.words)
+        fanin0, fanin1 = aig._fanin0, aig._fanin1
+        # The loop creates no node, so ``node_a * size + node_b`` keys a
+        # pair by one integer.
+        size = len(fanin0)
+        shared = set(aig.cone_entry(a >> 1).order)
         merge_map: dict[int, int] = {}
-        visited_pairs: set[tuple[int, int]] = set()
+        visited_pairs: set[int] = set()
+        pairs = 0
         # Worklist of (node_of_a_cone_edge, node_of_b_cone_edge) pairs.
         worklist: list[tuple[int, int]] = [(a, b)]
         while worklist:
@@ -269,18 +281,19 @@ class SatSweeper:
             node_a, node_b = edge_a >> 1, edge_b >> 1
             if node_b in shared or node_b in merge_map:
                 continue
-            pair = (node_a, node_b)
+            pair = node_a * size + node_b
             if pair in visited_pairs:
                 continue
             visited_pairs.add(pair)
-            self.stats.incr("backward_pairs")
-            if node_b == 0 or aig.is_input(node_b):
+            pairs += 1
+            b0 = fanin0[node_b]
+            if b0 == -1:
                 continue  # only AND nodes of b's cone get merged
-            sig_a = signatures.edge_signature(edge_a)
-            difference = sig_a ^ signatures.edge_signature(edge_b)
+            difference = sigs[pos[node_a]] ^ sigs[pos[node_b]]
+            if (edge_a ^ edge_b) & 1:
+                difference ^= mask
             compatible_equal = difference == 0
-            compatible_compl = difference == word_mask(signatures.words)
-            if compatible_equal or compatible_compl:
+            if compatible_equal or difference == mask:
                 target = edge_a if compatible_equal else edge_not(edge_a)
                 verdict = self.check_equal(target, edge_b)
                 if verdict:
@@ -290,12 +303,12 @@ class SatSweeper:
                     continue
             # Descend into fanin pairs (all four combinations, signature
             # filtering happens on the next visit).
-            if aig.is_and(node_a) and aig.is_and(node_b):
-                a0, a1 = aig.fanins(node_a)
-                b0, b1 = aig.fanins(node_b)
-                for fa in (a0, a1):
-                    for fb in (b0, b1):
-                        worklist.append((fa, fb))
+            a0 = fanin0[node_a]
+            if a0 != -1:
+                a1, b1 = fanin1[node_a], fanin1[node_b]
+                worklist += ((a0, b0), (a0, b1), (a1, b0), (a1, b1))
+        if pairs:
+            self.stats.incr("backward_pairs", pairs)
         signatures.thaw()
         if not merge_map:
             return b, merge_map
