@@ -14,7 +14,10 @@ not.  These tests pin the verdict and each engine's counters below on:
 * the baseline engines on the tiny (``BENCH_TINY=1``) families of the
   ``benchmarks/bench_t14``–``t17`` experiments: ``reach_bdd_fwd`` with
   its scheduled image, ``itp``, ``pdr``, and ``cnc`` with its cubes
-  solved in-process (``workers=0``).
+  solved in-process (``workers=0``);
+* ``bmc`` and ``k_induction`` on the designs of
+  ``benchmarks/bench_t7_bmc_induction``, at each of its pre-image fold
+  counts (the variant).
 
 They repeat exactly under any ``PYTHONHASHSEED``.
 
@@ -45,6 +48,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
+from benchmarks import bench_t7_bmc_induction as t7  # noqa: E402
 from benchmarks import bench_t14_bdd_image as t14  # noqa: E402
 from benchmarks import bench_t15_itp as t15  # noqa: E402
 from benchmarks import bench_t16_pdr as t16  # noqa: E402
@@ -105,6 +109,8 @@ COUNTERS = {
         "invariant_clauses",
         "sat_calls",
     ),
+    "bmc": ("frames_unrolled", "cnf_vars", "sat_calls"),
+    "k_induction": ("proved_at_k", "base_sat_calls", "step_sat_calls"),
     "cnc": (
         "cnc_cubes",
         "cnc_refuted_by_lookahead",
@@ -120,7 +126,8 @@ def _runs(source, variant):
     """``(design name, netlist, engine, verify keywords)`` per design.
 
     ``source`` is a perfbench workload, with the seed as ``variant``, or
-    a ``bench_*`` experiment run on its tiny families.
+    a ``bench_*`` experiment run on its tiny families (T7: on its
+    designs, with the fold count as ``variant``).
     """
     if source in WORKLOADS:
         spec = WORKLOADS[source]
@@ -131,6 +138,18 @@ def _runs(source, variant):
     if source == "bwd_long":
         net = G.mod_counter(7, 30, safe=False, with_enable=True)
         return [(net.name, net, "reach_aig", {"max_depth": MAX_DEPTH})]
+    if source == "t7_bmc":
+        return [
+            (name, build(), "bmc",
+             {"max_depth": depth, "preimage_folds": variant})
+            for name, (build, depth) in t7.BMC_DESIGNS.items()
+        ]
+    if source == "t7_induction":
+        return [
+            (name, build(), "k_induction",
+             {"max_depth": max_k, "preimage_folds": variant})
+            for name, (build, max_k) in t7.INDUCTION_DESIGNS.items()
+        ]
     if source == "t14_bdd_image":
         families = t14.TINY_FAMILIES
         engine, keywords = "reach_bdd_fwd", {}
@@ -229,6 +248,26 @@ GOLDENS = {
         ("onehot_8", "PROVED", (8, 8, 15, 750, 276, 910)),
         ("arbiter_6", "PROVED", (6, 6, 11, 788, 310, 1003)),
     ),
+    ("t7_bmc", 0): (
+        ("bug_at_depth_12", "FAILED", (13, 345, 13)),
+        ("mod_counter_bug_5_24", "FAILED", (24, 653, 24)),
+    ),
+    ("t7_bmc", 2): (
+        ("bug_at_depth_12", "FAILED", (11, 605, 13)),
+        ("mod_counter_bug_5_24", "FAILED", (22, 1210, 24)),
+    ),
+    ("t7_bmc", 4): (
+        ("bug_at_depth_12", "FAILED", (9, 909, 13)),
+        ("mod_counter_bug_5_24", "FAILED", (20, 2020, 24)),
+    ),
+    ("t7_induction", 0): (
+        ("mod_counter_5_20", "PROVED", (0, 1, 1)),
+        ("shift_register_6", "PROVED", (0, 1, 1)),
+    ),
+    ("t7_induction", 1): (
+        ("mod_counter_5_20", "PROVED", (0, 2, 1)),
+        ("shift_register_6", "PROVED", (0, 2, 1)),
+    ),
     ("t15_itp", "tiny"): (
         ("mod_counter_16", "PROVED", (4, 9, 1, 185, 676, 30, 50)),
         ("mod_counter_24", "PROVED", (4, 9, 1, 281, 1028, 46, 74)),
@@ -274,6 +313,11 @@ SAT_GOLDENS = {
         (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0),
     ),
     ("bwd_long", "unpermuted"): ((111, 56, 2726, 42),),
+    ("t7_bmc", 0): ((0, 0, 0, 13), (0, 0, 0, 24)),
+    ("t7_bmc", 2): ((0, 0, 0, 13), (0, 0, 0, 24)),
+    ("t7_bmc", 4): ((0, 0, 0, 13), (0, 0, 0, 24)),
+    ("t7_induction", 0): ((5, 4, 79, 2), (4, 2, 18, 2)),
+    ("t7_induction", 1): ((12, 6, 231, 3), (1, 0, 3, 3)),
 }
 
 
