@@ -26,7 +26,7 @@ from repro.aig.ops import (
     xor,
     xnor,
 )
-from repro.aig.cnf import CnfMapper, edge_to_cnf
+from repro.aig.cnf import CnfMapper
 from repro.aig.simulate import eval_edge, simulate, truth_table
 from repro.aig.analysis import cone_size, level_of
 from repro.aig.aiger_binary import read_aig_binary, write_aig_binary, write_aig_binary_bytes
@@ -49,7 +49,6 @@ __all__ = [
     "compose",
     "support",
     "CnfMapper",
-    "edge_to_cnf",
     "simulate",
     "eval_edge",
     "truth_table",

@@ -105,9 +105,20 @@ def write_aig_binary_bytes(aig: Aig, outputs: Sequence[int]) -> bytes:
 
 
 def read_aig_binary(data: bytes | BinaryIO) -> tuple[Aig, list[int]]:
-    """Parse binary AIGER; returns ``(aig, output_edges)``."""
+    """Parse binary AIGER; returns ``(aig, output_edges)``.
+
+    Malformed input raises :class:`AigError`.
+    """
     if not isinstance(data, bytes):
         data = data.read()
+    try:
+        return _parse_aig_binary(data)
+    except ValueError as exc:
+        # A non-numeric header, output or symbol field.
+        raise AigError(f"malformed binary AIGER input: {exc}") from exc
+
+
+def _parse_aig_binary(data: bytes) -> tuple[Aig, list[int]]:
     newline = data.find(b"\n")
     if newline < 0:
         raise AigError("missing binary AIGER header")

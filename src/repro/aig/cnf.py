@@ -4,14 +4,15 @@
 instance, so several cones (and several checks) share a clause database —
 the exact workflow the paper built on top of ZChaff: "we load the clause
 database once and for-all, and we factorize several checks together within
-a single ZChaff run".
+a single ZChaff run".  It is the one solver-backed Tseitin encoder: the
+time-frame expansion of :class:`repro.mc.unroll.Unroller` runs its cone
+loop over per-frame node maps.
 """
 
 from __future__ import annotations
 
 from repro.aig.graph import FALSE, TRUE, Aig
 from repro.errors import AigError
-from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
 
 
@@ -41,15 +42,30 @@ class CnfMapper:
         """Number of AIG nodes encoded so far (the constant excluded)."""
         return len(self._node_var)
 
+    @property
+    def const_var(self) -> int | None:
+        """The solver variable pinned FALSE for constant edges (if any)."""
+        return self._const_var
+
     def _var_for_const(self) -> int:
         if self._const_var is None:
             self._const_var = self.solver.new_var()
             self.solver.add_clause([-self._const_var])  # constant FALSE
         return self._const_var
 
-    def var_for_node(self, node: int) -> int:
-        """The solver variable carrying this node's value (encode if new)."""
-        existing = self._node_var.get(node)
+    def var_for_node(
+        self, node: int, frame: dict[int, int] | None = None
+    ) -> int:
+        """The solver variable carrying this node's value (encode if new).
+
+        ``frame`` is a node map to read and extend in place of the
+        mapper's own: it must be cone-closed (every mapped node's cone is
+        mapped) and already hold every input of the node's cone, as a
+        time frame of :class:`repro.mc.unroll.Unroller` does.  The
+        constant variable is shared by all maps.
+        """
+        node_var = self._node_var if frame is None else frame
+        existing = node_var.get(node)
         if existing is not None:
             return existing
         if node == 0:
@@ -58,7 +74,7 @@ class CnfMapper:
         # walk stops at encoded nodes, whose cones are encoded already.
         # Fanins are read straight from the manager's arrays (-1 marks an
         # input; a cone never holds the constant node).
-        aig, solver, node_var = self.aig, self.solver, self._node_var
+        aig, solver = self.aig, self.solver
         fanin0, fanin1 = aig._fanin0, aig._fanin1
         add_and_gate = solver.add_and_gate
         for cone_node in aig.cone([2 * node], node_var):
@@ -75,18 +91,18 @@ class CnfMapper:
             )
         return node_var[node]
 
-    def lit_for(self, edge: int) -> int:
+    def lit_for(self, edge: int, frame: dict[int, int] | None = None) -> int:
         """DIMACS literal equivalent to the edge (encoding its cone).
 
         The constant node is backed by a variable pinned to false, so the
         FALSE edge maps to that (unsatisfiable) literal and TRUE to its
-        negation.
+        negation.  ``frame`` is as for :meth:`var_for_node`.
         """
         if edge == FALSE:
             return self._var_for_const()
         if edge == TRUE:
             return -self._var_for_const()
-        var = self.var_for_node(edge >> 1)
+        var = self.var_for_node(edge >> 1, frame)
         return -var if edge & 1 else var
 
     def input_literal(self, input_node: int) -> int:
@@ -105,44 +121,3 @@ class CnfMapper:
             for node, var in self._input_vars
             if var <= len(model)
         }
-
-
-def edge_to_cnf(aig: Aig, edge: int) -> tuple[CNF, int, dict[int, int]]:
-    """Standalone Tseitin encoding of one edge.
-
-    Returns ``(cnf, root_literal, input_node_to_var)``.  Asserting
-    ``root_literal`` makes the CNF equisatisfiable with the edge function.
-    """
-    cnf = CNF()
-    node_var: dict[int, int] = {}
-    const_var: int | None = None
-
-    def const() -> int:
-        nonlocal const_var
-        if const_var is None:
-            const_var = cnf.new_var()
-            cnf.add_clause([-const_var])
-        return const_var
-
-    def lit_of(e: int) -> int:
-        node = e >> 1
-        var = const() if node == 0 else node_var[node]
-        return -var if e & 1 else var
-
-    for node in aig.cone([edge]):
-        if aig.is_input(node):
-            node_var[node] = cnf.new_var()
-            continue
-        f0, f1 = aig.fanins(node)
-        a, b = lit_of(f0), lit_of(f1)
-        out = cnf.new_var()
-        node_var[node] = out
-        cnf.add_clause([-out, a])
-        cnf.add_clause([-out, b])
-        cnf.add_clause([out, -a, -b])
-    inputs = {node: var for node, var in node_var.items() if aig.is_input(node)}
-    if edge == FALSE:
-        return cnf, const(), inputs   # pinned-false literal: asserting it is UNSAT
-    if edge == TRUE:
-        return cnf, -const(), inputs
-    return cnf, lit_of(edge), inputs

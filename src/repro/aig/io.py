@@ -53,11 +53,18 @@ def read_aag(text: str | TextIO) -> tuple[Aig, list[int]]:
     """Parse ASCII AIGER; returns ``(aig, output_edges)``.
 
     Latch declarations are rejected — sequential AIGER is handled at the
-    netlist layer.
+    netlist layer.  Malformed input raises :class:`AigError`.
     """
     if not isinstance(text, str):
         text = text.read()
-    lines = text.splitlines()
+    try:
+        return _parse_aag(text.splitlines())
+    except (ValueError, IndexError) as exc:
+        # A non-numeric field or a section cut short.
+        raise AigError(f"malformed AIGER input: {exc}") from exc
+
+
+def _parse_aag(lines: list[str]) -> tuple[Aig, list[int]]:
     if not lines:
         raise AigError("empty AIGER input")
     header = lines[0].split()

@@ -19,10 +19,9 @@ round at unrolling depth ``k``:
 * SAT with a widened ``R``: spurious (an artifact of over-approximation)
   — restart with a deeper unrolling, which tightens the interpolants.
 
-Every refutation can be replayed through the independent checker
-(``check_proofs``, on by default), and every interpolant differentially
-validated against the DPLL oracle (``verify_interpolants``, expensive,
-for tests).
+Every refutation is replayed through the independent checker, and every
+interpolant can be differentially validated against the DPLL oracle
+(``verify_interpolants``, expensive, for tests).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.itp.interpolant import extract_interpolant, verify_interpolant
 from repro.itp.options import ItpOptions
 from repro.itp.proof import ResolutionProof
 from repro.mc.result import Status, Trace, VerificationResult
-from repro.mc.trace import find_violation_inputs
+from repro.mc.trace import initial_violation
 from repro.mc.unroll import Unroller
 from repro.obs import probes as _obs
 from repro.sat.solver import SolveResult, Solver
@@ -51,9 +50,12 @@ def interpolation_reachability(
         options = ItpOptions()
     netlist.validate()
     stats = StatsBag()
-    failed0 = _check_initial_states(netlist, stats)
-    if failed0 is not None:
-        return failed0
+    trace0 = initial_violation(netlist, stats)
+    if trace0 is not None:
+        return VerificationResult(
+            status=Status.FAILED, engine="itp", trace=trace0,
+            iterations=0, stats=stats,
+        )
     iterations = 0
     depth = 1
     while depth <= options.max_depth:
@@ -80,33 +82,6 @@ def interpolation_reachability(
     return VerificationResult(
         status=Status.UNKNOWN, engine="itp",
         iterations=iterations, stats=stats,
-    )
-
-
-def _check_initial_states(
-    netlist: Netlist, stats: StatsBag
-) -> VerificationResult | None:
-    """Depth 0: does some initial state already violate the property?"""
-    aig = netlist.aig
-    bad0 = aig.and_(
-        netlist.init_state_edge(),
-        aig.and_(netlist.constraint_edge(),
-                 edge_not(netlist.property_edge)),
-    )
-    if bad0 == FALSE:
-        return None
-    mapper = CnfMapper(aig, Solver())
-    stats.incr("sat_calls")
-    if mapper.solver.solve([mapper.lit_for(bad0)]) is not SolveResult.SAT:
-        return None
-    state = netlist.init_assignment()
-    trace = Trace(
-        states=[state], inputs=[],
-        violation_inputs=find_violation_inputs(netlist, state),
-    )
-    return VerificationResult(
-        status=Status.FAILED, engine="itp", trace=trace,
-        iterations=0, stats=stats,
     )
 
 
@@ -160,9 +135,8 @@ def _itp_round(
             return "deepen", None, iterations
         proof = ResolutionProof.from_solver(solver)
         stats.set("proof_nodes", float(len(proof)))
-        if options.check_proofs:
-            proof.check_refutation()
-            stats.incr("proofs_checked")
+        proof.check_refutation()
+        stats.incr("proofs_checked")
         frame1 = unroller.frame(1)
         var_edge = {frame1[node]: 2 * node for node in latch_nodes}
         if unroller.const_var is not None:

@@ -17,13 +17,12 @@ class ItpOptions:
 
     ``max_depth`` bounds the unrolling depth ``k`` (doubled after every
     spurious hit); ``max_iterations`` caps the interpolant iterations of
-    one fixed-depth round before deepening is forced.  ``check_proofs``
-    replays each refutation through the independent resolution checker;
+    one fixed-depth round before deepening is forced.  Every refutation
+    is replayed through the independent resolution checker;
     ``verify_interpolants`` additionally runs the DPLL differential
     check on every extracted interpolant (slow — meant for tests).
     """
 
     max_depth: int = 100
     max_iterations: int = 64
-    check_proofs: bool = True
     verify_interpolants: bool = False

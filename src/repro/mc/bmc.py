@@ -35,7 +35,6 @@ class BmcOptions:
 
     max_depth: int = 100
     preimage_folds: int = 0
-    quantify_options: QuantifyOptions | None = None
     solver: Solver | None = None
 
 
@@ -43,7 +42,6 @@ def bmc(
     netlist: Netlist,
     max_depth: int,
     preimage_folds: int = 0,
-    quantify_options: QuantifyOptions | None = None,
     solver: Solver | None = None,
 ) -> VerificationResult:
     """Search for a counterexample of length at most ``max_depth``.
@@ -53,7 +51,7 @@ def bmc(
     """
     netlist.validate()
     stats = StatsBag()
-    targets = fold_targets(netlist, preimage_folds, quantify_options, stats)
+    targets = fold_targets(netlist, preimage_folds, stats)
     target = targets[-1]
     unroller = Unroller(netlist, solver)
     unroller.assert_initial_state()
@@ -105,24 +103,17 @@ def bmc(
     )
 
 
-def fold_targets(
-    netlist: Netlist,
-    folds: int,
-    options: QuantifyOptions | None,
-    stats: StatsBag,
-) -> list[int]:
+def fold_targets(netlist: Netlist, folds: int, stats: StatsBag) -> list[int]:
     """``[bad, pre(bad), ..., pre^folds(bad)]``, or ``[NOT P]`` unfolded.
 
+    The pre-images quantify with the default (full) ``QuantifyOptions``.
     The fold targets must be pure *state* sets: the bad states quantify
     the property's own input references first, otherwise the fold would
     conflate the violation-step inputs with the transition inputs.
     """
     if not folds:
         return [edge_not(netlist.property_edge)]
-    computer = ImageComputer(
-        netlist,
-        options if options is not None else QuantifyOptions.preset("full"),
-    )
+    computer = ImageComputer(netlist, QuantifyOptions())
     targets = [computer.bad_states().edge]
     for _ in range(folds):
         result = computer.preimage(targets[-1])

@@ -50,7 +50,6 @@ def _run_bmc(netlist: Netlist, options: BmcOptions) -> VerificationResult:
         netlist,
         max_depth=options.max_depth,
         preimage_folds=options.preimage_folds,
-        quantify_options=options.quantify_options,
         solver=options.solver,
     )
 
@@ -72,7 +71,6 @@ def _run_k_induction(
         max_k=options.max_k,
         unique_states=options.unique_states,
         preimage_folds=options.preimage_folds,
-        quantify_options=options.quantify_options,
     )
 
 

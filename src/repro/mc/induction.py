@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.circuits.netlist import Netlist
-from repro.core.quantify import QuantifyOptions
 from repro.mc.bmc import extract_trace, fold_targets
 from repro.mc.result import Status, VerificationResult
 from repro.mc.unroll import Unroller
@@ -32,7 +31,6 @@ class KInductionOptions:
     max_k: int = 100
     unique_states: bool = True
     preimage_folds: int = 0
-    quantify_options: QuantifyOptions | None = None
 
 
 def k_induction(
@@ -40,7 +38,6 @@ def k_induction(
     max_k: int,
     unique_states: bool = True,
     preimage_folds: int = 0,
-    quantify_options: QuantifyOptions | None = None,
 ) -> VerificationResult:
     """Prove the property by k-induction or find a counterexample.
 
@@ -49,7 +46,7 @@ def k_induction(
     """
     netlist.validate()
     stats = StatsBag()
-    targets = fold_targets(netlist, preimage_folds, quantify_options, stats)
+    targets = fold_targets(netlist, preimage_folds, stats)
     target = targets[-1]
     stats.set("folds", preimage_folds)
 

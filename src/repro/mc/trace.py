@@ -24,7 +24,8 @@ traversal hands in the :class:`~repro.aig.cnf.CnfMapper` of its checks
 (which has most of the layers encoded already), and other callers get
 one fresh mapper for the whole walk, made on the first miss.  The
 violation inputs of the final state (``NOT P AND C``) are found in the
-same order.
+same order.  :func:`initial_violation` is the depth-0 check that
+interpolation and PDR make before their searches.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ import random
 from typing import Mapping
 
 from repro.aig.cnf import CnfMapper
+from repro.aig.graph import FALSE, edge_not
 from repro.aig.simulate import simulate, word_mask
 from repro.circuits.netlist import Netlist
 from repro.core.substitution import preimage_by_substitution
 from repro.errors import ModelCheckingError
+from repro.mc.result import Trace
 from repro.sat.solver import SolveResult, Solver
 from repro.util.stats import StatsBag
 
@@ -159,6 +162,31 @@ def find_violation_inputs(
     if mapper.solver.solve(assumptions) is not SolveResult.SAT:
         return None
     return _model_inputs(netlist, mapper)
+
+
+def initial_violation(netlist: Netlist, stats: StatsBag) -> Trace | None:
+    """The length-0 trace if an initial state violates the property.
+
+    Asks SAT for ``init AND C AND NOT P`` on a fresh solver, counted in
+    ``stats`` as one ``sat_calls``; no call is made when the query folds
+    to FALSE in the manager.
+    """
+    aig = netlist.aig
+    bad0 = aig.and_(
+        netlist.init_state_edge(),
+        aig.and_(netlist.constraint_edge(), edge_not(netlist.property_edge)),
+    )
+    if bad0 == FALSE:
+        return None
+    mapper = CnfMapper(aig, Solver())
+    stats.incr("sat_calls")
+    if mapper.solver.solve([mapper.lit_for(bad0)]) is not SolveResult.SAT:
+        return None
+    state = netlist.init_assignment()
+    return Trace(
+        states=[state], inputs=[],
+        violation_inputs=find_violation_inputs(netlist, state),
+    )
 
 
 def concretize_suffix(

@@ -1,15 +1,17 @@
 """Time-frame expansion of a netlist into one incremental SAT instance.
 
-Used by BMC and k-induction.  Each frame gets fresh solver variables for
-inputs and latches; the combinational logic is Tseitin-encoded per frame
-into the *same* solver, so deeper checks reuse everything learned on the
-shallow ones.
+Used by BMC, k-induction, interpolation and PDR.  Each frame gets fresh
+solver variables for inputs and latches; the combinational logic is
+Tseitin-encoded per frame into the *same* solver, so deeper checks reuse
+everything learned on the shallow ones.  The encoding is
+:class:`repro.aig.cnf.CnfMapper`'s, run over each frame's node map.
 """
 
 from __future__ import annotations
 
+from repro.aig.cnf import CnfMapper
 from repro.aig.graph import Aig
-from repro.aig.simulate import cone_plan
+from repro.aig.ops import support
 from repro.circuits.netlist import Netlist
 from repro.errors import ModelCheckingError
 from repro.sat.solver import Solver
@@ -28,10 +30,12 @@ class Unroller:
         self.netlist = netlist
         self.aig: Aig = netlist.aig
         self.solver = solver if solver is not None else Solver()
+        # Encodes every frame; its own node map stays empty.
+        self._mapper = CnfMapper(self.aig, self.solver)
         self._next_functions = netlist.next_functions()
-        # Per-frame: node -> solver literal for latch and input nodes.
+        # Per frame: node -> solver variable, for the latch and input
+        # nodes and every AND node encoded over them.
         self._frames: list[dict[int, int]] = []
-        self._const_var: int | None = None
         # Interpolation partitions clauses by *when* they are added, so
         # the itp engine needs to place each frame's environment
         # constraints itself (via constrain_frame) instead of having
@@ -45,12 +49,6 @@ class Unroller:
     @property
     def num_frames(self) -> int:
         return len(self._frames)
-
-    def _false_lit(self) -> int:
-        if self._const_var is None:
-            self._const_var = self.solver.new_var()
-            self.solver.add_clause([-self._const_var])
-        return self._const_var
 
     def _new_frame(self) -> dict[int, int]:
         frame: dict[int, int] = {}
@@ -106,7 +104,7 @@ class Unroller:
     @property
     def const_var(self) -> int | None:
         """The solver variable pinned FALSE for constant edges (if any)."""
-        return self._const_var
+        return self._mapper.const_var
 
     def frame(self, index: int) -> dict[int, int]:
         self.ensure_frames(index + 1)
@@ -120,47 +118,18 @@ class Unroller:
         """Tseitin-encode an AIG edge over one frame's leaf variables.
 
         Gate encodings are cached inside the frame map (keyed by AND node),
-        so repeated calls share clauses.
+        so repeated calls share clauses.  Every input of the edge's cone
+        must be a latch or input of the frame; that is checked before any
+        clause is added, so a rejected edge leaves the frame as it was.
         """
         node = edge >> 1
-        if node == 0:
-            base = self._false_lit()
-            return -base if edge & 1 else base
-        if node not in frame and not self.aig.is_and(node):
-            raise ModelCheckingError(
-                f"node {node} is not part of this netlist's interface"
-            )
-        # The cached cone plan replays the same topological order as a
-        # fresh Aig.cone walk, so clause emission order (and therefore
-        # the solver trajectory) is unchanged — only the walk is saved.
-        plan = cone_plan(self.aig, (2 * node,))
-        for _, cone_node in plan.inputs:
-            if cone_node not in frame:
+        if node and node not in frame:
+            missing = support(self.aig, edge) - frame.keys()
+            if missing:
                 raise ModelCheckingError(
-                    f"input node {cone_node} missing from frame"
+                    f"input nodes {sorted(missing)} missing from frame"
                 )
-        for dst, src0, neg0, src1, neg1 in plan.ops:
-            cone_node = plan.nodes[dst]
-            if cone_node in frame:
-                continue
-            f0, f1 = self.aig.fanins(cone_node)
-            a = self._frame_edge_lit(frame, f0)
-            b = self._frame_edge_lit(frame, f1)
-            out = self.solver.new_var()
-            frame[cone_node] = out
-            self.solver.add_clause([-out, a])
-            self.solver.add_clause([-out, b])
-            self.solver.add_clause([out, -a, -b])
-        lit = frame[node]
-        return -lit if edge & 1 else lit
-
-    def _frame_edge_lit(self, frame: dict[int, int], edge: int) -> int:
-        node = edge >> 1
-        if node == 0:
-            base = self._false_lit()
-        else:
-            base = frame[node]
-        return -base if edge & 1 else base
+        return self._mapper.lit_for(edge, frame)
 
     # ------------------------------------------------------------------ #
     # Convenience literals

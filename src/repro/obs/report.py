@@ -174,7 +174,8 @@ def build_report(result, tracer: Tracer | None = None) -> RunReport:
 
     ``result`` is a :class:`~repro.mc.result.VerificationResult`; the
     tracer is optional — without one the report still carries the stats
-    split and any time-series attached to the result's bag.
+    split and any time-series attached to the result's bag (with one,
+    the series come from the tracer's samples, which include the bag's).
     """
     bag = result.stats
     gauges = {}
@@ -192,9 +193,12 @@ def build_report(result, tracer: Tracer | None = None) -> RunReport:
         counters=counters,
         gauges=gauges,
     )
-    series_points: dict[str, list[tuple[float, float]]] = {
-        key: list(bag.series(key)) for key in bag.series_keys()
-    }
+    # Every sample in the bag's series went to the run's tracer as well,
+    # so with a tracer its samples alone are the series.
+    series_points: dict[str, list[tuple[float, float]]] = (
+        {key: list(bag.series(key)) for key in bag.series_keys()}
+        if tracer is None else {}
+    )
     if tracer is not None:
         spans = sorted(tracer.spans, key=lambda s: s.start)
         report.span_count = len(spans)

@@ -1,9 +1,9 @@
-"""Tests for Tseitin encoding: CnfMapper and standalone edge_to_cnf."""
+"""Tests for Tseitin encoding: CnfMapper."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aig.cnf import CnfMapper, edge_to_cnf
+from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import or_, xor
 from repro.aig.simulate import eval_edge
@@ -33,6 +33,34 @@ class TestCnfMapper:
         mapper = CnfMapper(aig)
         assert mapper.solver.solve([mapper.lit_for(TRUE)]) is SolveResult.SAT
         assert mapper.solver.solve([mapper.lit_for(FALSE)]) is SolveResult.UNSAT
+
+    def test_constant_edges_share_one_variable(self):
+        aig = Aig()
+        a = aig.add_input()
+        mapper = CnfMapper(aig)
+        mapper.lit_for(a)
+        assert mapper.const_var is None      # allocated on first use
+        false_lit = mapper.lit_for(FALSE)
+        assert mapper.const_var == false_lit
+        assert mapper.lit_for(TRUE) == -false_lit
+        assert mapper.solver.num_vars == 2
+
+    def test_model_inputs_cover_the_cone(self):
+        aig = Aig()
+        a, b, c = aig.add_inputs(3)
+        f = aig.and_(a, b)
+        mapper = CnfMapper(aig)
+        mapper.lit_for(f)
+        assert mapper.solver.solve() is SolveResult.SAT
+        assert set(mapper.model_inputs()) == {a >> 1, b >> 1}
+
+    def test_model_projects_to_onset(self):
+        aig = Aig()
+        a, b, c = aig.add_inputs(3)
+        f = aig.and_(aig.and_(a, edge_not(b)), c)
+        mapper = CnfMapper(aig)
+        assert mapper.solver.solve([mapper.lit_for(f)]) is SolveResult.SAT
+        assert eval_edge(aig, f, mapper.model_inputs())
 
     def test_model_matches_simulation(self):
         aig, inputs, root = build_random_aig(5, 25, seed=21)
@@ -95,47 +123,6 @@ class TestCnfMapper:
         lit_g = mapper.lit_for(g)
         assert mapper.solver.solve([lit_f, -lit_g]) is SolveResult.UNSAT
         assert mapper.solver.solve([-lit_f, lit_g]) is SolveResult.UNSAT
-
-
-class TestEdgeToCnf:
-    def test_equisatisfiability(self):
-        aig, inputs, root = build_random_aig(4, 18, seed=22)
-        cnf, lit, input_vars = edge_to_cnf(aig, root)
-        cnf.add_clause([lit])
-        solver = Solver(cnf)
-        from repro.aig.simulate import truth_table
-
-        has_onset = truth_table(aig, root, [e >> 1 for e in inputs]) != 0
-        assert (solver.solve() is SolveResult.SAT) == has_onset
-
-    def test_constant_edges(self):
-        aig = Aig()
-        cnf_t, lit_t, _ = edge_to_cnf(aig, TRUE)
-        cnf_t.add_clause([lit_t])
-        assert Solver(cnf_t).solve() is SolveResult.SAT
-        cnf_f, lit_f, _ = edge_to_cnf(aig, FALSE)
-        cnf_f.add_clause([lit_f])
-        assert Solver(cnf_f).solve() is SolveResult.UNSAT
-
-    def test_input_map_returned(self):
-        aig = Aig()
-        a, b = aig.add_inputs(2)
-        f = aig.and_(a, b)
-        cnf, lit, input_vars = edge_to_cnf(aig, f)
-        assert set(input_vars) == {a >> 1, b >> 1}
-
-    def test_model_projects_to_onset(self):
-        aig = Aig()
-        a, b, c = aig.add_inputs(3)
-        f = aig.and_(aig.and_(a, edge_not(b)), c)
-        cnf, lit, input_vars = edge_to_cnf(aig, f)
-        cnf.add_clause([lit])
-        solver = Solver(cnf)
-        assert solver.solve() is SolveResult.SAT
-        assignment = {
-            node: solver.value(var) for node, var in input_vars.items()
-        }
-        assert eval_edge(aig, f, assignment)
 
 
 @settings(max_examples=30, deadline=None)

@@ -173,7 +173,7 @@ class TestProofDiscipline:
     def test_deep_counter_proved_without_bdds(self):
         # Acceptance: a >= 64-bit counter proved by interpolation alone;
         # the final UNSAT call's resolution proof passed the independent
-        # checker (check_proofs defaults to True).
+        # checker (the engine checks every refutation).
         result = run_itp(G.mod_counter(64))
         assert result.status is Status.PROVED
         expected = result.iterations - result.stats.get(

@@ -73,6 +73,26 @@ class TestUnroller:
         with pytest.raises(ModelCheckingError):
             unroller.edge_lit_in(unroller.frame(0), foreign)
 
+    def test_foreign_and_node_rejected_before_encoding(self):
+        # An AND over both latches and an input outside the netlist: the
+        # check runs before any clause, so the frame and the solver stay
+        # as they were.
+        net = G.mod_counter(2, 3)
+        unroller = Unroller(net)
+        frame = unroller.frame(1)
+        before = dict(frame)
+        num_vars = unroller.solver.num_vars
+        foreign = net.aig.add_input("foreign")
+        latch, other = (2 * node for node in net.latch_nodes)
+        gate = net.aig.and_(net.aig.and_(latch, other ^ 1), foreign)
+        with pytest.raises(ModelCheckingError, match="missing from frame"):
+            unroller.edge_lit_in(frame, gate)
+        assert frame == before
+        assert unroller.solver.num_vars == num_vars
+        # The frame still encodes its own logic afterwards.
+        unroller.edge_lit_in(frame, net.aig.and_(latch, other ^ 1))
+        assert unroller.solver.num_vars == num_vars + 1
+
 
 class TestBmc:
     def test_finds_exact_depth(self):

@@ -498,6 +498,35 @@ class TestRunReport:
         series_names = {series.name for series in report.series}
         assert "sat.conflicts" in series_names
 
+    def _unthrottled_bdd_run(self):
+        # tick=0 accepts every sample, so the counts do not depend on
+        # timing.
+        from repro.circuits.generators import gray_counter
+
+        return verify(gray_counter(6), method="reach_bdd_fwd",
+                      trace=Tracer(tick=0.0))
+
+    def test_series_count_each_sample_once(self):
+        # Every sample in the result's bag is a tracer sample too, so the
+        # report summarizes the tracer's alone.
+        result = self._unthrottled_bdd_run()
+        tracer = result.tracer
+        assert result.stats.series("bdd.nodes")
+        report = obs.build_report(result, tracer)
+        assert report.series
+        for summary in report.series:
+            assert summary.samples == sum(
+                1 for c in tracer.counters if c.name == summary.name
+            )
+
+    def test_report_without_tracer_uses_the_bag_series(self):
+        result = self._unthrottled_bdd_run()
+        report = obs.build_report(result)
+        assert {s.name: s.samples for s in report.series} == {
+            key: len(result.stats.series(key))
+            for key in result.stats.series_keys()
+        }
+
     def test_report_without_tracer_still_splits_stats(self):
         result = verify(mod_counter(4), method="pdr", max_depth=32)
         report = obs.build_report(result)
