@@ -35,6 +35,11 @@ from repro.util.stats import StatsBag
 # foldable structure indefinitely on pathological cones.
 _MAX_FORCED_PER_NODE = 64
 
+# Cube literals posed as solver assumptions instead of baked into a
+# leaf's CNF: the last one, so an UNSAT core that leaves it out refutes
+# the parent cube and prunes the sibling.
+ASSUME_TAIL = 1
+
 
 @dataclass(frozen=True)
 class CubeLiteral:
@@ -55,7 +60,8 @@ class CubeLeaf:
 
     ``target`` is the fully-reduced edge (original AND all literals);
     ``base_target`` is the ancestor's reduction with the last
-    ``len(assumed)`` literals *not* applied — the conquer stage asserts
+    ``len(assumed)`` (at most :data:`ASSUME_TAIL`) literals *not*
+    applied — the conquer stage asserts
     ``base_target`` and poses the tail literals as solver assumptions,
     so an UNSAT core over them refutes an ancestor cube, not just this
     leaf.
@@ -99,7 +105,6 @@ def build_cube_tree(
     *,
     cube_depth: int = 4,
     candidates_limit: int = 10,
-    assume_tail: int = 1,
     stats: StatsBag | None = None,
 ) -> CubeTree:
     """Split ``target`` into a cube tree of at most ``2**cube_depth`` leaves.
@@ -112,7 +117,7 @@ def build_cube_tree(
     bag = stats if stats is not None else StatsBag()
 
     def leaf(literals, path_targets, refuted):
-        cut = max(0, len(literals) - assume_tail)
+        cut = max(0, len(literals) - ASSUME_TAIL)
         tree.leaves.append(
             CubeLeaf(
                 literals=tuple(literals),

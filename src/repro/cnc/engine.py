@@ -94,7 +94,6 @@ def split_solve(
     cube_depth: int = 4,
     candidates_limit: int = 10,
     workers: int = 0,
-    assume_tail: int = 1,
     conflict_budget: int | None = None,
     cube_budget: float | None = None,
     stats: StatsBag | None = None,
@@ -114,7 +113,6 @@ def split_solve(
             target,
             cube_depth=cube_depth,
             candidates_limit=candidates_limit,
-            assume_tail=assume_tail,
             stats=bag,
         )
     open_leaves = tree.open_leaves
@@ -243,7 +241,6 @@ def cnc_verify(
         cube_depth=options.cube_depth,
         candidates_limit=options.candidates_limit,
         workers=workers,
-        assume_tail=options.assume_tail,
         conflict_budget=options.conflict_budget,
         cube_budget=options.cube_budget,
         stats=stats,

@@ -17,17 +17,13 @@ class CncOptions:
     of a depth sweep.  ``cube_depth`` and ``candidates_limit`` shape the
     Cube stage (tree depth and the lookahead's top-K trial set);
     ``workers`` sizes the conquer pool (0 solves the cubes in-process,
-    sequentially and deterministically).  ``assume_tail`` poses the last
-    N cube literals as solver assumptions instead of baking them into the
-    CNF, so an UNSAT core over them can refute an ancestor cube and prune
-    the siblings sharing that falsified prefix.
+    sequentially and deterministically).
     """
 
     max_depth: int = 100
     cube_depth: int = 4
     candidates_limit: int = 10
     workers: int = 2
-    assume_tail: int = 1
     conflict_budget: int | None = None
     cube_budget: float | None = None
 
@@ -40,5 +36,3 @@ class CncOptions:
             raise ModelCheckingError("cnc candidates_limit must be >= 1")
         if self.workers < 0:
             raise ModelCheckingError("cnc workers must be >= 0")
-        if self.assume_tail < 0:
-            raise ModelCheckingError("cnc assume_tail must be >= 0")

@@ -17,8 +17,8 @@ BDDs only for nodes no earlier cofactor pair has shown it.
   - ``"allsat"``: all-solutions SAT enumeration with circuit cofactoring
     (:func:`repro.core.partial.allsat_quantify`, Ganai et al.);
   - ``"hybrid"``: partial circuit quantification, aborting the variables
-    that grow the result beyond ``growth_factor``, then all-SAT on the
-    residual ones (the Section 4 combination).
+    that grow the result beyond :data:`HYBRID_GROWTH_FACTOR`, then all-SAT
+    on the residual ones (the Section 4 combination).
 
 * **bad states** ``exists i . C AND NOT P`` go through the same input
   elimination, so backward layers and pre-image fold targets are pure
@@ -31,8 +31,9 @@ BDDs only for nodes no earlier cofactor pair has shown it.
   is quantified as soon as no later conjunct depends on it — the same plan
   vocabulary the BDD engine's scheduled image uses
   (:func:`repro.core.schedule.plan_partitioned_quantification`).
-  ``schedule_image=False`` keeps the monolithic conjoin-then-quantify
-  pipeline as the reference the scheduled product is tested against.
+  :meth:`ImageComputer.postimage_monolithic` keeps the monolithic
+  conjoin-then-quantify pipeline as the reference the scheduled product
+  is tested against.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ from repro.util.stats import StatsBag
 
 ELIMINATION_MODES = ("circuit", "allsat", "hybrid")
 
+# The hybrid mode's abort rule: a variable whose quantification grows the
+# result beyond this factor is left to all-SAT.  Read at call time, so
+# tests monkeypatch it to force aborts.
+HYBRID_GROWTH_FACTOR = 2.0
+
 
 @dataclass
 class ImageResult:
@@ -69,8 +75,8 @@ class ImageComputer:
     """Pre/post-image engine over one netlist.
 
     ``elimination`` picks how :meth:`eliminate_inputs` removes the primary
-    inputs (see the module docstring); ``growth_factor`` is the hybrid
-    mode's abort rule and ``max_cubes`` bounds every all-SAT enumeration.
+    inputs (see the module docstring); ``max_cubes`` bounds every all-SAT
+    enumeration.
     """
 
     def __init__(
@@ -78,9 +84,7 @@ class ImageComputer:
         netlist: Netlist,
         options: QuantifyOptions | None = None,
         elimination: str = "circuit",
-        growth_factor: float = 2.0,
         max_cubes: int | None = None,
-        schedule_image: bool = True,
     ) -> None:
         if elimination not in ELIMINATION_MODES:
             raise ModelCheckingError(
@@ -93,9 +97,7 @@ class ImageComputer:
         # A plan step's variables arrive in plan order: quantify them so.
         self._step_options = replace(self.options, schedule="static")
         self.elimination = elimination
-        self.growth_factor = growth_factor
         self.max_cubes = max_cubes
-        self.schedule_image = schedule_image
         self._sweeper: SatSweeper | None = None
         self._bdd_table: BddSweepTable | None = None
         self._next_functions = netlist.next_functions()
@@ -169,7 +171,7 @@ class ImageComputer:
             quantifier = PartialQuantifier(
                 aig,
                 options=self.options,
-                growth_factor=self.growth_factor,
+                growth_factor=HYBRID_GROWTH_FACTOR,
                 sweeper=self.sweeper,
                 bdd_table=self.bdd_table,
             )
@@ -197,51 +199,32 @@ class ImageComputer:
                 self._placeholders[latch.node] = edge >> 1
         return self._placeholders
 
-    def postimage(self, state_set: int) -> ImageResult:
-        """States reachable from ``state_set`` in one step.
-
-        Relational product: ``exists s, i . S(s) AND AND_k (y_k == delta_k)``
-        followed by renaming y back to the state variables.  Unless
-        ``schedule_image`` is off, the product is conjoined partition by
-        partition with early quantification along the shared
-        image-scheduling plan.
-        """
+    def _relation(self) -> list[int]:
+        """The transition relation's conjuncts: ``y_k == delta_k`` per
+        latch, then the environment constraint."""
         placeholders = self._next_placeholders()
         constraints = [
             xnor(self.aig, 2 * placeholders[node], fn)
             for node, fn in self._next_functions.items()
         ]
         constraints.append(self.netlist.constraint_edge())
-        if self.schedule_image:
-            result = self._scheduled_product(state_set, constraints)
-        else:
-            product = self.aig.and_(state_set, and_all(self.aig, constraints))
-            present = support(self.aig, product)
-            to_quantify = [
-                node
-                for node in (
-                    self.netlist.latch_nodes + self.netlist.input_nodes
-                )
-                if node in present
-            ]
-            outcome = quantify_exists(
-                self.aig, product, to_quantify, self.options,
-                sweeper=self.sweeper, bdd_table=self.bdd_table,
-            )
-            result = ImageResult(edge=outcome.edge, stats=outcome.stats)
+        return constraints
+
+    def _rename(self, edge: int, stats: StatsBag) -> ImageResult:
+        """Rename the next-state placeholders back to the latches."""
         renamed = compose(
             self.aig,
-            result.edge,
-            {y: 2 * node for node, y in placeholders.items()},
+            edge,
+            {y: 2 * node for node, y in self._next_placeholders().items()},
         )
-        return ImageResult(edge=renamed, stats=result.stats)
+        return ImageResult(edge=renamed, stats=stats)
 
-    def _scheduled_product(
-        self, state_set: int, constraints: list[int]
-    ) -> ImageResult:
-        """Partitioned relational product with early quantification.
+    def postimage(self, state_set: int) -> ImageResult:
+        """States reachable from ``state_set`` in one step.
 
-        The conjuncts are folded into the product along the
+        Relational product ``exists s, i . S(s) AND AND_k (y_k == delta_k)``
+        followed by renaming y back to the state variables.  The conjuncts
+        are folded into the product along the
         :func:`~repro.core.schedule.plan_partitioned_quantification` plan;
         each plan step hands its freed variables to the circuit-based
         quantifier at once, to be quantified in plan order (the ``static``
@@ -251,6 +234,7 @@ class ImageComputer:
         """
         aig = self.aig
         if self._image_plan is None:
+            constraints = self._relation()
             # The full structural conjunction is cheap on AIGs; it only
             # seeds the scheduling heuristics, the product never builds it.
             relation = and_all(aig, constraints)
@@ -268,7 +252,7 @@ class ImageComputer:
                 support(aig, term) & candidate_set for term in constraints
             ]
             self._image_plan = (
-                list(constraints),
+                constraints,
                 plan_partitioned_quantification(order, supports),
             )
         constraints, plan = self._image_plan
@@ -288,4 +272,23 @@ class ImageComputer:
                 )
                 product = outcome.edge
                 stats.merge(outcome.stats)
-        return ImageResult(edge=product, stats=stats)
+        return self._rename(product, stats)
+
+    def postimage_monolithic(self, state_set: int) -> ImageResult:
+        """The reference :meth:`postimage` is tested against: conjoin the
+        whole relational product, then quantify every current-state and
+        input variable in its support in one call."""
+        product = self.aig.and_(
+            state_set, and_all(self.aig, self._relation())
+        )
+        present = support(self.aig, product)
+        to_quantify = [
+            node
+            for node in self.netlist.latch_nodes + self.netlist.input_nodes
+            if node in present
+        ]
+        outcome = quantify_exists(
+            self.aig, product, to_quantify, self.options,
+            sweeper=self.sweeper, bdd_table=self.bdd_table,
+        )
+        return self._rename(outcome.edge, outcome.stats)

@@ -34,7 +34,7 @@ from repro.aig.graph import FALSE, TRUE, Aig
 from repro.aig.ops import or_, support
 from repro.core.quantify import QuantifyOptions, quantify_exists
 from repro.errors import ResourceLimit
-from repro.sat.solver import SolveResult, Solver
+from repro.sat.solver import SolveResult
 from repro.sweep.bddsweep import BddSweepTable
 from repro.sweep.satsweep import SatSweeper
 from repro.util.stats import StatsBag
@@ -124,7 +124,6 @@ def allsat_quantify(
     edge: int,
     variables: list[int],
     max_cubes: int | None = None,
-    solver: Solver | None = None,
 ) -> tuple[int, StatsBag]:
     """``exists {variables} . edge`` by circuit-cofactoring enumeration.
 
@@ -140,7 +139,7 @@ def allsat_quantify(
     if not variables:
         stats.set("cubes", 0)
         return edge, stats
-    mapper = CnfMapper(aig, solver if solver is not None else Solver())
+    mapper = CnfMapper(aig)
     target_lit = mapper.lit_for(edge)
     result = FALSE
     cubes = 0

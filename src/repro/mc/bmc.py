@@ -24,7 +24,7 @@ from repro.core.quantify import QuantifyOptions
 from repro.mc.result import Status, Trace, VerificationResult
 from repro.mc.trace import concretize_suffix, find_violation_inputs
 from repro.mc.unroll import Unroller
-from repro.sat.solver import SolveResult, Solver
+from repro.sat.solver import SolveResult
 from repro.util.stats import StatsBag
 
 
@@ -35,14 +35,12 @@ class BmcOptions:
 
     max_depth: int = 100
     preimage_folds: int = 0
-    solver: Solver | None = None
 
 
 def bmc(
     netlist: Netlist,
     max_depth: int,
     preimage_folds: int = 0,
-    solver: Solver | None = None,
 ) -> VerificationResult:
     """Search for a counterexample of length at most ``max_depth``.
 
@@ -53,7 +51,7 @@ def bmc(
     stats = StatsBag()
     targets = fold_targets(netlist, preimage_folds, stats)
     target = targets[-1]
-    unroller = Unroller(netlist, solver)
+    unroller = Unroller(netlist)
     unroller.assert_initial_state()
     stats.set("folds", preimage_folds)
     # Folding skips lengths 0..j-1, so probe the intermediate fold targets

@@ -50,7 +50,6 @@ def _run_bmc(netlist: Netlist, options: BmcOptions) -> VerificationResult:
         netlist,
         max_depth=options.max_depth,
         preimage_folds=options.preimage_folds,
-        solver=options.solver,
     )
 
 

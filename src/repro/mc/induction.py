@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.circuits.netlist import Netlist
 from repro.mc.bmc import extract_trace, fold_targets
-from repro.mc.result import Status, VerificationResult
+from repro.mc.result import Status, Trace, VerificationResult
 from repro.mc.unroll import Unroller
 from repro.sat.solver import SolveResult, Solver
 from repro.util.stats import StatsBag
@@ -42,7 +42,8 @@ def k_induction(
     """Prove the property by k-induction or find a counterexample.
 
     Returns PROVED, FAILED (with trace) or UNKNOWN when ``max_k`` is
-    reached inconclusively.
+    reached inconclusively.  The stats' ``cnf_vars`` and
+    ``frames_unrolled`` sum the base and step unrollings.
     """
     netlist.validate()
     stats = StatsBag()
@@ -56,38 +57,41 @@ def k_induction(
     step = Unroller(netlist, Solver())
     distinct_done: set[tuple[int, int]] = set()
 
+    def finish(
+        status: Status, iterations: int, trace: Trace | None = None
+    ) -> VerificationResult:
+        stats.set("cnf_vars", base.solver.num_vars + step.solver.num_vars)
+        stats.set("frames_unrolled", base.num_frames + step.num_frames)
+        return VerificationResult(
+            status=status,
+            engine="k_induction",
+            trace=trace,
+            iterations=iterations,
+            stats=stats,
+        )
+
     # Folding skips violation lengths 0..j-1; probe the intermediate fold
     # targets at frame 0 so PROVED remains sound.
     for fold_depth in range(preimage_folds):
         stats.incr("base_sat_calls")
         lit = base.edge_lit_in(base.frame(0), targets[fold_depth])
         if base.solver.solve([lit]) is SolveResult.SAT:
-            return VerificationResult(
-                status=Status.FAILED,
-                engine="k_induction",
-                trace=extract_trace(
-                    netlist, base, 0, targets[: fold_depth + 1], folded=True,
-                    stats=stats,
-                ),
-                iterations=fold_depth,
+            trace = extract_trace(
+                netlist, base, 0, targets[: fold_depth + 1], folded=True,
                 stats=stats,
             )
+            return finish(Status.FAILED, fold_depth, trace)
 
     for k in range(max_k + 1):
         # ---- base: violation reachable in exactly k + folds steps? ----
         stats.incr("base_sat_calls")
         bad_lit = base.edge_lit_in(base.frame(k), target)
         if base.solver.solve([bad_lit]) is SolveResult.SAT:
-            return VerificationResult(
-                status=Status.FAILED,
-                engine="k_induction",
-                trace=extract_trace(
-                    netlist, base, k, targets, folded=preimage_folds > 0,
-                    stats=stats,
-                ),
-                iterations=k + preimage_folds,
+            trace = extract_trace(
+                netlist, base, k, targets, folded=preimage_folds > 0,
                 stats=stats,
             )
+            return finish(Status.FAILED, k + preimage_folds, trace)
         # ---- step: P ... P -> no violation at frame k+1? ----
         # Path frames 0..k satisfy P (and are pairwise distinct when
         # unique_states); frame k+1 violates.  UNSAT proves P invariant.
@@ -106,15 +110,5 @@ def k_induction(
                         distinct_done.add((i, j))
         if step.solver.solve(assumptions) is not SolveResult.SAT:
             stats.set("proved_at_k", k)
-            return VerificationResult(
-                status=Status.PROVED,
-                engine="k_induction",
-                iterations=k,
-                stats=stats,
-            )
-    return VerificationResult(
-        status=Status.UNKNOWN,
-        engine="k_induction",
-        iterations=max_k,
-        stats=stats,
-    )
+            return finish(Status.PROVED, k)
+    return finish(Status.UNKNOWN, max_k)

@@ -71,7 +71,6 @@ class ReachOptions:
     # "hybrid": partial circuit quantification, all-SAT on the residual
     #           (the Section 4 combination).
     input_elimination: str = "circuit"
-    partial_growth_factor: float = 2.0
     max_iterations: int = 10_000
     max_manager_nodes: int = 2_000_000
     allsat_max_cubes: int | None = None
@@ -442,7 +441,6 @@ class BackwardReachability(AigTraversal):
             self.model,
             options.quantify,
             elimination=mode,
-            growth_factor=options.partial_growth_factor,
             max_cubes=options.allsat_max_cubes,
         )
 

@@ -7,7 +7,7 @@ you quantify matters as much as *what* you quantify:
 
 * the transition relation is kept **partitioned** (one ``y_k == delta_k``
   conjunct per latch plus the environment constraint), clustered up to a
-  node threshold, IWLS95-style;
+  node threshold (:data:`CLUSTER_SIZE`), IWLS95-style;
 * the conjunction order and the early-quantification points are chosen by
   the variable-ordering heuristics of :mod:`repro.core.schedule` — the
   same vocabulary the AIG quantification path uses — so each variable is
@@ -46,6 +46,9 @@ from repro.mc.result import Status, Trace, VerificationResult
 from repro.obs import probes as _obs
 from repro.util.stats import StatsBag
 
+# BDD node bound of one transition-relation cluster of the post-image.
+CLUSTER_SIZE = 2_000
+
 
 @dataclass
 class BddReachOptions:
@@ -55,8 +58,7 @@ class BddReachOptions:
     ``max_nodes`` bounds the manager (:class:`~repro.errors.BddLimitExceeded`
     beyond it).  ``schedule`` names a :mod:`repro.core.schedule` heuristic
     that orders the quantified variables (and thereby the cluster
-    conjunctions) of the post-image.  ``cluster_size`` bounds the BDD node
-    count of one transition-relation cluster.  ``max_cache_entries``
+    conjunctions) of the post-image.  ``max_cache_entries``
     bounds each kernel operation cache; caches beyond the bound are
     dropped between frontier steps.
     """
@@ -64,7 +66,6 @@ class BddReachOptions:
     max_iterations: int = 10_000
     max_nodes: int | None = None
     schedule: str = "min_dependence"
-    cluster_size: int = 2_000
     max_cache_entries: int | None = 1 << 20
 
 
@@ -240,7 +241,7 @@ class _BddModel:
                     acc = piece
                     continue
                 combined = manager.and_(acc, piece)
-                if manager.size(combined) > self.options.cluster_size:
+                if manager.size(combined) > CLUSTER_SIZE:
                     clusters.append(acc)
                     acc = piece
                 else:

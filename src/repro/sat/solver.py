@@ -47,12 +47,11 @@ literal order ``add_clause`` would give them, and falls back to
 ``add_clause`` whenever that would do more: a fanin fixed at level 0,
 proof logging, or an unsatisfiable database.
 
-Phase saving is explicit and controllable: ``Solver(phase_saving=False)``
-freezes branching polarities at their defaults (or whatever
-:meth:`Solver.set_polarity` pinned), instead of re-using the polarity of
-the last unwound assignment.  Incremental workloads that pose long runs
-of near-identical queries — IC3/PDR frame queries, interpolation rounds —
-keep it on so each solve resumes near the previous one's assignment.
+Phase saving is always on: a decision re-uses the polarity of the
+variable's last unwound assignment (false for a variable never
+assigned).  Incremental workloads that pose long runs of near-identical
+queries — IC3/PDR frame queries, interpolation rounds — so resume each
+solve near the previous one's assignment.
 
 Clauses can also be *removable*: :meth:`Solver.add_removable_clause`
 attaches a fresh activation literal to the clause, the clause only
@@ -186,10 +185,8 @@ class Solver:
         self,
         cnf: CNF | None = None,
         proof: bool = False,
-        phase_saving: bool = True,
     ) -> None:
         self._nvars = 0
-        self._phase_saving = phase_saving
         # Per-variable state.
         self._values = bytearray()        # _UNASSIGNED / 1 (true) / 0 (false)
         self._levels: list[int] = []
@@ -426,17 +423,6 @@ class Solver:
         """
         self.add_clause([-activation])
 
-    def set_polarity(self, var: int, value: bool) -> None:
-        """Pin the branching polarity of ``var`` (a positive variable).
-
-        The next decision on ``var`` assigns ``value`` first.  With phase
-        saving enabled the hint lasts until the search overwrites it;
-        with ``phase_saving=False`` it is permanent.
-        """
-        if not 1 <= var <= self._nvars:
-            raise SatError(f"variable {var} out of range")
-        self._polarity[var - 1] = 1 if value else 0
-
     def _attach_clause(
         self, lits: list[int], learnt: bool, lbd: int, proof_id: int = -1
     ) -> int:
@@ -487,14 +473,12 @@ class Solver:
         values, polarity = self._values, self._polarity
         reasons = self._reasons
         heap, pos, act = self._heap, self._heap_pos, self._activity
-        save_phases = self._phase_saving
         target = self._trail_lim[level]
         trail = self._trail
         size = len(heap)
         for i in range(len(trail) - 1, target - 1, -1):
             var = trail[i] >> 1
-            if save_phases:
-                polarity[var] = values[var]
+            polarity[var] = values[var]
             values[var] = _UNASSIGNED
             reasons[var] = -1
             if pos[var] != -1:

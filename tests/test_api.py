@@ -115,6 +115,23 @@ class TestRegistry:
         with pytest.raises(ModelCheckingError, match="preimage_folds"):
             verify(G.mod_counter(2, 3), method="bmc", no_such_option=True)
 
+    @pytest.mark.parametrize(
+        "method,option,value",
+        [
+            ("reach_aig", "partial_growth_factor", 1.5),
+            ("reach_bdd_fwd", "cluster_size", 500),
+            ("cnc", "assume_tail", 2),
+            ("bmc", "solver", None),
+        ],
+    )
+    def test_settings_that_are_constants_are_not_options(
+        self, method, option, value
+    ):
+        # Module constants, not options: passing one names the options
+        # the engine has.
+        with pytest.raises(ModelCheckingError, match="known options are"):
+            verify(G.mod_counter(2, 3), method=method, **{option: value})
+
 
 class TestStatusSemantics:
     def test_is_conclusive(self):

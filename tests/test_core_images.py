@@ -13,6 +13,7 @@ from repro.aig.graph import edge_not
 from repro.aig.ops import and_all, support
 from repro.circuits import generators as G
 from repro.circuits.netlist import Netlist
+from repro.core import images as images_module
 from repro.core.images import ImageComputer
 from repro.mc.bmc import bmc
 from repro.mc.induction import k_induction
@@ -46,15 +47,15 @@ def constrained_input_design() -> Netlist:
 
 
 def computers(net: Netlist) -> dict[str, ImageComputer]:
-    # A tight growth budget forces the hybrid mode to hand variables on
-    # to all-SAT.
-    return {
-        mode: ImageComputer(net, elimination=mode, growth_factor=0.1)
-        for mode in MODES
-    }
+    return {mode: ImageComputer(net, elimination=mode) for mode in MODES}
 
 
 class TestEliminationModes:
+    @pytest.fixture(autouse=True)
+    def tight_growth_budget(self, monkeypatch):
+        # Forces the hybrid mode to hand variables on to all-SAT.
+        monkeypatch.setattr(images_module, "HYBRID_GROWTH_FACTOR", 0.1)
+
     def test_bad_states_agree(self):
         net = constrained_input_design()
         results = {

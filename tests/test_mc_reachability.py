@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.images as images
 import repro.mc.reach_aig as reach_aig
 from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, edge_not
@@ -411,13 +412,13 @@ class TestInputEliminationModes:
         assert result.status is Status.FAILED, mode
         assert result.trace.validate(G.fifo_level(3, safe=False))
 
-    def test_hybrid_reports_residuals(self):
+    def test_hybrid_reports_residuals(self, monkeypatch):
+        monkeypatch.setattr(images, "HYBRID_GROWTH_FACTOR", 0.1)  # aborts
         net = G.arbiter(3)
         result = BackwardReachability(
             net,
             ReachOptions(
                 input_elimination="hybrid",
-                partial_growth_factor=0.1,   # force aborts
                 quantify=QuantifyOptions.preset("hash"),
             ),
         ).run()

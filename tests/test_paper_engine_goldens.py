@@ -110,7 +110,13 @@ COUNTERS = {
         "sat_calls",
     ),
     "bmc": ("frames_unrolled", "cnf_vars", "sat_calls"),
-    "k_induction": ("proved_at_k", "base_sat_calls", "step_sat_calls"),
+    "k_induction": (
+        "proved_at_k",
+        "base_sat_calls",
+        "step_sat_calls",
+        "cnf_vars",
+        "frames_unrolled",
+    ),
     "cnc": (
         "cnc_cubes",
         "cnc_refuted_by_lookahead",
@@ -261,12 +267,12 @@ GOLDENS = {
         ("mod_counter_bug_5_24", "FAILED", (20, 2020, 24)),
     ),
     ("t7_induction", 0): (
-        ("mod_counter_5_20", "PROVED", (0, 1, 1)),
-        ("shift_register_6", "PROVED", (0, 1, 1)),
+        ("mod_counter_5_20", "PROVED", (0, 1, 1, 48, 3)),
+        ("shift_register_6", "PROVED", (0, 1, 1, 40, 3)),
     ),
     ("t7_induction", 1): (
-        ("mod_counter_5_20", "PROVED", (0, 2, 1)),
-        ("shift_register_6", "PROVED", (0, 2, 1)),
+        ("mod_counter_5_20", "PROVED", (0, 2, 1, 85, 3)),
+        ("shift_register_6", "PROVED", (0, 2, 1, 39, 3)),
     ),
     ("t15_itp", "tiny"): (
         ("mod_counter_16", "PROVED", (4, 9, 1, 185, 676, 30, 50)),

@@ -184,18 +184,17 @@ class TestScheduledAigPostimage:
         from repro.aig.simulate import eval_edge
 
         net = random_netlist(seed)
-        scheduled = ImageComputer(net, schedule_image=True)
-        monolithic = ImageComputer(net, schedule_image=False)
+        computer = ImageComputer(net)
         state = net.init_state_edge()
-        image_s = scheduled.postimage(state).edge
-        image_m = monolithic.postimage(state).edge
+        image_s = computer.postimage(state).edge
+        image_m = computer.postimage_monolithic(state).edge
         for bits in range(1 << len(net.latch_nodes)):
             assignment = {
                 node: bool((bits >> k) & 1)
                 for k, node in enumerate(net.latch_nodes)
             }
-            assert eval_edge(scheduled.aig, image_s, assignment) == eval_edge(
-                monolithic.aig, image_m, assignment
+            assert eval_edge(net.aig, image_s, assignment) == eval_edge(
+                net.aig, image_m, assignment
             ), (seed, bits)
 
     @pytest.mark.parametrize(

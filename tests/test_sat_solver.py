@@ -293,81 +293,20 @@ def test_assumptions_equal_added_units_property(f, assume_vars):
 
 
 class TestPhaseSaving:
-    """The cached-polarity heuristic is explicit and controllable.
-
-    Phase saving re-uses the polarity of the last unwound assignment on
-    the next branch; ``Solver(phase_saving=False)`` freezes polarities
-    instead.  The flag must change nothing but branching polarity: both
-    settings agree on every verdict, and the default is exactly the
-    always-saving solver the incremental engines were built against.
-    """
-
-    def test_default_is_stats_identical_to_explicit_enable(self):
-        # The flag's plumbing must not perturb the search: the default
-        # and phase_saving=True runs are the same search, conflict for
-        # conflict, across an incremental multi-call workload.
-        rng = random.Random(11)
-        f = random_cnf(rng, max_vars=10, max_clauses=60)
-        default, explicit = Solver(f), Solver(f, phase_saving=True)
-        for solver in (default, explicit):
-            solver.solve()
-            solver.solve(assumptions=[1, -2])
-            solver.add_clause([-1, 3])
-            solver.solve()
-        assert default.stats() == explicit.stats()
-
-    def test_disabled_still_sound_on_random_battery(self):
-        for seed in range(25):
-            rng = random.Random(seed)
-            f = random_cnf(rng)
-            expected = bool(brute_force_models(f))
-            s = Solver(f, phase_saving=False)
-            assert (s.solve() is SolveResult.SAT) == expected, seed
-            if expected:
-                assert f.evaluate(s.model)
-            # Incremental follow-up under assumptions agrees with a
-            # monolithic solve either way.
-            assert (
-                s.solve(assumptions=[1]) is SolveResult.SAT
-            ) == any(m[0] for m in brute_force_models(f)), seed
+    """Phase saving re-uses the polarity of the last unwound assignment
+    on the next branch."""
 
     def test_saved_phases_steer_the_next_model(self):
         # One satisfiable clause over two free variables: the first
-        # solve (under assumptions) assigns both true; with phase saving
-        # the free re-solve re-finds that model, without it the solver
-        # falls back to its false-first default.
-        saving, frozen = Solver(), Solver(phase_saving=False)
-        for s in (saving, frozen):
-            a, b = s.new_var(), s.new_var()
-            s.add_clause([a, b])
-            assert s.solve(assumptions=[a, b]) is SolveResult.SAT
-            assert s.solve() is SolveResult.SAT
-        assert saving.value(1) and saving.value(2)
-        # The frozen solver branches false-first, so at most one of the
-        # two free variables ends up true (whichever propagation forces).
-        assert not (frozen.value(1) and frozen.value(2))
-
-    def test_set_polarity_pins_the_branch(self):
-        s = Solver(phase_saving=False)
+        # solve (under assumptions) assigns both true, and the free
+        # re-solve re-finds that model instead of the solver's
+        # false-first default.
+        s = Solver()
         a, b = s.new_var(), s.new_var()
         s.add_clause([a, b])
-        s.set_polarity(a, True)
+        assert s.solve(assumptions=[a, b]) is SolveResult.SAT
         assert s.solve() is SolveResult.SAT
-        assert s.value(a)
-        with pytest.raises(SatError):
-            s.set_polarity(99, True)
-
-    def test_disabled_solver_is_deterministic(self):
-        rng = random.Random(5)
-        f = random_cnf(rng, max_vars=10, max_clauses=60)
-        first, second = Solver(f, phase_saving=False), Solver(
-            f, phase_saving=False
-        )
-        for s in (first, second):
-            s.solve()
-            s.solve(assumptions=[-1])
-            s.solve()
-        assert first.stats() == second.stats()
+        assert s.value(a) and s.value(b)
 
 
 class TestRemovableClauses:
