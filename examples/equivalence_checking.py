@@ -11,7 +11,7 @@ Run:  python examples/equivalence_checking.py
 """
 
 from repro.aig.analysis import cone_size
-from repro.aig.graph import Aig, edge_not
+from repro.aig.graph import Aig
 from repro.aig.ops import and_all, or_, or_all, xor
 from repro.sweep import prove_edges_equivalent
 

@@ -11,6 +11,10 @@ Edges ("literals") are plain ints: ``2*node + complement``.  The constant
 FALSE edge is 0 and TRUE is 1.  Managers are append-only; algorithms that
 shrink circuits build replacement cones and call :meth:`Aig.extract` to
 compact.
+
+Circuits are read and written as netlists, by :mod:`repro.circuits`
+(``.net``, ``.bench`` and ``.blif``); this package has no file format
+of its own.
 """
 
 from repro.aig.graph import Aig, FALSE, TRUE, edge_node, edge_is_complement, edge_not
@@ -29,7 +33,6 @@ from repro.aig.ops import (
 from repro.aig.cnf import CnfMapper
 from repro.aig.simulate import eval_edge, simulate, truth_table
 from repro.aig.analysis import cone_size, level_of
-from repro.aig.aiger_binary import read_aig_binary, write_aig_binary, write_aig_binary_bytes
 
 __all__ = [
     "Aig",
@@ -54,7 +57,4 @@ __all__ = [
     "truth_table",
     "cone_size",
     "level_of",
-    "read_aig_binary",
-    "write_aig_binary",
-    "write_aig_binary_bytes",
 ]

@@ -25,8 +25,8 @@ Quick tour::
     )
 
 Results, traces and statuses serialize with ``to_dict``/``from_dict``
-(see :mod:`repro.mc.result`), so a service front-end can ship them as
-JSON verbatim.
+over the netlist they belong to (see :mod:`repro.mc.result`), so a
+service front-end can ship them as JSON verbatim.
 """
 
 from repro.api.registry import (

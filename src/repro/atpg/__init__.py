@@ -30,7 +30,7 @@ from repro.atpg.faults import (
 from repro.atpg.inject import inject_fault
 from repro.atpg.fsim import FaultSimulator, fault_coverage
 from repro.atpg.podem import PodemGenerator, PodemResult
-from repro.atpg.satgen import SatTestGenerator, generate_test_sat
+from repro.atpg.satgen import SatTestGenerator
 from repro.atpg.redundancy import remove_redundancies, find_redundant_faults
 from repro.atpg.equivalence import check_equal_via_atpg
 
@@ -46,7 +46,6 @@ __all__ = [
     "fault_coverage",
     "find_redundant_faults",
     "full_fault_list",
-    "generate_test_sat",
     "inject_fault",
     "remove_redundancies",
 ]

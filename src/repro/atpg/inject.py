@@ -44,15 +44,3 @@ def inject_fault(
     return [
         aig.rebuild(root, {fault.node: faulty_gate}) for root in roots
     ]
-
-
-def fault_free_value(aig: Aig, fault: Fault) -> int:
-    """The edge carrying the faulty wire's *good* value.
-
-    For output faults that is the node itself; for pin faults it is the
-    consumed fanin edge (complement applied).
-    """
-    if fault.pin == OUTPUT:
-        return 2 * fault.node
-    f0, f1 = aig.fanins(fault.node)
-    return f0 if fault.pin == 0 else f1

@@ -86,14 +86,3 @@ class SatTestGenerator:
             if self.aig.is_input(node)
         }
         return {node: pattern.get(node, False) for node in inputs}
-
-
-def generate_test_sat(
-    aig: Aig,
-    roots: Sequence[int],
-    fault: Fault,
-    conflict_budget: int | None = None,
-) -> tuple[bool | None, dict[int, bool] | None]:
-    """One-shot SAT ATPG for a single fault."""
-    generator = SatTestGenerator(aig, roots, conflict_budget)
-    return generator.generate(fault)

@@ -28,7 +28,6 @@ from repro.errors import ProofError
 from repro.itp.proof import ResolutionProof
 from repro.sat.cnf import CNF
 from repro.sat.dpll import DpllSolver
-from repro.sat.solver import SolveResult, Solver
 
 
 def extract_interpolant(
@@ -128,16 +127,15 @@ def verify_interpolant(
     cnf_a: CNF,
     cnf_b: CNF,
     var_edge: Mapping[int, int],
-    oracle: str = "dpll",
 ) -> bool:
     """Differentially check an interpolant against its (A, B) partition.
 
     Verifies the two defining properties — ``A AND NOT I`` and
-    ``I AND B`` are both unsatisfiable — with the reference DPLL solver
-    (``oracle="cdcl"`` swaps in a fresh CDCL instance for larger
-    partitions), and that I's support stays within the mapped shared
-    variables.  Raises :class:`ProofError` on any violation; returns
-    ``True`` so callers can assert on it directly.
+    ``I AND B`` are both unsatisfiable — with the reference DPLL solver,
+    independent of the CDCL solver that produced the proof — and that
+    I's support stays within the mapped shared variables.  Raises
+    :class:`ProofError` on any violation; returns ``True`` so callers
+    can assert on it directly.
 
     A shared variable mapped to a *constant* edge declares that the
     query pins it (the Tseitin constant variable, whose ``[-var]`` unit
@@ -163,23 +161,18 @@ def verify_interpolant(
             f"nodes {sorted(unmapped)}"
         )
 
-    def unsatisfiable(cnf: CNF) -> bool:
-        if oracle == "dpll":
-            return not DpllSolver(cnf).solve()
-        return Solver(cnf).solve() is SolveResult.UNSAT
-
     check_a = cnf_a.copy()
     for unit in pinned:
         check_a.add_clause([unit])
     lit = _encode_edge(check_a, aig, itp_edge, dict(node_var))
     check_a.add_clause([-lit])
-    if not unsatisfiable(check_a):
+    if DpllSolver(check_a).solve():
         raise ProofError("A does not imply the interpolant")
     check_b = cnf_b.copy()
     for unit in pinned:
         check_b.add_clause([unit])
     lit = _encode_edge(check_b, aig, itp_edge, dict(node_var))
     check_b.add_clause([lit])
-    if not unsatisfiable(check_b):
+    if DpllSolver(check_b).solve():
         raise ProofError("the interpolant does not contradict B")
     return True

@@ -54,6 +54,20 @@ def bmc(
     unroller = Unroller(netlist)
     unroller.assert_initial_state()
     stats.set("folds", preimage_folds)
+
+    def finish(
+        status: Status, iterations: int, trace: Trace | None = None
+    ) -> VerificationResult:
+        stats.set("cnf_vars", unroller.solver.num_vars)
+        stats.set("frames_unrolled", unroller.num_frames)
+        return VerificationResult(
+            status=status,
+            engine="bmc",
+            trace=trace,
+            iterations=iterations,
+            stats=stats,
+        )
+
     # Folding skips lengths 0..j-1, so probe the intermediate fold targets
     # at frame 0 first (length-d violation == init state in pre^d(bad)).
     for fold_depth in range(min(preimage_folds, max_depth + 1)):
@@ -64,14 +78,7 @@ def bmc(
                 netlist, unroller, 0, targets[: fold_depth + 1], folded=True,
                 stats=stats,
             )
-            stats.set("cnf_vars", unroller.solver.num_vars)
-            return VerificationResult(
-                status=Status.FAILED,
-                engine="bmc",
-                trace=trace,
-                iterations=fold_depth,
-                stats=stats,
-            )
+            return finish(Status.FAILED, fold_depth, trace)
     last_frame = max_depth - preimage_folds
     for depth in range(last_frame + 1):
         bad_lit = unroller.edge_lit_in(unroller.frame(depth), target)
@@ -82,23 +89,8 @@ def bmc(
                 netlist, unroller, depth, targets,
                 folded=preimage_folds > 0, stats=stats,
             )
-            stats.set("cnf_vars", unroller.solver.num_vars)
-            stats.set("frames_unrolled", unroller.num_frames)
-            return VerificationResult(
-                status=Status.FAILED,
-                engine="bmc",
-                trace=trace,
-                iterations=depth + preimage_folds,
-                stats=stats,
-            )
-    stats.set("cnf_vars", unroller.solver.num_vars)
-    stats.set("frames_unrolled", unroller.num_frames)
-    return VerificationResult(
-        status=Status.UNKNOWN,
-        engine="bmc",
-        iterations=max_depth,
-        stats=stats,
-    )
+            return finish(Status.FAILED, depth + preimage_folds, trace)
+    return finish(Status.UNKNOWN, max_depth)
 
 
 def fold_targets(netlist: Netlist, folds: int, stats: StatsBag) -> list[int]:

@@ -3,17 +3,13 @@
 Besides the in-memory types, this module owns their wire format:
 :meth:`Trace.to_dict` / :meth:`VerificationResult.to_dict` produce
 JSON-serializable payloads that round-trip through
-:meth:`Trace.from_dict` / :meth:`VerificationResult.from_dict`.  Two
-encodings exist for assignments:
-
-* ``"nodes"`` (the default) keys assignments by AIG node id — faithful
-  within one process/manager;
-* ``"positional"`` (``netlist=`` given) encodes assignments as
-  bit-strings over the netlist's latch and input registration order —
-  stable across AIG node renumbering, which is what the portfolio's
-  structural-hash result cache needs: a record written by one manager
-  must decode into a valid trace for a differently-numbered manager of
-  the same circuit.
+:meth:`Trace.from_dict` / :meth:`VerificationResult.from_dict`.  There
+is one encoding, positional: both directions take the netlist, and
+assignments are bit-strings over its latch and input registration
+order.  That is stable across AIG node renumbering, which is what the
+portfolio's structural-hash result cache needs: a record written by one
+manager must decode into a valid trace for a differently-numbered
+manager of the same circuit.
 """
 
 from __future__ import annotations
@@ -49,22 +45,6 @@ def _decode_bits(bits: str | None, nodes: list[int]) -> dict[int, bool] | None:
         for node, bit in zip(nodes, bits)
         if bit != _MISSING
     }
-
-
-def _encode_nodes(
-    assignment: Mapping[int, bool] | None,
-) -> dict[str, bool] | None:
-    if assignment is None:
-        return None
-    return {str(node): bool(value) for node, value in assignment.items()}
-
-
-def _decode_nodes(
-    payload: Mapping[str, bool] | None,
-) -> dict[int, bool] | None:
-    if payload is None:
-        return None
-    return {int(node): bool(value) for node, value in payload.items()}
 
 
 class Status(enum.Enum):
@@ -140,15 +120,8 @@ class Trace:
     # Serialization
     # ------------------------------------------------------------------ #
 
-    def to_dict(self, netlist: Netlist | None = None) -> dict:
-        """JSON-serializable form; positional over ``netlist`` if given."""
-        if netlist is None:
-            return {
-                "format": "nodes",
-                "states": [_encode_nodes(state) for state in self.states],
-                "inputs": [_encode_nodes(step) for step in self.inputs],
-                "violation_inputs": _encode_nodes(self.violation_inputs),
-            }
+    def to_dict(self, netlist: Netlist) -> dict:
+        """JSON-serializable form, positional over ``netlist``."""
         latches = netlist.latch_nodes
         inputs = netlist.input_nodes
         return {
@@ -159,48 +132,23 @@ class Trace:
         }
 
     @classmethod
-    def from_dict(
-        cls, payload: dict, netlist: Netlist | None = None
-    ) -> "Trace":
-        """Rebuild a trace serialized by :meth:`to_dict`.
+    def from_dict(cls, payload: dict, netlist: Netlist) -> "Trace":
+        """Rebuild a trace serialized by :meth:`to_dict` over ``netlist``.
 
-        Positional payloads need the ``netlist`` they are to be decoded
-        against; node-keyed payloads decode standalone.
+        Records written before the ``"format"`` key existed are
+        positional too.
         """
-        fmt = payload.get("format")
-        if fmt is None:
-            # Records written before the "format" key existed are always
-            # positional bit-strings; fresh node-keyed payloads carry
-            # dicts.  Infer from the state entries.
-            fmt = (
-                "positional"
-                if any(isinstance(s, str) for s in payload["states"])
-                else "nodes"
-            )
-        if fmt == "positional":
-            if netlist is None:
-                raise ValueError(
-                    "a positional trace payload needs a netlist to decode"
-                )
-            latches = netlist.latch_nodes
-            inputs = netlist.input_nodes
-            return cls(
-                states=[
-                    _decode_bits(bits, latches) for bits in payload["states"]
-                ],
-                inputs=[
-                    _decode_bits(bits, inputs) for bits in payload["inputs"]
-                ],
-                violation_inputs=_decode_bits(
-                    payload.get("violation_inputs"), inputs
-                ),
-            )
-        if fmt != "nodes":
+        fmt = payload.get("format", "positional")
+        if fmt != "positional":
             raise ValueError(f"unknown trace payload format {fmt!r}")
+        latches = netlist.latch_nodes
+        inputs = netlist.input_nodes
         return cls(
-            states=[_decode_nodes(state) for state in payload["states"]],
-            inputs=[_decode_nodes(step) for step in payload["inputs"]],
-            violation_inputs=_decode_nodes(payload.get("violation_inputs")),
+            states=[_decode_bits(bits, latches) for bits in payload["states"]],
+            inputs=[_decode_bits(bits, inputs) for bits in payload["inputs"]],
+            violation_inputs=_decode_bits(
+                payload.get("violation_inputs"), inputs
+            ),
         )
 
 
@@ -233,19 +181,13 @@ class InvariantCertificate:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def to_dict(self, netlist: Netlist | None = None) -> dict:
-        """JSON-serializable form; positional over ``netlist`` if given.
+    def to_dict(self, netlist: Netlist) -> dict:
+        """JSON-serializable form, positional over ``netlist``.
 
-        Positional literals are signed 1-based latch *positions* in the
-        netlist's registration order — stable across AIG renumbering,
-        matching the trace encoding the result cache relies on.
+        Literals are signed 1-based latch *positions* in the netlist's
+        registration order — stable across AIG renumbering, matching the
+        trace encoding the result cache relies on.
         """
-        if netlist is None:
-            return {
-                "format": "nodes",
-                "level": self.level,
-                "clauses": [list(clause) for clause in self.clauses],
-            }
         position = {
             node: k + 1 for k, node in enumerate(netlist.latch_nodes)
         }
@@ -263,28 +205,19 @@ class InvariantCertificate:
 
     @classmethod
     def from_dict(
-        cls, payload: dict, netlist: Netlist | None = None
+        cls, payload: dict, netlist: Netlist
     ) -> "InvariantCertificate":
-        fmt = payload.get("format", "nodes")
-        clauses = payload["clauses"]
-        if fmt == "positional":
-            if netlist is None:
-                raise ValueError(
-                    "a positional certificate payload needs a netlist"
-                )
-            latches = netlist.latch_nodes
-            decoded = [
-                tuple(
-                    latches[abs(lit) - 1] if lit > 0
-                    else -latches[abs(lit) - 1]
-                    for lit in clause
-                )
-                for clause in clauses
-            ]
-        elif fmt == "nodes":
-            decoded = [tuple(int(lit) for lit in clause) for clause in clauses]
-        else:
+        fmt = payload.get("format", "positional")
+        if fmt != "positional":
             raise ValueError(f"unknown certificate payload format {fmt!r}")
+        latches = netlist.latch_nodes
+        decoded = [
+            tuple(
+                latches[abs(lit) - 1] if lit > 0 else -latches[abs(lit) - 1]
+                for lit in clause
+            )
+            for clause in payload["clauses"]
+        ]
         return cls(clauses=decoded, level=int(payload.get("level", 0)))
 
 
@@ -307,9 +240,9 @@ class VerificationResult:
     def failed(self) -> bool:
         return self.status is Status.FAILED
 
-    def to_dict(self, netlist: Netlist | None = None) -> dict:
-        """JSON-serializable form; the trace encodes positionally over
-        ``netlist`` when one is given (see :meth:`Trace.to_dict`)."""
+    def to_dict(self, netlist: Netlist) -> dict:
+        """JSON-serializable form; the trace and certificate encode
+        positionally over ``netlist`` (see :meth:`Trace.to_dict`)."""
         return {
             "status": self.status.value,
             "engine": self.engine,
@@ -327,7 +260,7 @@ class VerificationResult:
 
     @classmethod
     def from_dict(
-        cls, payload: dict, netlist: Netlist | None = None
+        cls, payload: dict, netlist: Netlist
     ) -> "VerificationResult":
         """Rebuild a result serialized by :meth:`to_dict`."""
         trace = None

@@ -20,7 +20,7 @@ Keys are ``(structural_hash, method, max_depth)`` — the three things a
 verdict depends on besides the engine's resource budget.  Records are
 the :meth:`VerificationResult.to_dict` payload with the cache key
 fields added.  Traces are serialized *positionally* (bit-strings over
-the latch and input registration order, the ``netlist=`` encoding of
+the latch and input registration order, the one encoding of
 :mod:`repro.mc.result`) rather than by AIG node id, because node ids
 are exactly what the structural hash abstracts away: a hit produced by
 one manager must decode into a valid trace for a differently-numbered

@@ -9,6 +9,9 @@ run" exactly as the paper describes, and a slow reference DPLL solver used
 as a test oracle.  The CDCL solver, fed through
 :class:`repro.aig.cnf.CnfMapper`, is the one SAT back end:
 sweeping sessions and one-shot equivalence and certificate checks alike.
+Formulas live in memory only: :class:`repro.sat.cnf.CNF` has no DIMACS
+reader or writer, and an UNSAT verdict under assumptions reports its
+assumption subset as :attr:`Solver.core`.
 """
 
 from repro.sat.cnf import CNF, Clause, neg

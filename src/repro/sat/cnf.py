@@ -1,4 +1,4 @@
-"""CNF formula container and DIMACS I/O.
+"""CNF formula container.
 
 Literals use the DIMACS convention throughout the public API: variables are
 positive integers ``1..num_vars`` and a negative integer denotes negation.
@@ -7,7 +7,7 @@ The CDCL solver converts to a dense internal encoding on entry.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import SatError
 
@@ -105,55 +105,6 @@ class CNF:
         dup = CNF(self.num_vars)
         dup.clauses = list(self.clauses)
         return dup
-
-    # ------------------------------------------------------------------ #
-    # DIMACS
-    # ------------------------------------------------------------------ #
-
-    def to_dimacs(self, out: TextIO) -> None:
-        """Write the formula in DIMACS ``cnf`` format."""
-        out.write(f"p cnf {self.num_vars} {self.num_clauses}\n")
-        for clause in self.clauses:
-            out.write(" ".join(str(lit) for lit in clause))
-            out.write(" 0\n")
-
-    def to_dimacs_string(self) -> str:
-        import io
-
-        buf = io.StringIO()
-        self.to_dimacs(buf)
-        return buf.getvalue()
-
-    @classmethod
-    def from_dimacs(cls, text: str | TextIO) -> "CNF":
-        """Parse DIMACS ``cnf`` text. Tolerates comments and blank lines."""
-        if not isinstance(text, str):
-            text = text.read()
-        formula = cls()
-        declared_vars: int | None = None
-        pending: list[int] = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith(("c", "%")):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise SatError(f"malformed problem line: {line!r}")
-                declared_vars = int(parts[2])
-                continue
-            for token in line.split():
-                lit = int(token)
-                if lit == 0:
-                    formula.add_clause(pending)
-                    pending = []
-                else:
-                    pending.append(lit)
-        if pending:
-            raise SatError("DIMACS input ends inside a clause (missing 0)")
-        if declared_vars is not None and declared_vars > formula.num_vars:
-            formula.num_vars = declared_vars
-        return formula
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CNF(vars={self.num_vars}, clauses={self.num_clauses})"

@@ -7,7 +7,7 @@ is exactly what the test suite wants when cross-checking the CDCL engine.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.sat.cnf import CNF
 

@@ -11,8 +11,8 @@ SAT-merge routine depends on are all here:
   restarting ("we factorize several checks together within a single
   ZChaff run");
 * on UNSAT under assumptions, the subset of assumptions actually used is
-  reported (``failed_assumptions`` / ``core``), letting one UNSAT verdict
-  cover many matching points.
+  reported (``core``), letting one UNSAT verdict cover many matching
+  points.
 
 Architecture is classic MiniSat-style CDCL: two-literal watches, VSIDS
 decision heuristic with an indexed max-heap, phase saving, first-UIP conflict
@@ -95,7 +95,7 @@ def _to_internal(dimacs_lit: int) -> int:
     return 2 * var + (1 if dimacs_lit < 0 else 0)
 
 
-def _to_dimacs(internal_lit: int) -> int:
+def _to_external(internal_lit: int) -> int:
     var = (internal_lit >> 1) + 1
     return -var if internal_lit & 1 else var
 
@@ -221,7 +221,6 @@ class Solver:
         self._restart_base = 100
         self._ok = True
         self._model: list[bool] = []
-        self._failed_assumptions: list[int] = []
         self._core: tuple[int, ...] | None = None
         # Proof logging (all None/unused when disabled).
         self._proof = ProofLog() if proof else None
@@ -324,14 +323,14 @@ class Solver:
             # literals, the attached clause is derived by resolving the
             # axiom with each deleted literal's unit.
             proof_id = self._proof.append(
-                tuple(_to_dimacs(lit) for lit in internal), ()
+                tuple(_to_external(lit) for lit in internal), ()
             )
             if removed and not satisfied:
                 chain = (proof_id,) + tuple(
                     self._proof_units[lit ^ 1] for lit in removed
                 )
                 proof_id = self._proof.append(
-                    tuple(_to_dimacs(lit) for lit in simplified), chain
+                    tuple(_to_external(lit) for lit in simplified), chain
                 )
         if satisfied:
             return True  # already satisfied at level 0
@@ -614,7 +613,7 @@ class Solver:
             if other != lit:
                 chain.append(self._proof_units[other ^ 1])
         self._proof_units[lit] = self._proof.append(
-            (_to_dimacs(lit),), tuple(chain)
+            (_to_external(lit),), tuple(chain)
         )
 
     def _log_level0_conflict(self, ci: int) -> None:
@@ -671,7 +670,7 @@ class Solver:
         for lit in sorted(zero):
             chain.append(self._proof_units[lit ^ 1])
         return self._proof.append(
-            tuple(_to_dimacs(lit) for lit in learnt), tuple(chain)
+            tuple(_to_external(lit) for lit in learnt), tuple(chain)
         )
 
     @property
@@ -846,14 +845,14 @@ class Solver:
                 for lit in sorted(zero):
                     chain.append(self._proof_units[lit ^ 1])
                 proof.final = proof.append(
-                    tuple(sorted(_to_dimacs(lit ^ 1) for lit in out)),
+                    tuple(sorted(_to_external(lit ^ 1) for lit in out)),
                     tuple(chain),
                 )
             elif len(out) == 1:
                 proof.final = self._proof_units.get(failed_assumption ^ 1)
             else:
                 proof.final = None
-        return [_to_dimacs(lit) for lit in out]
+        return [_to_external(lit) for lit in out]
 
     # ------------------------------------------------------------------ #
     # Learned clause database reduction
@@ -970,7 +969,6 @@ class Solver:
         """
         self.solve_calls += 1
         self._model = []
-        self._failed_assumptions = []
         self._core = None
         # Observability: like proof logging, the probe hooks never touch
         # the search (they only read counters), so trajectories stay
@@ -1051,8 +1049,7 @@ class Solver:
                     self._trail_lim.append(len(self._trail))
                     continue
                 if value == 0:
-                    self._failed_assumptions = self._analyze_final(lit)
-                    self._core = tuple(self._failed_assumptions)
+                    self._core = tuple(self._analyze_final(lit))
                     result = SolveResult.UNSAT
                     break
                 self.decisions += 1
@@ -1097,11 +1094,6 @@ class Solver:
         """Whether the DIMACS literal holds in the last model."""
         value = self.value(abs(lit))
         return value if lit > 0 else not value
-
-    @property
-    def failed_assumptions(self) -> list[int]:
-        """Assumption subset responsible for the last UNSAT-under-assumptions."""
-        return list(self._failed_assumptions)
 
     @property
     def core(self) -> tuple[int, ...] | None:

@@ -6,8 +6,8 @@ One file holds everything a long-running service must not lose:
   ``(namespace, structural_hash, method, max_depth)``.  The
   ``namespace`` column is the tenant-isolation axis: two tenants
   submitting the same circuit read and write disjoint rows.  Payloads
-  are the :meth:`repro.mc.result.VerificationResult.to_dict` record
-  (positional trace encoding), with the certificate split out;
+  are the :meth:`repro.mc.result.VerificationResult.to_dict` record,
+  with the certificate split out;
 * ``certificates`` — PROVED-verdict certificate blobs stored
   content-addressed (the id is the SHA-256 of the canonical JSON), so
   identical invariants from different runs share one row and a result

@@ -8,7 +8,7 @@ from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import or_, xor
 from repro.aig.simulate import eval_edge
 from repro.errors import AigError
-from repro.sat.solver import SolveResult, Solver
+from repro.sat.solver import SolveResult
 from tests.conftest import build_random_aig
 
 

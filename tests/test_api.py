@@ -155,19 +155,25 @@ class TestStatusSemantics:
 # Serialization
 # ---------------------------------------------------------------------- #
 
-_assignments = st.dictionaries(
-    st.integers(min_value=1, max_value=12), st.booleans(), max_size=6
-)
+# Payloads are positional over a netlist, so generated traces assign
+# (some of) the latches and inputs of one design with both.
+_DESIGN = G.arbiter(3, safe=False)
+
+
+def _assignments(nodes):
+    return st.dictionaries(st.sampled_from(nodes), st.booleans())
 
 
 def _traces():
+    states = _assignments(_DESIGN.latch_nodes)
+    inputs = _assignments(_DESIGN.input_nodes)
     return st.builds(
         lambda states, inputs, violation: Trace(
             states=states, inputs=inputs, violation_inputs=violation
         ),
-        states=st.lists(_assignments, min_size=1, max_size=5),
-        inputs=st.lists(_assignments, min_size=0, max_size=4),
-        violation=st.one_of(st.none(), _assignments),
+        states=st.lists(states, min_size=1, max_size=5),
+        inputs=st.lists(inputs, min_size=0, max_size=4),
+        violation=st.one_of(st.none(), inputs),
     )
 
 
@@ -195,8 +201,8 @@ class TestSerialization:
     @settings(max_examples=60, deadline=None)
     @given(trace=_traces())
     def test_trace_json_round_trip(self, trace):
-        payload = json.loads(json.dumps(trace.to_dict()))
-        recovered = Trace.from_dict(payload)
+        payload = json.loads(json.dumps(trace.to_dict(_DESIGN)))
+        recovered = Trace.from_dict(payload, _DESIGN)
         assert recovered.states == trace.states
         assert recovered.inputs == trace.inputs
         assert recovered.violation_inputs == trace.violation_inputs
@@ -216,8 +222,8 @@ class TestSerialization:
             iterations=iterations,
             stats=stats,
         )
-        payload = json.loads(json.dumps(result.to_dict()))
-        recovered = VerificationResult.from_dict(payload)
+        payload = json.loads(json.dumps(result.to_dict(_DESIGN)))
+        recovered = VerificationResult.from_dict(payload, _DESIGN)
         assert recovered.status is result.status
         assert recovered.engine == result.engine
         assert recovered.iterations == result.iterations
@@ -227,6 +233,7 @@ class TestSerialization:
             assert recovered.trace is None
         else:
             assert recovered.trace.states == trace.states
+            assert recovered.trace.inputs == trace.inputs
             assert recovered.trace.violation_inputs == trace.violation_inputs
 
     def test_positional_round_trip_survives_renumbering(self):
@@ -245,8 +252,24 @@ class TestSerialization:
         buggy = handshake(False)
         result = verify(buggy, method="bmc", max_depth=20)
         payload = result.to_dict(buggy)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             VerificationResult.from_dict(payload)
+
+    def test_to_dict_requires_netlist(self):
+        result = verify(handshake(False), method="bmc", max_depth=20)
+        with pytest.raises(TypeError):
+            result.to_dict()
+
+    def test_node_keyed_payload_is_rejected(self):
+        netlist = G.mod_counter(2, 3, safe=False)
+        payload = {
+            "format": "nodes",
+            "states": [{"1": False}],
+            "inputs": [],
+            "violation_inputs": None,
+        }
+        with pytest.raises(ValueError, match="nodes"):
+            Trace.from_dict(payload, netlist)
 
     def test_legacy_cache_record_still_decodes(self):
         # Records written before the "format" key existed: positional
@@ -281,14 +304,17 @@ class TestSerialization:
         for name in engine_names():
             spec = get_engine(name)
             options = {"budget": 10.0} if spec.composite else {}
-            result = spec.verify(buggy.clone()[0], max_depth=20, **options)
-            payload = json.loads(json.dumps(result.to_dict()))
-            recovered = VerificationResult.from_dict(payload)
+            netlist = buggy.clone()[0]
+            result = spec.verify(netlist, max_depth=20, **options)
+            payload = json.loads(json.dumps(result.to_dict(netlist)))
+            recovered = VerificationResult.from_dict(payload, netlist)
             assert recovered.status is result.status, name
             assert recovered.engine == result.engine, name
             assert recovered.stats.as_dict() == result.stats.as_dict(), name
             if result.trace is not None:
                 assert recovered.trace.states == result.trace.states, name
+                assert recovered.trace.inputs == result.trace.inputs, name
+                assert recovered.trace.validate(netlist), name
 
 
 # ---------------------------------------------------------------------- #
@@ -388,10 +414,11 @@ class TestSession:
 
     def test_results_round_trip_for_every_task(self):
         session = Session()
-        results = session.verify_many(self._batch(20), engine="reach_bdd")
-        for result in results:
-            payload = json.loads(json.dumps(result.to_dict()))
-            recovered = VerificationResult.from_dict(payload)
+        netlists = self._batch(20)
+        results = session.verify_many(netlists, engine="reach_bdd")
+        for netlist, result in zip(netlists, results):
+            payload = json.loads(json.dumps(result.to_dict(netlist)))
+            recovered = VerificationResult.from_dict(payload, netlist)
             assert recovered.status is result.status
 
     def test_shared_cache_across_calls_and_sessions(self):

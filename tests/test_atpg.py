@@ -23,10 +23,10 @@ from repro.atpg.faults import (
     full_fault_list,
 )
 from repro.atpg.fsim import FaultSimulator, fault_coverage
-from repro.atpg.inject import fault_free_value, inject_fault
+from repro.atpg.inject import inject_fault
 from repro.atpg.podem import PodemGenerator, PodemVerdict
 from repro.atpg.redundancy import find_redundant_faults, remove_redundancies
-from repro.atpg.satgen import SatTestGenerator, generate_test_sat
+from repro.atpg.satgen import SatTestGenerator
 from repro.errors import AigError
 from repro.sweep.satsweep import prove_edges_equivalent
 from tests.conftest import build_random_aig, edges_equivalent
@@ -110,11 +110,6 @@ class TestInjection:
         g = aig.and_(b, c)
         faulty = inject_fault(aig, [f, g], Fault(f >> 1, OUTPUT, True))
         assert faulty[1] == g  # g's cone untouched
-
-    def test_fault_free_value_of_pin(self):
-        aig, a, b, f = single_and()
-        assert fault_free_value(aig, Fault(f >> 1, 0, True)) == a
-        assert fault_free_value(aig, Fault(f >> 1, OUTPUT, True)) == f
 
     @pytest.mark.parametrize("seed", range(10))
     def test_injected_function_differs_or_equals_semantically(self, seed):
@@ -283,14 +278,16 @@ class TestSatAtpg:
             return
         fault = rng.choice(faults)
         podem = PodemGenerator(aig, [root]).generate(fault)
-        testable, _ = generate_test_sat(aig, [root], fault)
+        testable, _ = SatTestGenerator(aig, [root]).generate(fault)
         assert (podem.verdict is PodemVerdict.TEST_FOUND) == bool(testable)
 
     def test_structurally_irrelevant_fault(self):
         aig = Aig()
         a, b = aig.add_inputs(2)
         f = a  # root does not depend on b at all
-        testable, _ = generate_test_sat(aig, [f], Fault(b >> 1, OUTPUT, True))
+        testable, _ = SatTestGenerator(aig, [f]).generate(
+            Fault(b >> 1, OUTPUT, True)
+        )
         assert testable is False
 
 

@@ -9,8 +9,6 @@ use a fixed seed so failures reproduce.
 import itertools
 import random
 
-import pytest
-
 from repro.bdd.manager import BDD_FALSE, BDD_TRUE, BddManager
 
 SEED = 20050307

@@ -9,7 +9,7 @@ import pytest
 from repro.aig.simulate import truth_table
 from repro.circuits.bench_format import parse_bench, serialize_bench
 from repro.circuits.blif import parse_blif, serialize_blif
-from repro.circuits.generators import arbiter, mod_counter
+from repro.circuits.generators import mod_counter
 from repro.circuits.library import (
     c17,
     catalogue,

@@ -17,7 +17,6 @@ from repro.core import images as images_module
 from repro.core.images import ImageComputer
 from repro.mc.bmc import bmc
 from repro.mc.induction import k_induction
-from repro.mc.result import Status
 from tests.conftest import edges_equivalent
 
 MODES = ["circuit", "allsat", "hybrid"]

@@ -2,12 +2,11 @@
 
 from unittest import mock
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.analysis import cone_size
-from repro.aig.graph import FALSE, TRUE, Aig, edge_not
-from repro.aig.ops import and_all, cofactor, or_, or_all, xor
+from repro.aig.graph import FALSE, Aig, edge_not
+from repro.aig.ops import and_all, cofactor, or_, or_all
 from repro.aig.simulate import truth_table
 from repro.circuits.combinational import random_logic
 from repro.core import optimize

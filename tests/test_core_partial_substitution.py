@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.aig.graph import FALSE, TRUE, Aig, edge_not
-from repro.aig.ops import and_all, cofactor, compose, or_, support, xor
+from repro.aig.graph import TRUE, Aig, edge_not
+from repro.aig.ops import compose, or_, support
 from repro.circuits import generators as G
-from repro.circuits.combinational import parity, random_logic
+from repro.circuits.combinational import parity
 from repro.core.images import ImageComputer
 from repro.core.partial import PartialQuantifier
 from repro.core.quantify import QuantifyOptions, quantify_exists

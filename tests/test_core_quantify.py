@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aig.analysis import cone_size
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
-from repro.aig.ops import and_all, or_, support, xor
+from repro.aig.ops import or_, support
 from repro.bdd.from_aig import aig_to_bdd
 from repro.bdd.manager import BddManager
 from repro.circuits.combinational import (

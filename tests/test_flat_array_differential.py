@@ -21,7 +21,6 @@ These tests pin that contract three ways:
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.cnf import CnfMapper

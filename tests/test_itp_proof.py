@@ -204,12 +204,12 @@ class TestSolverCore:
         assert solver.solve([a]) is SolveResult.UNSAT
         assert solver.core == ()
 
-    def test_core_matches_failed_assumptions(self):
+    def test_core_names_both_clashing_assumptions(self):
         solver = Solver()
         a, b = solver.new_var(), solver.new_var()
         solver.add_clause([-a, -b])
         assert solver.solve([a, b]) is SolveResult.UNSAT
-        assert set(solver.core) == set(solver.failed_assumptions)
+        assert set(solver.core) == {a, b}
 
 
 class TestProofOverhead:

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.aig.graph import TRUE, edge_not
+from repro.aig.graph import edge_not
 from repro.aig.ops import support
 from repro.circuits import generators as G
 from repro.core.images import ImageComputer
 from repro.core.partial import PartialQuantifier, allsat_quantify
-from repro.core.quantify import QuantifyOptions
 from repro.core.substitution import preimage_by_substitution
 from repro.errors import ModelCheckingError, ResourceLimit
 from repro.mc.bmc import bmc
@@ -136,6 +135,15 @@ class TestBmc:
         result = bmc(G.bug_at_depth(2), max_depth=6, preimage_folds=5)
         assert result.status is Status.FAILED
         assert result.trace.depth == 2
+
+    def test_fold_probe_result_reports_frames_unrolled(self):
+        # The violation is found by the fold probe at frame 0, before the
+        # depth loop; its result carries the same stats as the loop's.
+        result = bmc(G.bug_at_depth(2), max_depth=6, preimage_folds=5)
+        assert result.iterations == 2
+        assert "frames_unrolled" in result.stats
+        assert result.stats.get("frames_unrolled") == 1
+        assert result.stats.get("cnf_vars") > 0
 
     def test_input_dependent_violation(self):
         result = bmc(G.arbiter(3, safe=False), max_depth=3)

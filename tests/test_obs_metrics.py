@@ -284,7 +284,6 @@ class TestSwitchboard:
         # code paths (store transactions, queue claims, SAT solves)
         # must not move any tally — the registry output is identical
         # before and after the work.
-        from repro.sat.cnf import CNF
         from repro.sat.solver import Solver
         from repro.svc.queue import TaskQueue
         from repro.svc.store import Store

@@ -10,6 +10,8 @@ pool and generalization machinery; and the acceptance cases — the
 with certified invariants, replay-valid traces on every FAILED family.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -217,16 +219,16 @@ class TestCertificates:
     def test_certificate_survives_serialization(self):
         netlist = G.mod_counter(4, 12)
         result = run_pdr(netlist)
-        # Node-keyed round trip.
-        rebuilt = VerificationResult.from_dict(result.to_dict())
+        # Round trip over the same netlist.
+        payload = json.loads(json.dumps(result.to_dict(netlist)))
+        rebuilt = VerificationResult.from_dict(payload, netlist)
         assert rebuilt.certificate.clauses == result.certificate.clauses
+        assert rebuilt.certificate.level == result.certificate.level
         check_certificate(netlist, rebuilt.certificate)
-        # Positional round trip re-anchored on a clone with different
-        # node numbering — the portfolio cache's scenario.
+        # Re-anchored on a clone with different node numbering — the
+        # portfolio cache's scenario.
         clone, _ = netlist.clone()
-        positional = VerificationResult.from_dict(
-            result.to_dict(netlist), clone
-        )
+        positional = VerificationResult.from_dict(payload, clone)
         check_certificate(clone, positional.certificate)
 
     @settings(max_examples=25, deadline=None)

@@ -1,7 +1,7 @@
-"""Seeded mutation fuzz of the five circuit readers.
+"""Seeded mutation fuzz of the three circuit readers.
 
 Each reader gets mutants of one design in its own format: characters
-(or bytes) replaced, inserted, swapped or deleted, and files cut short.
+replaced, inserted, swapped or deleted, and files cut short.
 A reader may accept a mutant or reject it, but only with a
 :class:`~repro.errors.ReproError` subclass, never a bare ``ValueError``
 or ``IndexError``.  The mutants come from ``random.Random(format name)``,
@@ -14,8 +14,6 @@ import random
 
 import pytest
 
-from repro.aig.aiger_binary import read_aig_binary, write_aig_binary_bytes
-from repro.aig.io import read_aag, write_aag_string
 from repro.circuits import generators as G
 from repro.circuits.bench_format import parse_bench, serialize_bench
 from repro.circuits.blif import parse_blif, serialize_blif
@@ -30,38 +28,34 @@ ALPHABET = "0123456789 \n!#.-=(),aiglcnotu"
 
 def _readers():
     net = G.arbiter(3, safe=False)
-    roots = [net.property_edge, *net.next_functions().values()]
     return {
         "net": (serialize_netlist(net), parse_netlist),
         "bench": (serialize_bench(net), parse_bench),
         "blif": (serialize_blif(net), parse_blif),
-        "aag": (write_aag_string(net.aig, roots), read_aag),
-        "aig": (write_aig_binary_bytes(net.aig, roots), read_aig_binary),
     }
 
 
-def _mutate(rng: random.Random, data: str | bytes) -> str | bytes:
-    binary = isinstance(data, bytes)
-    seq = bytearray(data) if binary else list(data)
+def _mutate(rng: random.Random, text: str) -> str:
+    seq = list(text)
     if not seq:
-        return data
+        return text
     i = rng.randrange(len(seq))
     op = rng.randrange(5)
     if op == 0:
-        seq[i] = rng.randrange(256) if binary else rng.choice(ALPHABET)
+        seq[i] = rng.choice(ALPHABET)
     elif op == 1:
         del seq[i:i + rng.randrange(1, 8)]
     elif op == 2:
-        seq.insert(i, rng.randrange(256) if binary else rng.choice(ALPHABET))
+        seq.insert(i, rng.choice(ALPHABET))
     elif op == 3:
         del seq[i:]
     else:
         j = rng.randrange(len(seq))
         seq[i], seq[j] = seq[j], seq[i]
-    return bytes(seq) if binary else "".join(seq)
+    return "".join(seq)
 
 
-@pytest.mark.parametrize("fmt", ["net", "bench", "blif", "aag", "aig"])
+@pytest.mark.parametrize("fmt", ["net", "bench", "blif"])
 def test_mutants_raise_only_typed_errors(fmt):
     text, reader = _readers()[fmt]
     reader(text)                    # the unmutated design reads back

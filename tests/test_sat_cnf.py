@@ -1,9 +1,6 @@
-"""Unit tests for the CNF container and DIMACS I/O."""
-
-import io
+"""Unit tests for the CNF container."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import SatError
 from repro.sat import CNF
@@ -87,67 +84,3 @@ class TestEvaluate:
         f.add_clause([-1])
         assert f.evaluate([False])
         assert not f.evaluate([True])
-
-
-class TestDimacs:
-    def test_roundtrip(self):
-        f = CNF()
-        f.add_clause([1, -2, 3])
-        f.add_clause([-3])
-        text = f.to_dimacs_string()
-        g = CNF.from_dimacs(text)
-        assert g.num_vars == f.num_vars
-        assert list(g) == list(f)
-
-    def test_header_line(self):
-        f = CNF(4)
-        f.add_clause([1])
-        assert f.to_dimacs_string().splitlines()[0] == "p cnf 4 1"
-
-    def test_parse_with_comments(self):
-        text = "c a comment\np cnf 2 1\n1 -2 0\n"
-        f = CNF.from_dimacs(text)
-        assert f.num_vars == 2
-        assert list(f) == [(1, -2)]
-
-    def test_parse_multiline_clause(self):
-        text = "p cnf 3 1\n1 2\n3 0\n"
-        f = CNF.from_dimacs(text)
-        assert list(f) == [(1, 2, 3)]
-
-    def test_parse_declared_vars_override(self):
-        f = CNF.from_dimacs("p cnf 10 1\n1 0\n")
-        assert f.num_vars == 10
-
-    def test_parse_missing_terminator_rejected(self):
-        with pytest.raises(SatError):
-            CNF.from_dimacs("p cnf 1 1\n1\n")
-
-    def test_parse_malformed_header_rejected(self):
-        with pytest.raises(SatError):
-            CNF.from_dimacs("p dnf 1 1\n1 0\n")
-
-    def test_parse_file_object(self):
-        f = CNF.from_dimacs(io.StringIO("p cnf 1 1\n-1 0\n"))
-        assert list(f) == [(-1,)]
-
-
-@given(
-    st.lists(
-        st.lists(
-            st.integers(min_value=1, max_value=6).flatmap(
-                lambda v: st.sampled_from([v, -v])
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-        max_size=12,
-    )
-)
-def test_dimacs_roundtrip_property(clauses):
-    f = CNF()
-    for clause in clauses:
-        f.add_clause(clause)
-    g = CNF.from_dimacs(f.to_dimacs_string())
-    assert list(g) == list(f)
-    assert g.num_vars == f.num_vars

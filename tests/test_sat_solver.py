@@ -132,18 +132,18 @@ class TestAssumptions:
         assert s.solve([a, -c]) is SolveResult.UNSAT
         assert s.solve() is SolveResult.SAT
 
-    def test_failed_assumptions_subset(self):
+    def test_core_subset(self):
         s, a, b, c = self.make()
         s.solve([a, -c, b])
-        failed = set(s.failed_assumptions)
-        assert failed <= {a, -c, b}
-        assert failed  # non-empty
+        core = set(s.core)
+        assert core <= {a, -c, b}
+        assert core  # non-empty
 
-    def test_failed_assumptions_are_a_core(self):
-        # Re-solving with just the failed subset must still be UNSAT.
+    def test_core_is_unsat_again(self):
+        # Re-solving with just the core must still be UNSAT.
         s, a, b, c = self.make()
         s.solve([b, a, -c])
-        core = s.failed_assumptions
+        core = list(s.core)
         assert s.solve(core) is SolveResult.UNSAT
 
     def test_assumption_on_fresh_var(self):
