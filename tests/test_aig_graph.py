@@ -348,6 +348,54 @@ class TestExtract:
         compact, (e,), _ = aig.extract([TRUE])
         assert e == TRUE
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_roots_keep_their_functions(self, seed):
+        # Several roots, some complemented, extracted into one manager;
+        # node_map carries each input to its counterpart, in order.
+        rng = random.Random(seed)
+        aig, inputs, root = build_random_aig(5, 30, seed=seed)
+        gates = list(aig.and_nodes())
+        roots = [root] + [
+            2 * rng.choice(gates) + rng.randint(0, 1) for _ in range(3)
+        ]
+        keep = seed % 2 == 1
+        compact, new_roots, node_map = aig.extract(
+            roots, keep_all_inputs=keep
+        )
+        old_order = [e >> 1 for e in inputs if keep or e >> 1 in node_map]
+        new_order = [node_map[node] >> 1 for node in old_order]
+        assert all(node_map[node] & 1 == 0 for node in old_order)
+        assert sorted(new_order) == sorted(compact.inputs)
+        if keep:
+            assert new_order == compact.inputs
+        for old, new in zip(roots, new_roots):
+            assert truth_table(compact, new, new_order) == truth_table(
+                aig, old, old_order
+            )
+
+    def test_extract_keeps_input_names(self):
+        aig = Aig()
+        a = aig.add_input("clock")
+        b = aig.add_input("reset")
+        compact, _, node_map = aig.extract([aig.and_(a, b)])
+        assert compact.name_of(node_map[a >> 1] >> 1) == "clock"
+        assert compact.name_of(node_map[b >> 1] >> 1) == "reset"
+
+    def test_extract_complemented_root(self):
+        aig = Aig()
+        a, b = aig.add_inputs(2)
+        compact, (f,), _ = aig.extract([edge_not(aig.and_(a, b))])
+        assert f & 1
+        assert truth_table(compact, f, compact.inputs) == 0b0111
+
+    def test_extract_constant_roots_next_to_logic(self):
+        aig = Aig()
+        a, b = aig.add_inputs(2)
+        compact, edges, _ = aig.extract([FALSE, aig.and_(a, b), TRUE])
+        assert edges[0] == FALSE and edges[2] == TRUE
+        assert compact.num_ands == 1
+        assert truth_table(compact, edges[1], compact.inputs) == 0b1000
+
 
 class TestRebuild:
     def test_identity_rebuild_is_stable(self):

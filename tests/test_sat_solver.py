@@ -217,6 +217,36 @@ class TestStructuredInstances:
         assert s.solve() is SolveResult.UNSAT
 
 
+class TestCoreAgainstBruteForce:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_assumption_cores(self, seed):
+        # UNSAT under assumptions: the core is a subset of them that no
+        # model satisfies; SAT: there is no core.
+        rng = random.Random(seed)
+        for _ in range(40):
+            f = random_cnf(rng, max_vars=8, max_clauses=8)
+            models = brute_force_models(f)
+            picked = rng.sample(
+                range(1, f.num_vars + 1), rng.randint(1, f.num_vars)
+            )
+            assumptions = [rng.choice([v, -v]) for v in picked]
+            s = Solver(f)
+            result = s.solve(assumptions)
+
+            def satisfied(lits, model):
+                return all(model[abs(lit) - 1] == (lit > 0) for lit in lits)
+
+            expected = any(satisfied(assumptions, m) for m in models)
+            assert (result is SolveResult.SAT) == expected
+            if expected:
+                assert s.core is None
+                continue
+            core = s.core
+            assert set(core) <= set(assumptions)
+            assert not any(satisfied(core, m) for m in models)
+            assert Solver(f).solve(list(core)) is SolveResult.UNSAT
+
+
 class TestRandomAgainstOracles:
     def test_against_brute_force(self):
         rng = random.Random(42)
