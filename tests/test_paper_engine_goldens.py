@@ -11,6 +11,10 @@ not.  These tests pin the verdict and each engine's counters below on:
   29 steps (``bwd_long``, unpermuted): the sweeper and its signature
   table live for the whole run, and a reset in mid-run shows as extra
   SAT checks;
+* the paper's Section 4 engines, ``reach_aig_allsat`` and
+  ``reach_aig_hybrid``, on ``bwd_quant``'s designs at seed 1 and on
+  ``bwd_long``: the hybrid's partial quantifier and the all-SAT
+  enumeration behind both;
 * the baseline engines on the tiny (``BENCH_TINY=1``) families of the
   ``benchmarks/bench_t14``–``t17`` experiments: ``reach_bdd_fwd`` with
   its scheduled image, ``itp``, ``pdr``, and ``cnc`` with its cubes
@@ -77,10 +81,28 @@ PAPER_COUNTERS = (
     "bdd_recycles",
 )
 
+# The all-SAT enumeration's counters; ``cubes`` is the largest cube
+# count of one enumeration.
+ALLSAT_COUNTERS = ("cubes", "decision_vars")
+
 # engine -> the result stats its golden rows pin, in row order.
 COUNTERS = {
     "reach_aig": PAPER_COUNTERS,
     "reach_aig_fwd": PAPER_COUNTERS,
+    "reach_aig_allsat": (
+        "iterations",
+        "peak_frontier_size",
+        "check_cnf_nodes",
+        "trace_sim_steps",
+        "trace_sat_steps",
+        "reencode_wins",
+        "reencode_aborts",
+    ) + ALLSAT_COUNTERS,
+    "reach_aig_hybrid": PAPER_COUNTERS + (
+        "accepted",
+        "aborted",
+        "hybrid_residual_vars",
+    ) + ALLSAT_COUNTERS,
     "reach_bdd_fwd": (
         "iterations",
         "peak_frontier_bdd",
@@ -128,13 +150,30 @@ COUNTERS = {
 }
 
 
+# Sources that run another source's designs with another engine:
+# source -> (the designs' source, engine).
+ENGINE_SWAPS = {
+    "bwd_quant_allsat": ("bwd_quant", "reach_aig_allsat"),
+    "bwd_quant_hybrid": ("bwd_quant", "reach_aig_hybrid"),
+    "bwd_long_allsat": ("bwd_long", "reach_aig_allsat"),
+    "bwd_long_hybrid": ("bwd_long", "reach_aig_hybrid"),
+}
+
+
 def _runs(source, variant):
     """``(design name, netlist, engine, verify keywords)`` per design.
 
-    ``source`` is a perfbench workload, with the seed as ``variant``, or
-    a ``bench_*`` experiment run on its tiny families (T7: on its
-    designs, with the fold count as ``variant``).
+    ``source`` is a perfbench workload, with the seed as ``variant``, a
+    ``bench_*`` experiment run on its tiny families (T7: on its
+    designs, with the fold count as ``variant``), or an
+    ``ENGINE_SWAPS`` entry.
     """
+    if source in ENGINE_SWAPS:
+        designs, engine = ENGINE_SWAPS[source]
+        return [
+            (name, net, engine, keywords)
+            for name, net, _, keywords in _runs(designs, variant)
+        ]
     if source in WORKLOADS:
         spec = WORKLOADS[source]
         return [
@@ -234,6 +273,30 @@ GOLDENS = {
         ("mod_counter_7_30", "FAILED",
          (29, 29, 42, 103, 42, 32, 0, 13, 0, 0, 29, 0, 3587, 29, 0, 0)),
     ),
+    ("bwd_quant_allsat", 1): (
+        ("mod_counter_5_20", "FAILED", (19, 10, 0, 19, 0, 19, 0, 2, 1)),
+        ("arbiter_8", "PROVED", (1, 63, 0, 0, 0, 1, 0, 4, 8)),
+        ("onehot_10_buggy", "FAILED", (1, 45, 0, 1, 0, 2, 0, 2, 2)),
+    ),
+    ("bwd_quant_hybrid", 1): (
+        ("mod_counter_5_20", "FAILED",
+         (19, 19, 25, 68, 25, 25, 2, 10, 0, 1, 19, 0, 737, 19, 0, 0,
+          19, 0, 0, 0, 0)),
+        ("arbiter_8", "PROVED",
+         (1, 8, 66, 0, 66, 40, 0, 63, 0, 5, 0, 0, 2687, 1, 0, 1,
+          8, 0, 0, 0, 0)),
+        ("onehot_10_buggy", "FAILED",
+         (1, 2, 18, 7, 17, 5, 0, 45, 0, 1, 1, 0, 199, 2, 0, 0,
+          2, 0, 0, 0, 0)),
+    ),
+    ("bwd_long_allsat", "unpermuted"): (
+        ("mod_counter_7_30", "FAILED", (29, 13, 0, 29, 0, 29, 0, 2, 1)),
+    ),
+    ("bwd_long_hybrid", "unpermuted"): (
+        ("mod_counter_7_30", "FAILED",
+         (29, 29, 42, 103, 42, 32, 0, 13, 0, 0, 29, 0, 3587, 29, 0, 0,
+          27, 2, 2, 2, 1)),
+    ),
     ("bdd_fix", 1): (
         ("gray_counter_10", "PROVED", (1025, 20, 815, 77729, 25830, 111531)),
         ("updown_12", "PROVED", (4096, 13, 23, 115186, 58966, 174158)),
@@ -319,6 +382,14 @@ SAT_GOLDENS = {
         (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0),
     ),
     ("bwd_long", "unpermuted"): ((111, 56, 2726, 42),),
+    ("bwd_quant_allsat", 1): (
+        (172, 72, 3969, 57), (96, 18, 1119, 5), (84, 45, 1981, 3),
+    ),
+    ("bwd_quant_hybrid", 1): (
+        (84, 51, 1219, 25), (346, 105, 7769, 66), (174, 68, 3442, 18),
+    ),
+    ("bwd_long_allsat", "unpermuted"): ((276, 119, 8358, 87),),
+    ("bwd_long_hybrid", "unpermuted"): ((129, 65, 3258, 48),),
     ("t7_bmc", 0): ((0, 0, 0, 13), (0, 0, 0, 24)),
     ("t7_bmc", 2): ((0, 0, 0, 13), (0, 0, 0, 24)),
     ("t7_bmc", 4): ((0, 0, 0, 13), (0, 0, 0, 24)),
