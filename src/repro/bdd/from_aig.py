@@ -41,22 +41,25 @@ def aig_to_bdd(
     if node_cache is None:
         node_cache = {}
     node_cache.setdefault(0, BDD_FALSE)
+    fanin0, fanin1 = aig._fanin0, aig._fanin1
+    not_, and_ = manager.not_, manager.and_
     for node in aig.cone([edge], known=node_cache):
-        if aig.is_input(node):
+        f0 = fanin0[node]
+        if f0 == -1:
             if node not in var_map:
                 raise BddError(f"AIG input {node} missing from var_map")
             node_cache[node] = manager.var_node(var_map[node])
-        else:
-            f0, f1 = aig.fanins(node)
-            b0 = node_cache[f0 >> 1]
-            if f0 & 1:
-                b0 = manager.not_(b0)
-            b1 = node_cache[f1 >> 1]
-            if f1 & 1:
-                b1 = manager.not_(b1)
-            node_cache[node] = manager.and_(b0, b1)
+            continue
+        f1 = fanin1[node]
+        b0 = node_cache[f0 >> 1]
+        if f0 & 1:
+            b0 = not_(b0)
+        b1 = node_cache[f1 >> 1]
+        if f1 & 1:
+            b1 = not_(b1)
+        node_cache[node] = and_(b0, b1)
     result = node_cache[edge >> 1]
-    return manager.not_(result) if edge & 1 else result
+    return not_(result) if edge & 1 else result
 
 
 def bdd_to_aig(

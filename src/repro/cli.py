@@ -168,11 +168,13 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     elif args.method == "cnc" and args.workers is not None:
         extra["workers"] = args.workers
     elif args.method.startswith("reach_aig") and args.schedule is not None:
-        from repro.core.quantify import QuantifyOptions
+        from dataclasses import replace
 
-        quantify = QuantifyOptions.preset("full")
-        quantify.schedule = args.schedule
-        extra["quantify"] = quantify
+        from repro.api import get_engine
+
+        # The engine's own quantification defaults, rescheduled.
+        defaults = get_engine(args.method).options_class().quantify
+        extra["quantify"] = replace(defaults, schedule=args.schedule)
     # Bare --trace keeps its original meaning (print the counterexample
     # states); --trace PATH and --report additionally turn on the
     # repro.obs instrumentation for the run.

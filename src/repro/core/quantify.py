@@ -12,6 +12,11 @@ variable can double the circuit, so the engine interleaves
   runs it once per call, on the cofactor pair whose disjunction becomes
   the result: the next variable would cofactor an optimized disjunction
   again, so optimizing every intermediate pair is mostly thrown away.
+  ``QuantifyOptions()`` turns it on, and a one-shot quantification
+  (``repro quantify``, experiment T1) gains from it; the AIG
+  traversals' options default to ``optimize=False``, because the
+  traversal re-encodes every image and the phase never gave one a
+  smaller frontier, fewer iterations or another verdict.
 
 :func:`quantify_exists` is the one variable loop: Section 4's partial
 quantifier (:mod:`repro.core.partial`) calls it once per variable, and

@@ -41,7 +41,6 @@ from repro.aig.analysis import cone_size
 from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, Aig, edge_not
 from repro.aig.ops import or_, support
-from repro.aig.simulate import eval_edge
 from repro.bdd.from_aig import aig_to_bdd, bdd_to_aig
 from repro.bdd.manager import BDD_FALSE, BddManager
 from repro.circuits.netlist import Netlist
@@ -63,8 +62,13 @@ from repro.core.substitution import preimage_by_substitution  # noqa: F401
 class ReachOptions:
     """Configuration of the backward traversal."""
 
+    # The merge phase without the don't-care optimization: a traversal
+    # re-encodes and conjoins every image, and the optimized circuit
+    # never gave it a smaller frontier, fewer iterations or another
+    # verdict, only more SAT checks (and on one_hot_fsm(10, safe=False)
+    # a frontier twice as large).
     quantify: QuantifyOptions = field(
-        default_factory=lambda: QuantifyOptions.preset("full")
+        default_factory=lambda: QuantifyOptions(optimize=False)
     )
     # "circuit": full circuit quantification (the paper's core method);
     # "allsat": pure SAT enumeration (the Ganai et al. baseline);
@@ -443,6 +447,11 @@ class BackwardReachability(AigTraversal):
             elimination=mode,
             max_cubes=options.allsat_max_cubes,
         )
+        self._init = self.model.init_assignment()
+        # Node -> 0/1 value at the initial state, over every cone
+        # :meth:`_hit` evaluated so far: cone-closed, and valid for the
+        # whole run because the working manager only grows.
+        self._init_values: dict[int, int] = {0: 0}
 
     # perfbench/tracing.py wraps ``run`` in each class's own __dict__.
     run = AigTraversal.run
@@ -463,10 +472,26 @@ class BackwardReachability(AigTraversal):
 
         Every backward frontier is a pure state set (the inputs are
         quantified away), so one evaluation at the single initial state
-        answers what would otherwise be a SAT query.
+        answers what would otherwise be a SAT query.  Successive
+        frontiers share most of their cones, so only nodes no earlier
+        call evaluated are visited.
         """
-        init = self.model.init_assignment()
-        return init if eval_edge(self.model.aig, frontier, init) else None
+        aig = self.model.aig
+        fanin0, fanin1 = aig._fanin0, aig._fanin1
+        init, values = self._init, self._init_values
+        for node in aig.cone([frontier], known=values):
+            f0 = fanin0[node]
+            if f0 == -1:
+                values[node] = 1 if init.get(node, False) else 0
+            else:
+                f1 = fanin1[node]
+                values[node] = (
+                    (values[f0 >> 1] ^ (f0 & 1))
+                    & (values[f1 >> 1] ^ (f1 & 1))
+                )
+        if values[frontier >> 1] ^ (frontier & 1):
+            return dict(init)
+        return None
 
     def _counterexample(
         self, hit: dict[int, bool], layers: list[int]

@@ -39,8 +39,10 @@ from repro.mc.trace import find_violation_inputs  # noqa: F401
 class ForwardReachOptions:
     """Configuration of the forward traversal."""
 
+    # Without the don't-care optimization, as in the backward
+    # traversal's ReachOptions.
     quantify: QuantifyOptions = field(
-        default_factory=lambda: QuantifyOptions.preset("full")
+        default_factory=lambda: QuantifyOptions(optimize=False)
     )
     max_iterations: int = 10_000
     max_manager_nodes: int = 2_000_000

@@ -42,15 +42,19 @@ def _edge_digests(
 ) -> list[bytes]:
     """Canonical digest of each edge, computed bottom-up over the cones."""
     node_digest: dict[int, bytes] = {0: _CONST_DIGEST}
+    fanin0, fanin1 = aig._fanin0, aig._fanin1
+    sha256 = hashlib.sha256
     for node in aig.cone(edges):
-        if aig.is_and(node):
-            f0, f1 = aig.fanins(node)
+        f0 = fanin0[node]
+        if f0 != -1:
+            f1 = fanin1[node]
             d0 = node_digest[f0 >> 1] + (b"-" if f0 & 1 else b"+")
             d1 = node_digest[f1 >> 1] + (b"-" if f1 & 1 else b"+")
-            # Sorting by digest (not by node id) removes the manager's
+            # Ordering by digest (not by node id) removes the manager's
             # fanin ordering, which depends on creation order.
-            lo, hi = sorted((d0, d1))
-            node_digest[node] = hashlib.sha256(b"AND|" + lo + b"|" + hi).digest()
+            if d1 < d0:
+                d0, d1 = d1, d0
+            node_digest[node] = sha256(b"AND|" + d0 + b"|" + d1).digest()
         else:
             token = leaf_tokens.get(node)
             if token is None:

@@ -169,6 +169,45 @@ class TestModelCheck:
         ) == 1
         assert "failed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "method,design,exit_code",
+        [
+            ("reach_aig", "enable_counter", 1),
+            ("reach_aig_hybrid", "enable_counter", 1),
+            ("reach_aig_fwd", "gray_counter", 0),
+        ],
+    )
+    def test_schedule_keeps_the_engine_quantify_defaults(
+        self, method, design, exit_code, tmp_path, capsys
+    ):
+        # --schedule replaces only the schedule: the traversals'
+        # default leaves the don't-care phase off, which the full
+        # preset would turn back on.
+        from repro.circuits import generators as G
+        from repro.core.quantify import QuantifyOptions
+        from repro.mc import verify
+
+        build = {
+            "enable_counter": lambda: G.mod_counter(
+                5, 20, safe=False, with_enable=True
+            ),
+            "gray_counter": lambda: G.gray_counter(4),
+        }[design]
+        full = verify(
+            build(), method=method, quantify=QuantifyOptions.preset("full")
+        )
+        assert full.stats.get("input_dc_checks") > 0
+        path = tmp_path / f"{design}.net"
+        path.write_text(serialize_netlist(build()))
+        code = main(
+            ["mc", str(path), "--method", method, "--schedule", "static",
+             "--stats"]
+        )
+        assert code == exit_code
+        err = capsys.readouterr().err
+        assert "vars_quantified" in err
+        assert "input_dc_checks" not in err
+
     def test_negated_latch_property(self, s27_bench):
         # "!G5" must resolve to the complement of latch G5's edge;
         # reach_bdd decides it either way without erroring.

@@ -2,14 +2,16 @@
 
 ``Aig.rebuild`` (behind ``cofactor`` and ``compose``),
 ``SatSweeper.merge_pair_backward`` with ``fit_solver``,
-``BddSweepTable.sweep`` and ``bdd_to_aig`` read the AIG manager's fanin
-arrays directly, skip ``and_`` calls whose answer is the node itself and
-share caches across calls.  Each must still create the same nodes in the
-same order, make the same checks and count the same stats as the plain
-versions kept below as references.  Every test runs the kernel in one
-manager and the reference in a twin built from the same seed, then
-compares results, stats, caches and the twins' ``_fanin0``/``_fanin1``
-arrays, so node numbering cannot drift.
+``BddSweepTable.sweep``, ``bdd_to_aig``, ``aig_to_bdd`` and the
+backward traversal's initial-state test (``BackwardReachability._hit``)
+read the managers' arrays directly, skip ``and_`` calls whose answer is
+the node itself and share caches across calls.  Each must still create
+the same nodes in the same order, make the same checks and count the
+same stats as the plain versions kept below as references.  Every test
+runs the kernel in one manager and the reference in a twin built from
+the same seed, then compares results, stats, caches and the twins'
+``_fanin0``/``_fanin1`` arrays (a BDD manager's ``_var``/``_low``/
+``_high`` arrays and cache counters), so node numbering cannot drift.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ import pytest
 
 from repro.aig.graph import FALSE, TRUE, Aig, edge_not
 from repro.aig.ops import cofactor, compose, ite
-from repro.aig.simulate import word_mask
+from repro.aig.simulate import eval_edge, word_mask
 from repro.bdd.from_aig import aig_to_bdd, bdd_to_aig
 from repro.bdd.manager import BDD_FALSE, BDD_TRUE, BddManager
+from repro.circuits import generators as G
 from repro.errors import AigError, BddError, BddLimitExceeded
+from repro.mc.reach_aig import BackwardReachability
 from repro.sweep import bddsweep
 from repro.sweep.bddsweep import BddSweepTable, bdd_sweep
 from repro.sweep.satsweep import SatSweeper
@@ -216,6 +220,35 @@ def reference_bdd_to_aig(manager, bdd_node, aig, var_edges):
         high = cache[manager.high_of(node)]
         cache[node] = ite(aig, var_edges[var], high, low)
     return cache[bdd_node], cache
+
+
+def reference_aig_to_bdd(aig, edge, manager, var_map, node_cache=None):
+    """The encoder through the manager's accessor methods."""
+    if node_cache is None:
+        node_cache = {}
+    node_cache.setdefault(0, BDD_FALSE)
+    for node in aig.cone([edge], known=node_cache):
+        if aig.is_input(node):
+            if node not in var_map:
+                raise BddError(f"AIG input {node} missing from var_map")
+            node_cache[node] = manager.var_node(var_map[node])
+        else:
+            f0, f1 = aig.fanins(node)
+            b0 = node_cache[f0 >> 1]
+            if f0 & 1:
+                b0 = manager.not_(b0)
+            b1 = node_cache[f1 >> 1]
+            if f1 & 1:
+                b1 = manager.not_(b1)
+            node_cache[node] = manager.and_(b0, b1)
+    result = node_cache[edge >> 1]
+    return manager.not_(result) if edge & 1 else result
+
+
+def reference_hit(traversal, frontier):
+    """The initial state if a fresh evaluation of ``frontier`` holds."""
+    init = traversal.model.init_assignment()
+    return init if eval_edge(traversal.model.aig, frontier, init) else None
 
 
 # ---------------------------------------------------------------------- #
@@ -660,3 +693,130 @@ class TestBddToAigMatchesReference:
         if bdds[1] not in cache:
             with pytest.raises(BddError):
                 bdd_to_aig(manager, bdds[1], aig, {}, cache)
+
+
+# ---------------------------------------------------------------------- #
+# aig_to_bdd
+# ---------------------------------------------------------------------- #
+
+
+def _bdd_state(manager):
+    return (
+        manager._var, manager._low, manager._high, manager.cache_summary()
+    )
+
+
+def _twin_bdd_managers(num_vars, max_nodes=None):
+    managers = []
+    for _ in range(2):
+        manager = BddManager(max_nodes=max_nodes)
+        for _ in range(num_vars):
+            manager.new_var()
+        managers.append(manager)
+    return managers
+
+
+class TestAigToBddMatchesReference:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_encodes_match(self, seed, shared):
+        (aig, inputs, edges), _ = twins(6, 80, seed)
+        manager, ref_manager = _twin_bdd_managers(6)
+        var_map = {edge >> 1: index for index, edge in enumerate(inputs)}
+        cache = {} if shared else None
+        ref_cache = {} if shared else None
+        rng = random.Random(seed)
+        roots = [rng.choice(edges) ^ rng.randint(0, 1) for _ in range(10)]
+        for root in roots + [FALSE, TRUE]:
+            got = aig_to_bdd(aig, root, manager, var_map, cache)
+            want = reference_aig_to_bdd(
+                aig, root, ref_manager, var_map, ref_cache
+            )
+            assert got == want
+            assert cache == ref_cache
+        assert _bdd_state(manager) == _bdd_state(ref_manager)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_budget_overruns_stop_at_the_same_node(self, seed):
+        (aig, inputs, edges), _ = twins(6, 80, seed)
+        manager, ref_manager = _twin_bdd_managers(6, max_nodes=30)
+        var_map = {edge >> 1: index for index, edge in enumerate(inputs)}
+        cache: dict[int, int] = {}
+        ref_cache: dict[int, int] = {}
+        rng = random.Random(seed)
+        for _ in range(6):
+            root = rng.choice(edges) ^ rng.randint(0, 1)
+            try:
+                got = aig_to_bdd(aig, root, manager, var_map, cache)
+            except BddLimitExceeded:
+                got = "overrun"
+            try:
+                want = reference_aig_to_bdd(
+                    aig, root, ref_manager, var_map, ref_cache
+                )
+            except BddLimitExceeded:
+                want = "overrun"
+            assert got == want
+            assert cache == ref_cache
+        assert _bdd_state(manager) == _bdd_state(ref_manager)
+
+
+# ---------------------------------------------------------------------- #
+# BackwardReachability._hit
+# ---------------------------------------------------------------------- #
+
+
+HIT_DESIGNS = {
+    "mod_counter_enable": lambda: G.mod_counter(
+        5, 20, safe=False, with_enable=True
+    ),
+    "one_hot": lambda: G.one_hot_fsm(6, safe=False),
+    "arbiter": lambda: G.arbiter(4),
+    "johnson": lambda: G.johnson_counter(6),
+}
+
+
+class TestInitialStateHitMatchesReference:
+    @pytest.mark.parametrize("design", HIT_DESIGNS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_state_sets(self, design, seed):
+        netlist = HIT_DESIGNS[design]()
+        traversal = BackwardReachability(netlist)
+        twin = BackwardReachability(netlist)
+        built = []
+        for run in (traversal, twin):
+            rng = random.Random(seed)
+            aig = run.model.aig
+            # Latches, one input (absent from the initial state: false)
+            # and ANDs over them, so later sets share earlier cones.
+            edges = [2 * node for node in run.model.latch_nodes]
+            edges += [2 * node for node in run.model.input_nodes[:1]]
+            for _ in range(60):
+                a = rng.choice(edges) ^ rng.randint(0, 1)
+                b = rng.choice(edges) ^ rng.randint(0, 1)
+                edges.append(aig.and_(a, b))
+            order = edges + [FALSE, TRUE]
+            rng.shuffle(order)
+            built.append(order)
+        assert built[0] == built[1]
+        for frontier in built[0]:
+            assert traversal._hit(frontier) == reference_hit(twin, frontier)
+        assert_same_nodes(traversal.model.aig, twin.model.aig)
+
+    @pytest.mark.parametrize("design", HIT_DESIGNS)
+    def test_whole_runs_match(self, design, monkeypatch):
+        netlist = HIT_DESIGNS[design]()
+        traversal = BackwardReachability(netlist)
+        result = traversal.run()
+        twin = BackwardReachability(netlist)
+        monkeypatch.setattr(
+            twin, "_hit", lambda frontier: reference_hit(twin, frontier)
+        )
+        want = twin.run()
+        assert result.status is want.status
+        assert result.iterations == want.iterations
+        assert result.stats.as_dict() == want.stats.as_dict()
+        if want.trace is not None:
+            assert result.trace.states == want.trace.states
+            assert result.trace.inputs == want.trace.inputs
+        assert_same_nodes(traversal.model.aig, twin.model.aig)

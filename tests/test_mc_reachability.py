@@ -427,6 +427,56 @@ class TestInputEliminationModes:
         assert result.stats.get("hybrid_residual_vars", 0) >= 1
 
 
+# A spread of designs for the don't-care phase's invariance: each
+# traversal quantifies with it or without it to the same state sets.
+PHASE_DESIGNS = {
+    "one_hot_10_buggy": lambda: G.one_hot_fsm(10, safe=False),
+    "updown_5": lambda: G.up_down_counter(5),
+    "updown_5_buggy": lambda: G.up_down_counter(5, safe=False),
+    "arbiter_8": lambda: G.arbiter(8),
+    "mod_counter_5_20_enable": lambda: G.mod_counter(
+        5, 20, safe=False, with_enable=True
+    ),
+    "gray_4": lambda: G.gray_counter(4),
+    "fifo_level_4": lambda: G.fifo_level(4),
+}
+
+
+class TestDontCarePhaseInTraversals:
+    """The traversals leave the don't-care phase off by default.  Its
+    replacements keep the function of ``f0 ∨ f1``, so with the phase on
+    every state set is the same function: verdicts, iterations and
+    trace depths cannot move."""
+
+    @pytest.mark.parametrize(
+        "method", ["reach_aig", "reach_aig_fwd", "reach_aig_hybrid"]
+    )
+    @pytest.mark.parametrize("design", PHASE_DESIGNS)
+    def test_phase_changes_no_search_outcome(self, method, design):
+        net = PHASE_DESIGNS[design]()
+        plain = verify(net, method=method)
+        full = verify(
+            net, method=method, quantify=QuantifyOptions.preset("full")
+        )
+        assert plain.stats.get("input_dc_checks") == 0
+        assert plain.status is full.status
+        assert plain.iterations == full.iterations
+        assert (plain.trace is None) == (full.trace is None)
+        if full.trace is not None:
+            assert plain.trace.depth == full.trace.depth
+            assert plain.trace.validate(net)
+            assert full.trace.validate(net)
+
+    def test_defaults_leave_only_the_phase_off(self):
+        from repro.mc.reach_aig_fwd import ForwardReachOptions
+
+        plain = QuantifyOptions(optimize=False)
+        assert ReachOptions().quantify == plain
+        assert ForwardReachOptions().quantify == plain
+        assert QuantifyOptions().optimize
+        assert QuantifyOptions.preset("full").optimize
+
+
 class TestBddEngines:
     @pytest.mark.parametrize("name,build", SAFE_CASES)
     def test_backward_proves_safe(self, name, build):

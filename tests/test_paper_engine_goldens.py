@@ -223,25 +223,25 @@ def _runs(source, variant):
 GOLDENS = {
     ("bwd_quant", 1): (
         ("mod_counter_5_20", "FAILED",
-         (19, 19, 25, 68, 25, 25, 2, 10, 0, 1, 19, 0, 737, 19, 0, 0)),
+         (19, 19, 0, 68, 0, 0, 0, 10, 0, 0, 19, 0, 737, 19, 0, 0)),
         ("arbiter_8", "PROVED",
-         (1, 8, 46, 14, 46, 9, 0, 63, 0, 1, 0, 0, 2327, 1, 0, 0)),
+         (1, 8, 0, 14, 0, 0, 0, 63, 0, 0, 0, 0, 2327, 1, 0, 0)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 10, 7, 5, 1, 0, 84, 0, 1, 1, 0, 68, 1, 0, 0)),
+         (1, 2, 5, 7, 0, 0, 0, 45, 0, 0, 1, 0, 68, 2, 0, 0)),
     ),
     ("bwd_quant", 2): (
         ("mod_counter_5_20", "FAILED",
-         (19, 19, 25, 68, 25, 25, 2, 10, 0, 1, 19, 0, 737, 19, 0, 0)),
+         (19, 19, 0, 68, 0, 0, 0, 10, 0, 0, 19, 0, 737, 19, 0, 0)),
         ("arbiter_8", "PROVED",
-         (1, 8, 41, 14, 40, 7, 0, 63, 0, 1, 0, 0, 2325, 1, 0, 0)),
+         (1, 8, 1, 14, 0, 0, 0, 63, 0, 0, 0, 0, 2325, 1, 0, 0)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 10, 7, 4, 1, 0, 84, 0, 1, 1, 0, 68, 1, 0, 0)),
+         (1, 2, 6, 7, 0, 0, 0, 45, 0, 0, 1, 0, 68, 2, 0, 0)),
     ),
     ("fwd_image", 1): (
         ("fifo_level_4", "PROVED",
          (15, 90, 6, 163, 0, 0, 0, 12, 91, 3, 0, 0, 7314, 15, 0, 2)),
         ("gray_counter_4", "PROVED",
-         (17, 136, 31, 35, 24, 0, 0, 15, 156, 18, 0, 0, 136, 0, 0, 0)),
+         (17, 136, 7, 35, 0, 0, 0, 15, 156, 7, 0, 0, 136, 0, 0, 0)),
         ("mod_counter_5_20", "PROVED",
          (20, 100, 6, 37, 0, 0, 0, 9, 96, 6, 0, 0, 100, 0, 0, 0)),
     ),
@@ -249,7 +249,7 @@ GOLDENS = {
         ("fifo_level_4", "PROVED",
          (15, 90, 6, 163, 0, 0, 0, 12, 91, 3, 0, 0, 7314, 15, 0, 2)),
         ("gray_counter_4", "PROVED",
-         (17, 136, 36, 37, 24, 0, 0, 15, 160, 17, 0, 0, 136, 0, 0, 0)),
+         (17, 136, 12, 37, 0, 0, 0, 15, 160, 10, 0, 0, 136, 0, 0, 0)),
         ("mod_counter_5_20", "PROVED",
          (20, 100, 6, 48, 0, 0, 0, 9, 87, 6, 0, 0, 100, 0, 0, 0)),
     ),
@@ -271,7 +271,7 @@ GOLDENS = {
     ),
     ("bwd_long", "unpermuted"): (
         ("mod_counter_7_30", "FAILED",
-         (29, 29, 42, 103, 42, 32, 0, 13, 0, 0, 29, 0, 3587, 29, 0, 0)),
+         (29, 29, 1, 103, 0, 0, 0, 13, 0, 0, 29, 0, 3587, 29, 0, 0)),
     ),
     ("bwd_quant_allsat", 1): (
         ("mod_counter_5_20", "FAILED", (19, 10, 0, 19, 0, 19, 0, 2, 1)),
@@ -280,13 +280,13 @@ GOLDENS = {
     ),
     ("bwd_quant_hybrid", 1): (
         ("mod_counter_5_20", "FAILED",
-         (19, 19, 25, 68, 25, 25, 2, 10, 0, 1, 19, 0, 737, 19, 0, 0,
+         (19, 19, 0, 68, 0, 0, 0, 10, 0, 0, 19, 0, 737, 19, 0, 0,
           19, 0, 0, 0, 0)),
         ("arbiter_8", "PROVED",
-         (1, 8, 66, 0, 66, 40, 0, 63, 0, 5, 0, 0, 2687, 1, 0, 1,
+         (1, 8, 0, 14, 0, 0, 0, 63, 0, 0, 0, 0, 2301, 1, 0, 1,
           8, 0, 0, 0, 0)),
         ("onehot_10_buggy", "FAILED",
-         (1, 2, 18, 7, 17, 5, 0, 45, 0, 1, 1, 0, 199, 2, 0, 0,
+         (1, 2, 1, 8, 0, 0, 0, 45, 0, 0, 1, 0, 199, 2, 0, 0,
           2, 0, 0, 0, 0)),
     ),
     ("bwd_long_allsat", "unpermuted"): (
@@ -294,8 +294,8 @@ GOLDENS = {
     ),
     ("bwd_long_hybrid", "unpermuted"): (
         ("mod_counter_7_30", "FAILED",
-         (29, 29, 42, 103, 42, 32, 0, 13, 0, 0, 29, 0, 3587, 29, 0, 0,
-          27, 2, 2, 2, 1)),
+         (29, 29, 1, 103, 0, 0, 0, 13, 0, 0, 29, 0, 3587, 29, 0, 0,
+          26, 3, 3, 2, 1)),
     ),
     ("bdd_fix", 1): (
         ("gray_counter_10", "PROVED", (1025, 20, 815, 77729, 25830, 111531)),
@@ -364,16 +364,16 @@ SAT_COUNTERS = ("decisions", "conflicts", "propagations", "solve_calls")
 # summed over all Solver.solve calls of the run.
 SAT_GOLDENS = {
     ("bwd_quant", 1): (
-        (84, 51, 1219, 25), (99, 20, 4139, 46), (79, 25, 1604, 10),
+        (0, 0, 0, 0), (0, 0, 0, 0), (49, 20, 1163, 5),
     ),
     ("bwd_quant", 2): (
-        (84, 51, 1219, 25), (177, 22, 4099, 41), (53, 4, 968, 10),
+        (0, 0, 0, 0), (6, 3, 54, 1), (36, 2, 653, 6),
     ),
     ("fwd_image", 1): (
-        (64, 21, 1493, 21), (97, 21, 2311, 48), (26, 20, 519, 26),
+        (64, 21, 1493, 21), (24, 17, 1802, 24), (26, 20, 519, 26),
     ),
     ("fwd_image", 2): (
-        (64, 21, 1493, 21), (103, 24, 2505, 53), (26, 20, 893, 26),
+        (64, 21, 1493, 21), (32, 17, 1937, 29), (26, 20, 893, 26),
     ),
     ("bwd_deep", 1): (
         (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0),
@@ -381,15 +381,15 @@ SAT_GOLDENS = {
     ("bwd_deep", 2): (
         (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0),
     ),
-    ("bwd_long", "unpermuted"): ((111, 56, 2726, 42),),
+    ("bwd_long", "unpermuted"): ((3, 0, 46, 1),),
     ("bwd_quant_allsat", 1): (
         (172, 72, 3969, 57), (96, 18, 1119, 5), (84, 45, 1981, 3),
     ),
     ("bwd_quant_hybrid", 1): (
-        (84, 51, 1219, 25), (346, 105, 7769, 66), (174, 68, 3442, 18),
+        (0, 0, 0, 0), (0, 0, 0, 0), (75, 42, 1679, 1),
     ),
     ("bwd_long_allsat", "unpermuted"): ((276, 119, 8358, 87),),
-    ("bwd_long_hybrid", "unpermuted"): ((129, 65, 3258, 48),),
+    ("bwd_long_hybrid", "unpermuted"): ((31, 13, 848, 10),),
     ("t7_bmc", 0): ((0, 0, 0, 13), (0, 0, 0, 24)),
     ("t7_bmc", 2): ((0, 0, 0, 13), (0, 0, 0, 24)),
     ("t7_bmc", 4): ((0, 0, 0, 13), (0, 0, 0, 24)),
