@@ -60,6 +60,12 @@ _RECURSION_MARGIN = 512
 _RECURSION_LIMIT_CAP = 100_000
 
 
+def _preserves_order(mapping: Mapping[int, int]) -> bool:
+    """Whether ``mapping`` sends its keys to strictly increasing images."""
+    images = [mapping[v] for v in sorted(mapping)]
+    return images == sorted(set(images))
+
+
 class BddManager:
     """Hash-consed ROBDD manager.
 
@@ -712,14 +718,23 @@ class BddManager:
     def forall(self, f: int, variables: Iterable[int]) -> int:
         return self.not_(self.exists(self.not_(f), variables))
 
-    def compose(self, f: int, substitution: Mapping[int, int]) -> int:
+    def compose(
+        self,
+        f: int,
+        substitution: Mapping[int, int],
+        cache: dict[int, int] | None = None,
+    ) -> int:
         """Simultaneous substitution of BDDs for variables.
 
         ``substitution`` maps variable indices to replacement BDD nodes.
         Implemented by Shannon expansion on every node, which is correct for
         simultaneous composition regardless of variable ordering.
+        ``cache`` (node -> composed node) may be shared by calls with the
+        same substitution, so a traversal that composes every frontier
+        keeps one for the run and never composes a node twice.
         """
-        cache: dict[int, int] = {}
+        if cache is None:
+            cache = {}
 
         def walk(node: int) -> int:
             if node <= 1:
@@ -743,45 +758,83 @@ class BddManager:
         finally:
             del walk   # breaks the self-reference (see restrict)
 
-    def rename(self, f: int, mapping: Mapping[int, int]) -> int:
+    def rename(
+        self,
+        f: int,
+        mapping: Mapping[int, int],
+        cache: dict[int, int] | None = None,
+    ) -> int:
         """Variable-to-variable renaming (indices to indices).
 
-        When the mapping preserves the variable order over the support of
-        ``f`` (and covers it), the BDD is relabeled in one linear pass —
-        the common "next-state back to current-state" case.  Otherwise it
-        falls back to general composition.
+        When ``mapping`` preserves the variable order over its own keys,
+        the BDD is relabeled in one pass with no support walk — the common
+        "next-state back to current-state" case.  ``cache`` (node ->
+        renamed node) may be shared by calls with the same mapping, so a
+        traversal that renames every image relabels each node once per
+        run.  If the pass meets a variable that ``mapping`` does not name,
+        its nodes and cache entries are dropped again and the support
+        decides: a relabel when the mapping, extended by the identity over
+        the support, still preserves the order, general composition
+        otherwise.
         """
+        if cache is None:
+            cache = {}
+        if _preserves_order(mapping):
+            nodes, entries = len(self._var), len(cache)
+            result = self._relabel_rec(f, mapping, cache)
+            if result >= 0:
+                return result
+            self._drop_nodes_from(nodes)
+            while len(cache) > entries:
+                cache.popitem()
         support = self.support(f)
         applicable = {v: mapping.get(v, v) for v in support}
-        ordered = sorted(applicable)
-        images = [applicable[v] for v in ordered]
-        if images == sorted(set(images)):   # strictly increasing, distinct
-            return self._relabel(f, applicable)
+        if _preserves_order(applicable):
+            # Not the shared memo: a direct pass puts its entries below
+            # any renamed variable, which keeps the order only when every
+            # variable under them was renamed too.
+            return self._relabel_rec(f, applicable, {})
         return self.compose(
             f, {old: self.var_node(new) for old, new in mapping.items()}
         )
 
-    def _relabel(self, f: int, mapping: Mapping[int, int]) -> int:
-        """Linear-time relabeling for an order-preserving variable map."""
-        cache: dict[int, int] = {}
+    def _relabel_rec(
+        self, node: int, mapping: Mapping[int, int], cache: dict[int, int]
+    ) -> int:
+        """Relabel under an order-preserving ``mapping`` in one post-order
+        pass (low branch first); -1 as soon as a variable outside the
+        mapping turns up."""
+        if node <= 1:
+            return node
+        hit = cache.get(node)
+        if hit is not None:
+            return hit
+        var = mapping.get(self._var[node])
+        if var is None:
+            return -1
+        low = self._relabel_rec(self._low[node], mapping, cache)
+        if low < 0:
+            return low
+        high = self._relabel_rec(self._high[node], mapping, cache)
+        if high < 0:
+            return high
+        result = self._make_node(var, low, high)
+        cache[node] = result
+        return result
 
-        def walk(node: int) -> int:
-            if node <= 1:
-                return node
-            hit = cache.get(node)
-            if hit is not None:
-                return hit
-            var = mapping.get(self._var[node], self._var[node])
-            result = self._make_node(
-                var, walk(self._low[node]), walk(self._high[node])
-            )
-            cache[node] = result
-            return result
+    def _drop_nodes_from(self, count: int) -> None:
+        """Forget every node allocated after the first ``count``.
 
-        try:
-            return walk(f)
-        finally:
-            del walk   # breaks the self-reference (see restrict)
+        Only for nodes nothing outside the caller refers to yet: the
+        unique table and the node arrays return to their earlier state.
+        """
+        var_arr, low_arr, high_arr = self._var, self._low, self._high
+        unique = self._unique
+        for node in range(count, len(var_arr)):
+            del unique[
+                (var_arr[node] << 60) | (low_arr[node] << 30) | high_arr[node]
+            ]
+        del var_arr[count:], low_arr[count:], high_arr[count:]
 
     # ------------------------------------------------------------------ #
     # Queries

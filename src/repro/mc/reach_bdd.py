@@ -24,8 +24,25 @@ then input quantification, as in :mod:`repro.mc.reach_aig`), forward by
 the scheduled relational product.  The monolithic conjoin-then-quantify
 image survives only as :meth:`_BddModel.postimage_monolithic`, the
 reference that the tests and ``benchmarks/bench_t14_bdd_image.py``
-compare the scheduled image with.  BDD peak sizes are reported so
-experiment T4 can contrast them with the AIG engine's circuit sizes.
+compare the scheduled image with.
+
+Each iteration does only image and set work.  Stats:
+
+* ``peak_frontier_bdd``: the largest frontier, sized every iteration,
+  so experiment T4 and figure F1 can contrast it with the AIG engine's
+  circuit sizes (perfbench reads it as ``peak_stateset_nodes``);
+* ``reached_bdd``: the size of the final reached set, walked once when
+  the run ends (a per-iteration peak of it cost a full walk of the
+  growing set every step);
+* ``iterations``, ``manager_nodes`` and the kernel cache counters.
+
+Memos: the model keeps two run-long ones next to the kernel's caches,
+node -> renamed node for the post-image's next-to-current renaming
+(``BddManager.rename``) and node -> composed node for the pre-image's
+substitution of the next-state functions (``BddManager.compose``).
+Their maps are fixed for the run, so no node is relabeled or composed
+twice, and ``trim_caches`` leaves them alone; each holds at most one
+entry per manager node.
 """
 
 from __future__ import annotations
@@ -109,6 +126,8 @@ class _BddModel:
         self._compose_map = {
             self.var_of_node[node]: fn for node, fn in self.delta.items()
         }
+        # Run-long memo of _compose_map: node -> composed node.
+        self._compose_cache: dict[int, int] = {}
         self.input_vars = [self.var_of_node[n] for n in netlist.input_nodes]
         self.state_vars = [self.var_of_node[n] for n in netlist.latch_nodes]
         self.input_cube = self.manager.cube_pos(self.input_vars)
@@ -128,6 +147,8 @@ class _BddModel:
             self.next_var_of_latch[node]: self.var_of_node[node]
             for node in self.delta
         }
+        # Run-long memo of _rename_map: node -> renamed node.
+        self._rename_cache: dict[int, int] = {}
         # (clusters, quantification cube) steps, built on first post-image.
         self._image_plan: list[tuple[list[int], int]] | None = None
 
@@ -142,7 +163,9 @@ class _BddModel:
         into one ``and_exists`` — the composed set is never conjoined with
         the constraint in full.
         """
-        composed = self.manager.compose(state_set, self._compose_map)
+        composed = self.manager.compose(
+            state_set, self._compose_map, self._compose_cache
+        )
         return self.manager.and_exists_cube(
             composed, self.constraint, self.input_cube
         )
@@ -150,7 +173,10 @@ class _BddModel:
     def preimage_into(self, layer: int, state: dict[int, bool]) -> int:
         """BDD over the input variables: choices taking ``state`` into layer."""
         composed = self.manager.and_(
-            self.manager.compose(layer, self._compose_map), self.constraint
+            self.manager.compose(
+                layer, self._compose_map, self._compose_cache
+            ),
+            self.constraint,
         )
         for node, value in state.items():
             composed = self.manager.restrict(
@@ -190,7 +216,7 @@ class _BddModel:
                 )
             if product == BDD_FALSE:
                 return BDD_FALSE
-        return manager.rename(product, self._rename_map)
+        return manager.rename(product, self._rename_map, self._rename_cache)
 
     def postimage_monolithic(self, state_set: int) -> int:
         """The seed pipeline: conjoin the full relation, then quantify.
@@ -332,23 +358,24 @@ class _BddTraversal:
         layers = [start]
         reached = start
         if manager.and_(start, target) != BDD_FALSE:
-            return self._failed(layers)
+            return self._failed(layers, reached)
         for iteration in range(1, self.options.max_iterations + 1):
             with _obs.span(self.image_span, "bdd", iteration=iteration):
                 image = image_of(layers[-1])
             frontier = manager.and_(image, manager.not_(reached))
             self.stats.max("peak_frontier_bdd", manager.size(frontier))
-            self.stats.max("peak_reached_bdd", manager.size(reached))
             if _obs.ENABLED:
                 _obs.tick("bdd", manager, bag=self.stats)
             manager.trim_caches()
             if frontier == BDD_FALSE:
-                return self._result(Status.PROVED, iteration)
+                return self._result(Status.PROVED, iteration, reached)
             layers.append(frontier)
             reached = manager.or_(reached, frontier)
             if manager.and_(frontier, target) != BDD_FALSE:
-                return self._failed(layers)
-        return self._result(Status.UNKNOWN, self.options.max_iterations)
+                return self._failed(layers, reached)
+        return self._result(
+            Status.UNKNOWN, self.options.max_iterations, reached
+        )
 
     def _direction(self) -> tuple[int, int, Callable[[int], int]]:
         """The start set, the hit target and the image function."""
@@ -361,19 +388,25 @@ class _BddTraversal:
         state, one state per layer."""
         raise NotImplementedError
 
-    def _failed(self, layers: list[int]) -> VerificationResult:
+    def _failed(self, layers: list[int], reached: int) -> VerificationResult:
         states, inputs = self._path(layers)
         violation = self.model.violation_inputs(states[-1])
         trace = Trace(states=states, inputs=inputs, violation_inputs=violation)
-        return self._result(Status.FAILED, len(layers) - 1, trace)
+        return self._result(Status.FAILED, len(layers) - 1, reached, trace)
 
     def _result(
-        self, status: Status, iterations: int, trace: Trace | None = None
+        self,
+        status: Status,
+        iterations: int,
+        reached: int,
+        trace: Trace | None = None,
     ) -> VerificationResult:
-        """Surface the kernel cache counters, then build the result."""
+        """Size the reached set, surface the kernel cache counters, then
+        build the result."""
         manager = self.model.manager
         if status is not Status.UNKNOWN:
             self.stats.set("iterations", iterations)
+        self.stats.set("reached_bdd", manager.size(reached))
         for key, value in manager.cache_summary().items():
             self.stats.set(f"bdd_{key}", value)
         self.stats.set("manager_nodes", manager.num_nodes)

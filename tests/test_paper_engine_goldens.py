@@ -106,7 +106,7 @@ COUNTERS = {
     "reach_bdd_fwd": (
         "iterations",
         "peak_frontier_bdd",
-        "peak_reached_bdd",
+        "reached_bdd",
         "manager_nodes",
         "bdd_cache_hits",
         "bdd_cache_misses",
@@ -298,22 +298,22 @@ GOLDENS = {
           26, 3, 3, 2, 1)),
     ),
     ("bdd_fix", 1): (
-        ("gray_counter_10", "PROVED", (1025, 20, 815, 77729, 25830, 111531)),
-        ("updown_12", "PROVED", (4096, 13, 23, 115186, 58966, 174158)),
+        ("gray_counter_10", "PROVED", (1025, 20, 785, 77729, 25830, 111531)),
+        ("updown_12", "PROVED", (4096, 13, 1, 115186, 58966, 174158)),
         ("mod_counter_12_3000", "PROVED",
-         (3000, 12, 25, 62869, 31995, 101774)),
+         (3000, 12, 13, 62869, 31995, 101774)),
     ),
     ("bdd_fix", 2): (
-        ("gray_counter_10", "PROVED", (1025, 20, 1071, 79193, 32761, 113737)),
-        ("updown_12", "PROVED", (4096, 13, 27, 115357, 60428, 174626)),
+        ("gray_counter_10", "PROVED", (1025, 20, 1008, 79193, 32761, 113737)),
+        ("updown_12", "PROVED", (4096, 13, 1, 115357, 60428, 174626)),
         ("mod_counter_12_3000", "PROVED",
-         (3000, 12, 20, 75678, 36017, 118276)),
+         (3000, 12, 12, 75678, 36017, 118276)),
     ),
     ("t14_bdd_image", "scheduled"): (
-        ("mod_counter_6_40", "PROVED", (40, 6, 6, 670, 410, 999)),
+        ("mod_counter_6_40", "PROVED", (40, 6, 3, 670, 410, 999)),
         ("gray_counter_5", "PROVED", (33, 10, 96, 2164, 860, 2724)),
         ("fifo_level_4", "PROVED", (15, 4, 4, 544, 398, 720)),
-        ("updown_5", "PROVED", (32, 6, 6, 1112, 878, 1487)),
+        ("updown_5", "PROVED", (32, 6, 1, 1112, 878, 1487)),
         ("onehot_8", "PROVED", (8, 8, 15, 750, 276, 910)),
         ("arbiter_6", "PROVED", (6, 6, 11, 788, 310, 1003)),
     ),

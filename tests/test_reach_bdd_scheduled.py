@@ -7,9 +7,12 @@ reproduce.
 """
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.bdd.manager import BDD_FALSE
 from repro.circuits import generators as G
 from repro.circuits.netlist import Netlist
 from repro.core import images as images_module
@@ -22,8 +25,12 @@ from repro.core.schedule import (
 )
 from repro.errors import ModelCheckingError
 from repro.mc import verify
-from repro.mc.reach_bdd import BddReachOptions, _BddModel
+from repro.mc.reach_bdd import BddReachOptions, _BddModel, _ForwardTraversal
 from repro.mc.result import Status
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench.workloads import WORKLOADS, build_netlists  # noqa: E402
 
 SEED = 20050308
 
@@ -133,6 +140,66 @@ class TestScheduledPostimageEquivalence:
             scheduled = model.postimage(frontier)
             assert scheduled == model.postimage_monolithic(frontier)
             frontier = scheduled
+
+
+def monolithic_traversal(netlist):
+    """``(iterations, peak frontier size, reached size)`` of a plain
+    forward loop over the monolithic image in a fresh model.
+
+    ``iterations`` is 0 when the initial states are bad, and the peak is
+    0 when no image was taken.
+    """
+    model = _BddModel(netlist, BddReachOptions())
+    manager = model.manager
+    frontier = reached = model.init
+    peak = 0
+    if manager.and_(frontier, model.bad) != BDD_FALSE:
+        return 0, peak, manager.size(reached)
+    iteration = 0
+    while True:
+        iteration += 1
+        image = model.postimage_monolithic(frontier)
+        frontier = manager.and_(image, manager.not_(reached))
+        peak = max(peak, manager.size(frontier))
+        if frontier == BDD_FALSE:
+            return iteration, peak, manager.size(reached)
+        reached = manager.or_(reached, frontier)
+        if manager.and_(frontier, model.bad) != BDD_FALSE:
+            return iteration, peak, manager.size(reached)
+
+
+class TestReachedSizeOracle:
+    """``reached_bdd`` is the size of the final reached set, taken once
+    at the end of the run; the iterations and the per-iteration peak
+    frontier match an independent monolithic loop."""
+
+    @staticmethod
+    def _check(netlist):
+        traversal = _ForwardTraversal(netlist, BddReachOptions())
+        result = traversal.run()
+        stats = result.stats
+        assert (
+            stats.get("iterations"),
+            stats.get("peak_frontier_bdd"),
+            stats.get("reached_bdd"),
+        ) == monolithic_traversal(netlist)
+        assert "peak_reached_bdd" not in stats.as_dict()
+        return traversal, result
+
+    @pytest.mark.parametrize("seed", range(SEED, SEED + 12))
+    def test_random_netlists(self, seed):
+        self._check(random_netlist(seed))
+
+    @pytest.mark.parametrize(
+        "netlist",
+        build_netlists(WORKLOADS["bdd_fix"], 1),
+        ids=lambda netlist: netlist.name,
+    )
+    def test_bdd_fix_designs(self, netlist):
+        traversal, result = self._check(netlist)
+        assert result.status is Status.PROVED
+        # Every image was renamed through the run's one memo.
+        assert traversal.model._rename_cache
 
 
 class TestVerifyIntegration:
