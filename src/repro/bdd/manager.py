@@ -718,23 +718,14 @@ class BddManager:
     def forall(self, f: int, variables: Iterable[int]) -> int:
         return self.not_(self.exists(self.not_(f), variables))
 
-    def compose(
-        self,
-        f: int,
-        substitution: Mapping[int, int],
-        cache: dict[int, int] | None = None,
-    ) -> int:
+    def compose(self, f: int, substitution: Mapping[int, int]) -> int:
         """Simultaneous substitution of BDDs for variables.
 
         ``substitution`` maps variable indices to replacement BDD nodes.
         Implemented by Shannon expansion on every node, which is correct for
         simultaneous composition regardless of variable ordering.
-        ``cache`` (node -> composed node) may be shared by calls with the
-        same substitution, so a traversal that composes every frontier
-        keeps one for the run and never composes a node twice.
         """
-        if cache is None:
-            cache = {}
+        cache: dict[int, int] = {}
 
         def walk(node: int) -> int:
             if node <= 1:
@@ -772,21 +763,17 @@ class BddManager:
         renamed node) may be shared by calls with the same mapping, so a
         traversal that renames every image relabels each node once per
         run.  If the pass meets a variable that ``mapping`` does not name,
-        its nodes and cache entries are dropped again and the support
-        decides: a relabel when the mapping, extended by the identity over
-        the support, still preserves the order, general composition
-        otherwise.
+        the support decides: a relabel when the mapping, extended by the
+        identity over the support, still preserves the order, general
+        composition otherwise.  What the abandoned pass built stays: its
+        nodes and cache entries relabel subgraphs that the mapping covers.
         """
         if cache is None:
             cache = {}
         if _preserves_order(mapping):
-            nodes, entries = len(self._var), len(cache)
             result = self._relabel_rec(f, mapping, cache)
             if result >= 0:
                 return result
-            self._drop_nodes_from(nodes)
-            while len(cache) > entries:
-                cache.popitem()
         support = self.support(f)
         applicable = {v: mapping.get(v, v) for v in support}
         if _preserves_order(applicable):
@@ -821,20 +808,6 @@ class BddManager:
         result = self._make_node(var, low, high)
         cache[node] = result
         return result
-
-    def _drop_nodes_from(self, count: int) -> None:
-        """Forget every node allocated after the first ``count``.
-
-        Only for nodes nothing outside the caller refers to yet: the
-        unique table and the node arrays return to their earlier state.
-        """
-        var_arr, low_arr, high_arr = self._var, self._low, self._high
-        unique = self._unique
-        for node in range(count, len(var_arr)):
-            del unique[
-                (var_arr[node] << 60) | (low_arr[node] << 30) | high_arr[node]
-            ]
-        del var_arr[count:], low_arr[count:], high_arr[count:]
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -36,13 +36,14 @@ Each iteration does only image and set work.  Stats:
   growing set every step);
 * ``iterations``, ``manager_nodes`` and the kernel cache counters.
 
-Memos: the model keeps two run-long ones next to the kernel's caches,
+Memo: next to the kernel's caches the model keeps one run-long memo,
 node -> renamed node for the post-image's next-to-current renaming
-(``BddManager.rename``) and node -> composed node for the pre-image's
-substitution of the next-state functions (``BddManager.compose``).
-Their maps are fixed for the run, so no node is relabeled or composed
-twice, and ``trim_caches`` leaves them alone; each holds at most one
-entry per manager node.
+(``BddManager.rename``).  Its map is fixed for the run, so no node is
+relabeled twice, and ``trim_caches`` leaves it alone; it holds at most
+one entry per manager node.  The pre-image's ``compose`` keeps a memo
+per call: a run-long one saved under 5% of the backward T4 runs and,
+since its hits skip ``ite`` calls the op cache would have answered,
+lowered their reported cache hit rates.
 """
 
 from __future__ import annotations
@@ -126,8 +127,6 @@ class _BddModel:
         self._compose_map = {
             self.var_of_node[node]: fn for node, fn in self.delta.items()
         }
-        # Run-long memo of _compose_map: node -> composed node.
-        self._compose_cache: dict[int, int] = {}
         self.input_vars = [self.var_of_node[n] for n in netlist.input_nodes]
         self.state_vars = [self.var_of_node[n] for n in netlist.latch_nodes]
         self.input_cube = self.manager.cube_pos(self.input_vars)
@@ -163,9 +162,7 @@ class _BddModel:
         into one ``and_exists`` — the composed set is never conjoined with
         the constraint in full.
         """
-        composed = self.manager.compose(
-            state_set, self._compose_map, self._compose_cache
-        )
+        composed = self.manager.compose(state_set, self._compose_map)
         return self.manager.and_exists_cube(
             composed, self.constraint, self.input_cube
         )
@@ -173,10 +170,7 @@ class _BddModel:
     def preimage_into(self, layer: int, state: dict[int, bool]) -> int:
         """BDD over the input variables: choices taking ``state`` into layer."""
         composed = self.manager.and_(
-            self.manager.compose(
-                layer, self._compose_map, self._compose_cache
-            ),
-            self.constraint,
+            self.manager.compose(layer, self._compose_map), self.constraint
         )
         for node, value in state.items():
             composed = self.manager.restrict(

@@ -286,6 +286,13 @@ def test_walks_leave_no_cycle_holding_the_manager():
         mgr.compose(f, {0: z})
         mgr.rename(f, {0: 1, 1: 2, 2: 0})     # not order-preserving
         mgr.rename(mgr.and_(x, y), {0: 1, 1: 2})  # relabeled in one pass
+        # The same paths with a memo kept across calls with one map.
+        mgr.new_var("w")
+        memo: dict[int, int] = {}
+        mgr.rename(mgr.and_(x, y), {0: 1, 1: 2}, memo)   # relabeled
+        mgr.rename(mgr.and_(y, z), {0: 1, 1: 2}, memo)   # relabeled
+        mgr.rename(f, {2: 3}, {})       # falls back, relabels over support
+        mgr.rename(f, {1: 0}, {})       # falls back, composes
         mgr.sat_count(f)
         freed = weakref.ref(mgr)
         del mgr
