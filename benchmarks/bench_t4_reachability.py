@@ -3,7 +3,8 @@
 The headline comparison: the paper's backward traversal with circuit-based
 quantification against classical BDD reachability, on safe and buggy
 designs.  Reported per run: verdict, traversal iterations, peak state-set
-representation size (AND nodes vs. BDD nodes) and wall time.
+representation size (AND nodes vs. BDD nodes), the BDD engine's final
+reached-set size (``reached_bdd``) and wall time.
 """
 
 import pytest
@@ -48,6 +49,7 @@ def test_t4_reachability(benchmark, record_row, session, design, engine):
             "peak_representation": peak,
             "manager_nodes": result.stats.get("manager_nodes", None),
             "cache_hit_rate": result.stats.get("bdd_cache_hit_rate", None),
+            "reached_bdd": result.stats.get("reached_bdd", None),
         }
     )
     record_row(

@@ -34,7 +34,7 @@ whatever import order the process chose.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.errors import ModelCheckingError
@@ -70,15 +70,16 @@ class EngineSpec:
       portfolio policies;
     * ``composite`` — dispatches to other engines (the portfolio); never
       a portfolio *candidate* itself;
-    * ``variant_of`` — a forced-option variant of another engine
-      (``reach_aig_allsat``/``_hybrid``); excluded from default
-      portfolios, which already run the base engine.
+    * ``variant_of`` — another engine this one runs with a different
+      built-in mode (``reach_aig_allsat``/``_hybrid`` eliminate inputs
+      their own way); excluded from default portfolios, which already
+      run the base engine.
 
     ``direction`` is ``"backward"``, ``"forward"`` or ``"any"``.
     ``options_class`` is the engine's typed option dataclass and
     ``depth_field`` names the field of it that a caller's ``max_depth``
-    budget initializes; ``forced_options`` pins fields the engine name
-    itself implies.
+    budget initializes.  Anything the engine name itself implies is the
+    runner's business, not an option.
     """
 
     name: str
@@ -86,7 +87,6 @@ class EngineSpec:
     run: Callable[["Netlist", object], "VerificationResult"]
     options_class: type | None = None
     depth_field: str | None = None
-    forced_options: Mapping[str, object] = field(default_factory=dict)
     produces_trace: bool = True
     complete: bool = True
     supports_constraints: bool = True
@@ -103,10 +103,9 @@ class EngineSpec:
         """One normalization for every engine.
 
         Callers either pass a ready-made ``options=...`` object (whose
-        own depth field is respected, with this spec's forced fields
-        overriding) or loose keyword options merged into a fresh object;
-        ``max_depth`` initializes the depth field unless explicitly
-        overridden.
+        own depth field is respected) or loose keyword options merged
+        into a fresh object; ``max_depth`` initializes the depth field
+        unless explicitly overridden.
         """
         overrides = dict(overrides)
         provided = overrides.pop("options", None)
@@ -116,8 +115,6 @@ class EngineSpec:
                     f"pass either options=... or loose keywords, not both: "
                     f"{sorted(overrides)}"
                 )
-            if self.forced_options:
-                return dataclasses.replace(provided, **self.forced_options)
             return provided
         if self.options_class is None:
             if overrides:
@@ -126,18 +123,10 @@ class EngineSpec:
                     f"{sorted(overrides)}"
                 )
             return None
-        collisions = set(self.forced_options) & set(overrides)
-        if collisions:
-            raise ModelCheckingError(
-                f"engine {self.name!r} forces {sorted(collisions)}; "
-                f"drop them or use the base engine"
-            )
-        kwargs = dict(self.forced_options)
-        kwargs.update(overrides)
-        if self.depth_field is not None and self.depth_field not in kwargs:
-            kwargs[self.depth_field] = max_depth
+        if self.depth_field is not None:
+            overrides.setdefault(self.depth_field, max_depth)
         try:
-            return self.options_class(**kwargs)
+            return self.options_class(**overrides)
         except TypeError as exc:
             known = sorted(
                 f.name for f in dataclasses.fields(self.options_class)
@@ -185,7 +174,6 @@ def register_engine(
     summary: str,
     options_class: type | None = None,
     depth_field: str | None = None,
-    forced_options: Mapping[str, object] | None = None,
     produces_trace: bool = True,
     complete: bool = True,
     supports_constraints: bool = True,
@@ -210,7 +198,6 @@ def register_engine(
             run=run,
             options_class=options_class,
             depth_field=depth_field,
-            forced_options=dict(forced_options or {}),
             produces_trace=produces_trace,
             complete=complete,
             supports_constraints=supports_constraints,

@@ -240,7 +240,7 @@ class Session:
         self, spec, task: VerificationTask, on_event=None
     ) -> tuple[VerificationResult, bool]:
         """Run the engine; returns (result, safe-to-memoize)."""
-        options = task.engine_options()
+        options = dict(task.options)
         if spec.composite:
             # Composite engines budget their own workers: the task's
             # wall-clock becomes their per-engine budget (unless the

@@ -2,19 +2,16 @@
 
 A :class:`VerificationTask` is everything a :class:`repro.api.Session`
 needs to run (and cache, and report on) one problem: the netlist, the
-engine name, and three budgets — traversal depth, wall-clock seconds,
-and the engine's operation-cache bound.  Tasks are plain data; building
-one runs nothing.
+engine name, and two budgets — traversal depth and wall-clock seconds.
+Tasks are plain data; building one runs nothing.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from repro.api.registry import EngineSpec, get_engine
 from repro.circuits.netlist import Netlist
-from repro.errors import ModelCheckingError
 
 
 @dataclass
@@ -28,9 +25,6 @@ class VerificationTask:
       reports UNKNOWN.  A composite engine budgets its own workers, so
       the timeout becomes its per-engine budget instead (an explicit
       ``budget`` in ``options`` wins).
-    * ``max_cache_entries`` — operation-cache bound, forwarded to
-      engines whose option dataclass has a ``max_cache_entries`` field
-      (the BDD traversals); silently inapplicable elsewhere.
     * ``options`` — extra engine options, exactly as
       :func:`repro.mc.verify` accepts them (loose keywords, or a
       ready-made dataclass under the ``"options"`` key).
@@ -42,7 +36,6 @@ class VerificationTask:
     engine: str = "reach_aig"
     max_depth: int = 100
     timeout: float | None = None
-    max_cache_entries: int | None = None
     options: dict[str, object] = field(default_factory=dict)
     label: str | None = None
 
@@ -53,24 +46,3 @@ class VerificationTask:
     def spec(self) -> EngineSpec:
         """Resolve the engine name (raises on an unknown engine)."""
         return get_engine(self.engine)
-
-    def engine_options(self) -> dict[str, object]:
-        """The option mapping handed to the engine, budgets folded in."""
-        options = dict(self.options)
-        if self.max_cache_entries is None:
-            return options
-        if "options" in options:
-            # A ready-made options object carries its own cache bound; a
-            # second one on the task would be silently ignored.
-            raise ModelCheckingError(
-                "set max_cache_entries on the options object or the "
-                "task, not both"
-            )
-        if "max_cache_entries" not in options:
-            options_class = self.spec().options_class
-            if options_class is not None and any(
-                f.name == "max_cache_entries"
-                for f in dataclasses.fields(options_class)
-            ):
-                options["max_cache_entries"] = self.max_cache_entries
-        return options

@@ -14,7 +14,8 @@ Verdict aggregation over the cubes of the one split target:
 * an UNSAT's assumption core names the tail literals actually needed, so
   the falsified cube is ``prefix AND core`` — every pending or running
   sibling whose literal set contains that cube is pruned unsolved;
-* all leaves UNSAT/refuted/pruned aggregates to one UNSAT verdict.
+* all leaves UNSAT/refuted/pruned aggregates to one UNSAT verdict;
+  a crashed worker leaves its cube undecided, and the split UNKNOWN.
 
 ``workers=0`` solves the queue in-process in deterministic order (same
 code path minus the fork), which is what reproducible tests and the
@@ -61,7 +62,7 @@ class CubeOutcome:
     """How one cube's solve ended."""
 
     tag: int
-    verdict: str  # sat / unsat / unknown / pruned / cancelled / crashed
+    verdict: str  # sat / unsat / pruned / cancelled / crashed
     model: dict[int, bool] | None = None
     refuted_cube: frozenset[CubeLiteral] | None = None
     elapsed: float = 0.0
@@ -88,9 +89,7 @@ def make_task(aig: Aig, leaf: CubeLeaf, tag: int) -> ConquerTask:
     )
 
 
-def _solve_task(
-    task: ConquerTask, conflict_budget: int | None
-) -> tuple[str, object, dict[str, int]]:
+def _solve_task(task: ConquerTask) -> tuple[str, object, dict[str, int]]:
     """Solve one cube; shared by the worker body and the in-process path."""
     from repro.aig.cnf import CnfMapper
 
@@ -98,7 +97,7 @@ def _solve_task(
     mapper = CnfMapper(task.aig, solver)
     solver.add_clause([mapper.lit_for(task.target)])
     assumption_lits = [mapper.lit_for(edge) for edge in task.assumptions]
-    result = solver.solve(assumption_lits, conflict_budget=conflict_budget)
+    result = solver.solve(assumption_lits)
     stats = {
         "conflicts": solver.conflicts,
         "decisions": solver.decisions,
@@ -111,18 +110,16 @@ def _solve_task(
             if node in task.input_nodes
         }
         return "sat", model, stats
-    if result is SolveResult.UNSAT:
-        core = solver.core or ()
-        core_positions = [
-            index
-            for index, lit in enumerate(assumption_lits)
-            if lit in core
-        ]
-        return "unsat", core_positions, stats
-    return "unknown", None, stats
+    core = solver.core or ()
+    core_positions = [
+        index
+        for index, lit in enumerate(assumption_lits)
+        if lit in core
+    ]
+    return "unsat", core_positions, stats
 
 
-def _conquer_worker(conn, task, conflict_budget, obs_cfg):
+def _conquer_worker(conn, task, obs_cfg):
     """Cube subprocess body: announce, solve, stream obs, report back."""
     tracer = None
     try:
@@ -133,7 +130,7 @@ def _conquer_worker(conn, task, conflict_budget, obs_cfg):
         tracer = child_obs_tracer(obs_cfg)
         with _obs.span("cnc.solve_cube", "engine", cube=task.tag,
                        literals=len(task.literals)):
-            verdict, payload, stats = _solve_task(task, conflict_budget)
+            verdict, payload, stats = _solve_task(task)
         if tracer is not None:
             conn.send(("obs", tracer.export_records()))
         conn.send(("ok", (verdict, payload, stats)))
@@ -160,8 +157,6 @@ def conquer(
     tasks: Sequence[ConquerTask],
     *,
     workers: int = 2,
-    conflict_budget: int | None = None,
-    cube_budget: float | None = None,
     lookahead_refuted: int = 0,
     stats: StatsBag | None = None,
 ) -> list[CubeOutcome]:
@@ -200,8 +195,6 @@ def conquer(
             outcome.refuted_cube = cube
             refuted.append(cube)
             bag.incr("cnc_cubes_unsat")
-        elif verdict == "unknown":
-            bag.incr("cnc_cubes_unknown")
         else:
             bag.incr(f"cnc_cubes_{verdict}")
         for key, value in (solver_stats or {}).items():
@@ -230,9 +223,7 @@ def conquer(
                 retire(task, why)
                 continue
             start = time.monotonic()
-            verdict, payload, solver_stats = _solve_task(
-                task, conflict_budget
-            )
+            verdict, payload, solver_stats = _solve_task(task)
             absorb(task, verdict, payload, solver_stats,
                    time.monotonic() - start)
             tick(0)
@@ -258,7 +249,7 @@ def conquer(
                 WorkerHandle(
                     ctx,
                     _conquer_worker,
-                    (task, conflict_budget, obs_cfg),
+                    (task, obs_cfg),
                     label=f"cube{task.tag}",
                     payload=task,
                 )
@@ -301,10 +292,6 @@ def conquer(
                     reap(run, verdict, result, solver_stats)
                 else:
                     reap(run, "crashed", None, {})
-            elif cube_budget is not None and run.elapsed > cube_budget:
-                progressed = True
-                reap(run, "unknown", None, {})
-                bag.incr("cnc_cubes_timed_out")
             elif not run.process.is_alive():
                 progressed = True
                 reap(run, "crashed", None, {})

@@ -69,7 +69,6 @@ def _aggregate(
         refuted=tree.refuted_leaves,
         stats=stats,
     )
-    undecided = False
     for outcome in outcomes:
         if outcome.verdict == "sat":
             if not eval_edge(aig, target, outcome.model):
@@ -80,9 +79,8 @@ def _aggregate(
             split.verdict = SolveResult.SAT
             split.model = outcome.model
             return split
-        if outcome.verdict in ("unknown", "crashed"):
-            undecided = True
-    if undecided:
+    if any(outcome.verdict == "crashed" for outcome in outcomes):
+        # A crashed cube decided nothing, so the split decides nothing.
         split.verdict = SolveResult.UNKNOWN
     return split
 
@@ -94,8 +92,6 @@ def split_solve(
     cube_depth: int = 4,
     candidates_limit: int = 10,
     workers: int = 0,
-    conflict_budget: int | None = None,
-    cube_budget: float | None = None,
     stats: StatsBag | None = None,
 ) -> SplitOutcome:
     """Cube-and-conquer one combinational target edge.
@@ -132,8 +128,6 @@ def split_solve(
         outcomes = conquer(
             tasks,
             workers=workers,
-            conflict_budget=conflict_budget,
-            cube_budget=cube_budget,
             lookahead_refuted=tree.refuted_leaves,
             stats=bag,
         )
@@ -241,8 +235,6 @@ def cnc_verify(
         cube_depth=options.cube_depth,
         candidates_limit=options.candidates_limit,
         workers=workers,
-        conflict_budget=options.conflict_budget,
-        cube_budget=options.cube_budget,
         stats=stats,
     )
     stats.set("cnc_cubes", outcome.cubes)
@@ -264,5 +256,5 @@ def cnc_verify(
         else:
             stats.incr("cnc_bound_exhausted")
     else:
-        stats.incr("cnc_budget_exhausted")
+        stats.incr("cnc_split_crashed")
     return result

@@ -17,15 +17,15 @@ class CncOptions:
     of a depth sweep.  ``cube_depth`` and ``candidates_limit`` shape the
     Cube stage (tree depth and the lookahead's top-K trial set);
     ``workers`` sizes the conquer pool (0 solves the cubes in-process,
-    sequentially and deterministically).
+    sequentially and deterministically).  Cubes are solved without a
+    conflict or time budget, so each ends SAT or UNSAT unless its
+    worker crashes.
     """
 
     max_depth: int = 100
     cube_depth: int = 4
     candidates_limit: int = 10
     workers: int = 2
-    conflict_budget: int | None = None
-    cube_budget: float | None = None
 
     def validate(self) -> None:
         if self.max_depth < 0:

@@ -75,8 +75,7 @@ class ImageComputer:
     """Pre/post-image engine over one netlist.
 
     ``elimination`` picks how :meth:`eliminate_inputs` removes the primary
-    inputs (see the module docstring); ``max_cubes`` bounds every all-SAT
-    enumeration.
+    inputs (see the module docstring).
     """
 
     def __init__(
@@ -84,7 +83,6 @@ class ImageComputer:
         netlist: Netlist,
         options: QuantifyOptions | None = None,
         elimination: str = "circuit",
-        max_cubes: int | None = None,
     ) -> None:
         if elimination not in ELIMINATION_MODES:
             raise ModelCheckingError(
@@ -97,7 +95,6 @@ class ImageComputer:
         # A plan step's variables arrive in plan order: quantify them so.
         self._step_options = replace(self.options, schedule="static")
         self.elimination = elimination
-        self.max_cubes = max_cubes
         self._sweeper: SatSweeper | None = None
         self._bdd_table: BddSweepTable | None = None
         self._next_functions = netlist.next_functions()
@@ -181,9 +178,7 @@ class ImageComputer:
             if not partial.aborted:
                 return ImageResult(edge=partial.edge, stats=stats)
             edge, inputs = partial.edge, partial.aborted
-        result, sat_stats = allsat_quantify(
-            aig, edge, inputs, max_cubes=self.max_cubes
-        )
+        result, sat_stats = allsat_quantify(aig, edge, inputs)
         stats.merge(sat_stats)
         return ImageResult(edge=result, stats=stats)
 

@@ -33,7 +33,6 @@ from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, TRUE, Aig
 from repro.aig.ops import or_, support
 from repro.core.quantify import QuantifyOptions, quantify_exists
-from repro.errors import ResourceLimit
 from repro.sat.solver import SolveResult
 from repro.sweep.bddsweep import BddSweepTable
 from repro.sweep.satsweep import SatSweeper
@@ -123,14 +122,12 @@ def allsat_quantify(
     aig: Aig,
     edge: int,
     variables: list[int],
-    max_cubes: int | None = None,
 ) -> tuple[int, StatsBag]:
     """``exists {variables} . edge`` by circuit-cofactoring enumeration.
 
     Returns ``(result_edge, stats)``; ``stats["cubes"]`` counts the
     enumeration iterations (the decision-variable cost metric of the
-    paper's Section 4 discussion).  Raises :class:`ResourceLimit` if
-    ``max_cubes`` is hit.
+    paper's Section 4 discussion).
     """
     stats = StatsBag()
     present = support(aig, edge)
@@ -146,10 +143,6 @@ def allsat_quantify(
     while True:
         if mapper.solver.solve([target_lit]) is not SolveResult.SAT:
             break
-        if max_cubes is not None and cubes >= max_cubes:
-            raise ResourceLimit(
-                f"all-SAT pre-image exceeded {max_cubes} cubes"
-            )
         model = mapper.model_inputs()
         assignment = {
             node: TRUE if model.get(node, False) else FALSE

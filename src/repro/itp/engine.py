@@ -19,9 +19,10 @@ round at unrolling depth ``k``:
 * SAT with a widened ``R``: spurious (an artifact of over-approximation)
   — restart with a deeper unrolling, which tightens the interpolants.
 
-Every refutation is replayed through the independent checker, and every
-interpolant can be differentially validated against the DPLL oracle
-(``verify_interpolants``, expensive, for tests).
+Every refutation is replayed through the independent checker.  The
+tests also check every extracted interpolant against the DPLL oracle
+(:func:`repro.itp.interpolant.verify_interpolant`), which is too slow
+for the engine itself.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.aig.cnf import CnfMapper
 from repro.aig.graph import FALSE, TRUE, edge_not
 from repro.aig.ops import or_
 from repro.circuits.netlist import Netlist
-from repro.itp.interpolant import extract_interpolant, verify_interpolant
+from repro.itp.interpolant import extract_interpolant
 from repro.itp.options import ItpOptions
 from repro.itp.proof import ResolutionProof
 from repro.mc.result import Status, Trace, VerificationResult
@@ -154,12 +155,6 @@ def _itp_round(
             tracer.sample("itp.interpolant_nodes", interpolant_nodes)
             stats.sample("itp.interpolant_nodes", interpolant_nodes,
                          t=tracer.now())
-        if options.verify_interpolants:
-            cnf_a, cnf_b = proof.partition(split)
-            width = max(cnf_a.num_vars, cnf_b.num_vars, solver.num_vars)
-            cnf_a.num_vars = cnf_b.num_vars = width
-            verify_interpolant(aig, interpolant, cnf_a, cnf_b, var_edge)
-            stats.incr("interpolants_verified")
         if not _edge_satisfiable(aig, aig.and_(interpolant,
                                                edge_not(reach)), stats):
             # The over-approximation closed: reach is inductive and

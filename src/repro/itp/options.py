@@ -18,11 +18,8 @@ class ItpOptions:
     ``max_depth`` bounds the unrolling depth ``k`` (doubled after every
     spurious hit); ``max_iterations`` caps the interpolant iterations of
     one fixed-depth round before deepening is forced.  Every refutation
-    is replayed through the independent resolution checker;
-    ``verify_interpolants`` additionally runs the DPLL differential
-    check on every extracted interpolant (slow — meant for tests).
+    is replayed through the independent resolution checker.
     """
 
     max_depth: int = 100
     max_iterations: int = 64
-    verify_interpolants: bool = False

@@ -73,41 +73,45 @@ def _run_k_induction(
     )
 
 
-def _run_backward_reachability(
-    netlist: Netlist, options: ReachOptions
-) -> VerificationResult:
-    return BackwardReachability(netlist, options).run()
-
-
-# One runner, three registrations: the allsat/hybrid variants differ
-# only in the elimination mode their name forces.
-register_engine(
+@register_engine(
     name="reach_aig",
     summary="the paper's engine: backward AIG traversal with "
     "circuit-based quantification",
     options_class=ReachOptions,
     depth_field="max_iterations",
-)(_run_backward_reachability)
+)
+def _run_reach_aig(
+    netlist: Netlist, options: ReachOptions
+) -> VerificationResult:
+    return BackwardReachability(netlist, options, "circuit").run()
 
-register_engine(
+
+@register_engine(
     name="reach_aig_allsat",
     summary="backward AIG traversal, all-SAT pre-image "
     "(Ganai-style enumeration baseline)",
     options_class=ReachOptions,
     depth_field="max_iterations",
-    forced_options={"input_elimination": "allsat"},
     variant_of="reach_aig",
-)(_run_backward_reachability)
+)
+def _run_reach_aig_allsat(
+    netlist: Netlist, options: ReachOptions
+) -> VerificationResult:
+    return BackwardReachability(netlist, options, "allsat").run()
 
-register_engine(
+
+@register_engine(
     name="reach_aig_hybrid",
     summary="backward AIG traversal, partial circuit quantification "
     "with all-SAT on the residual (the Section-4 combination)",
     options_class=ReachOptions,
     depth_field="max_iterations",
-    forced_options={"input_elimination": "hybrid"},
     variant_of="reach_aig",
-)(_run_backward_reachability)
+)
+def _run_reach_aig_hybrid(
+    netlist: Netlist, options: ReachOptions
+) -> VerificationResult:
+    return BackwardReachability(netlist, options, "hybrid").run()
 
 
 @register_engine(

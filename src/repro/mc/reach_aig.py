@@ -70,14 +70,8 @@ class ReachOptions:
     quantify: QuantifyOptions = field(
         default_factory=lambda: QuantifyOptions(optimize=False)
     )
-    # "circuit": full circuit quantification (the paper's core method);
-    # "allsat": pure SAT enumeration (the Ganai et al. baseline);
-    # "hybrid": partial circuit quantification, all-SAT on the residual
-    #           (the Section 4 combination).
-    input_elimination: str = "circuit"
     max_iterations: int = 10_000
     max_manager_nodes: int = 2_000_000
-    allsat_max_cubes: int | None = None
 
 
 # Node budget of a run's re-encoding table (:class:`ReencodingTable`);
@@ -430,22 +424,33 @@ class AigTraversal:
 
 
 class BackwardReachability(AigTraversal):
-    """The paper's traversal routine over one netlist."""
+    """The paper's traversal routine over one netlist.
+
+    ``elimination`` picks how pre-images lose their inputs:
+    ``"circuit"`` quantifies them out of the circuit (the paper's core
+    method), ``"allsat"`` enumerates them (the Ganai et al. baseline)
+    and ``"hybrid"`` quantifies what does not grow the circuit and
+    enumerates the rest (the Section 4 combination).  Each mode is
+    registered as its own engine (``reach_aig``, ``reach_aig_allsat``,
+    ``reach_aig_hybrid``).
+    """
 
     direction = "backward"
 
     def __init__(
-        self, netlist: Netlist, options: ReachOptions | None = None
+        self,
+        netlist: Netlist,
+        options: ReachOptions | None = None,
+        elimination: str = "circuit",
     ) -> None:
         options = options if options is not None else ReachOptions()
         super().__init__(netlist, options)
-        mode = options.input_elimination
-        self.engine = "reach_aig" if mode == "circuit" else f"reach_aig_{mode}"
+        self.engine = (
+            "reach_aig" if elimination == "circuit"
+            else f"reach_aig_{elimination}"
+        )
         self.images = ImageComputer(
-            self.model,
-            options.quantify,
-            elimination=mode,
-            max_cubes=options.allsat_max_cubes,
+            self.model, options.quantify, elimination=elimination
         )
         self._init = self.model.init_assignment()
         # Node -> 0/1 value at the initial state, over every cone

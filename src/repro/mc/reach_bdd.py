@@ -15,8 +15,9 @@ you quantify matters as much as *what* you quantify:
   :meth:`~repro.bdd.manager.BddManager.and_exists` as soon as no later
   cluster depends on it;
 * pre-images fuse the constraint conjunction with input quantification;
-* the kernel's operation caches are trimmed between frontier steps and
-  their hit/miss counters surface through the result's ``StatsBag``.
+* the kernel's operation caches are bounded (:data:`MAX_CACHE_ENTRIES`)
+  and trimmed between frontier steps, and their hit/miss counters
+  surface through the result's ``StatsBag``.
 
 Both directions run through one loop, :meth:`_BddTraversal.run`:
 backward by pre-images (vector composition of the next-state functions,
@@ -67,6 +68,10 @@ from repro.util.stats import StatsBag
 # BDD node bound of one transition-relation cluster of the post-image.
 CLUSTER_SIZE = 2_000
 
+# Entry bound of each kernel operation cache; caches beyond it are
+# dropped between frontier steps.
+MAX_CACHE_ENTRIES = 1 << 20
+
 
 @dataclass
 class BddReachOptions:
@@ -76,15 +81,13 @@ class BddReachOptions:
     ``max_nodes`` bounds the manager (:class:`~repro.errors.BddLimitExceeded`
     beyond it).  ``schedule`` names a :mod:`repro.core.schedule` heuristic
     that orders the quantified variables (and thereby the cluster
-    conjunctions) of the post-image.  ``max_cache_entries``
-    bounds each kernel operation cache; caches beyond the bound are
-    dropped between frontier steps.
+    conjunctions) of the post-image.  The kernel's operation caches are
+    bounded by the module constant :data:`MAX_CACHE_ENTRIES`.
     """
 
     max_iterations: int = 10_000
     max_nodes: int | None = None
     schedule: str = "min_dependence"
-    max_cache_entries: int | None = 1 << 20
 
 
 class _BddModel:
@@ -100,7 +103,7 @@ class _BddModel:
         self.options = options
         self.manager = BddManager(
             max_nodes=options.max_nodes,
-            max_cache_entries=options.max_cache_entries,
+            max_cache_entries=MAX_CACHE_ENTRIES,
         )
         self.var_of_node: dict[int, int] = {}
         for node in netlist.latch_nodes:

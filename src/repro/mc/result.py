@@ -169,7 +169,7 @@ class InvariantCertificate:
 
     :func:`repro.pdr.check_certificate` runs exactly those queries on a
     fresh solver; the ``pdr`` engine does so before returning any PROVED
-    result (``PdrOptions.certify``).  An empty clause list is the trivial
+    result.  An empty clause list is the trivial
     certificate ``Inv = TRUE`` (the property can never be violated by any
     state at all).
     """

@@ -14,7 +14,7 @@ of the three conditions is one SAT query on a fresh solver —
 * safety:       ``Inv ∧ C ∧ ¬P``      is UNSAT.
 
 ``check_certificate`` is called by the engine itself before any PROVED
-result escapes (``PdrOptions.certify``, on by default) and by the test
+result escapes (always; there is no switch) and by the test
 suite against results that crossed process or serialization boundaries.
 """
 

@@ -20,9 +20,9 @@ solvers.  One major iteration:
   PROVED.
 
 Every PROVED verdict ships an explicit
-:class:`repro.mc.result.InvariantCertificate` and (by default) has it
-re-checked by :func:`repro.pdr.certify.check_certificate` on a fresh,
-independent solver before the result is returned.
+:class:`repro.mc.result.InvariantCertificate` and has it re-checked
+by :func:`repro.pdr.certify.check_certificate` on a fresh, independent
+solver before the result is returned.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ from repro.pdr.generalize import (
 from repro.pdr.options import PdrOptions
 from repro.pdr.solver_pool import SolverPool
 from repro.util.stats import StatsBag
+
+# Proof obligations one run may process before it answers UNKNOWN.
+# Read at call time, so tests monkeypatch it.
+MAX_OBLIGATIONS = 50_000
 
 
 @dataclass
@@ -82,7 +86,7 @@ class _Pdr:
         self.frames = FrameTrace()
         self.pool = SolverPool(netlist, self.frames, self.stats)
         self._tick = 0          # heap tie-breaker (insertion order)
-        self._obligations = 0   # processed, against max_obligations
+        self._obligations = 0   # processed, against MAX_OBLIGATIONS
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -142,10 +146,9 @@ class _Pdr:
             self._obligations += 1
             if _obs.ENABLED:
                 _obs.tick("pdr", (len(queue), self.frames), self.stats)
-            if self._obligations > self.options.max_obligations:
+            if self._obligations > MAX_OBLIGATIONS:
                 raise ResourceLimit(
-                    f"PDR exceeded {self.options.max_obligations} "
-                    f"proof obligations"
+                    f"PDR exceeded {MAX_OBLIGATIONS} proof obligations"
                 )
             covered = self.frames.blocking_level(
                 obligation.cube, obligation.level
@@ -273,9 +276,8 @@ class _Pdr:
         certificate = InvariantCertificate(
             clauses=self.frames.invariant_clauses(level), level=level
         )
-        if self.options.certify:
-            check_certificate(self.netlist, certificate)
-            self.stats.incr("certificates_checked")
+        check_certificate(self.netlist, certificate)
+        self.stats.incr("certificates_checked")
         self.stats.set(
             "invariant_clauses", float(certificate.num_clauses)
         )

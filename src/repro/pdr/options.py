@@ -16,10 +16,10 @@ class PdrOptions:
     """Configuration of the IC3/PDR engine.
 
     ``max_frames`` bounds the length of the frame trace (the engine
-    answers UNKNOWN once it would have to open a deeper frame);
-    ``max_obligations`` caps the total number of proof obligations
-    processed before giving up — a safety valve against pathological
-    instances, not a tuning knob.
+    answers UNKNOWN once it would have to open a deeper frame).  The
+    cap on proof obligations is the module constant
+    :data:`repro.pdr.engine.MAX_OBLIGATIONS`, a safety valve against
+    pathological instances rather than a tuning knob.
 
     ``generalize`` enables unsat-core literal dropping on blocked cubes
     (lemmas shrink from full state assignments to a few literals);
@@ -28,14 +28,12 @@ class PdrOptions:
     states per query).  Both default on; turning them off yields the
     textbook unoptimized algorithm, useful for differential testing.
 
-    ``certify`` re-checks the inductive-invariant certificate of every
-    PROVED result with three SAT queries on a fresh, independent solver
-    before the result is returned (on by default — a bad certificate is
-    an engine bug, not a verdict).
+    The inductive-invariant certificate of every PROVED result is
+    re-checked with three SAT queries on a fresh, independent solver
+    before the result is returned; there is no switch, since a bad
+    certificate is an engine bug, not a verdict.
     """
 
     max_frames: int = 100
-    max_obligations: int = 50_000
     generalize: bool = True
     ternary: bool = True
-    certify: bool = True

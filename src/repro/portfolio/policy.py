@@ -30,7 +30,7 @@ def default_engines() -> tuple[str, ...]:
     """Engines a portfolio runs when the caller does not choose.
 
     Derived from the registry by capability: every non-composite engine
-    that is not a forced-option variant of another candidate (the
+    that is not a variant of another candidate (the
     allsat/hybrid modes ride along with ``reach_aig`` only when asked
     for).  Registration order puts the quick early-exit engines first.
     """

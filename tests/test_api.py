@@ -103,14 +103,6 @@ class TestRegistry:
         composite = {s.name for s in engines_with(composite=True)}
         assert composite == {"portfolio"}
 
-    def test_forced_option_collision_rejected(self):
-        with pytest.raises(ModelCheckingError, match="forces"):
-            verify(
-                G.mod_counter(2, 3),
-                method="reach_aig_allsat",
-                input_elimination="circuit",
-            )
-
     def test_unknown_option_names_the_known_ones(self):
         with pytest.raises(ModelCheckingError, match="preimage_folds"):
             verify(G.mod_counter(2, 3), method="bmc", no_such_option=True)
@@ -122,13 +114,22 @@ class TestRegistry:
             ("reach_bdd_fwd", "cluster_size", 500),
             ("cnc", "assume_tail", 2),
             ("bmc", "solver", None),
+            ("reach_aig_allsat", "input_elimination", "circuit"),
+            ("reach_aig", "allsat_max_cubes", 10),
+            ("reach_bdd", "max_cache_entries", 512),
+            ("reach_bdd_fwd", "max_cache_entries", 512),
+            ("pdr", "max_obligations", 1),
+            ("pdr", "certify", False),
+            ("itp", "verify_interpolants", True),
+            ("cnc", "conflict_budget", 100),
+            ("cnc", "cube_budget", 1.0),
         ],
     )
     def test_settings_that_are_constants_are_not_options(
         self, method, option, value
     ):
-        # Module constants, not options: passing one names the options
-        # the engine has.
+        # Module constants, fixed behavior or the engine name itself,
+        # not options: passing one names the options the engine has.
         with pytest.raises(ModelCheckingError, match="known options are"):
             verify(G.mod_counter(2, 3), method=method, **{option: value})
 
@@ -334,27 +335,11 @@ class TestVerificationTask:
         with pytest.raises(ModelCheckingError):
             task.spec()
 
-    def test_cache_budget_reaches_capable_engines_only(self):
-        bdd = VerificationTask(
-            G.mod_counter(3, 6), engine="reach_bdd", max_cache_entries=512
-        )
-        assert bdd.engine_options() == {"max_cache_entries": 512}
-        aig = VerificationTask(
-            G.mod_counter(3, 6), engine="reach_aig", max_cache_entries=512
-        )
-        assert aig.engine_options() == {}
-
-    def test_cache_budget_with_ready_made_options_is_loud(self):
-        from repro.mc import BddReachOptions
-
-        task = VerificationTask(
-            G.mod_counter(3, 6),
-            engine="reach_bdd",
-            max_cache_entries=512,
-            options={"options": BddReachOptions()},
-        )
-        with pytest.raises(ModelCheckingError, match="not both"):
-            task.engine_options()
+    def test_cache_bound_is_not_a_task_budget(self):
+        # The BDD cache bound is a module constant (reach_bdd's
+        # MAX_CACHE_ENTRIES): a task has a depth and a timeout only.
+        with pytest.raises(TypeError):
+            VerificationTask(G.mod_counter(3, 6), max_cache_entries=512)
 
 
 class TestSession:

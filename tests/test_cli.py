@@ -469,6 +469,22 @@ class TestEnginesJson:
         )
         assert "max_depth" in catalog["bmc"]["options"]
 
+    def test_option_surface_size(self, capsys):
+        # Only settings some caller varies are options: 42 names over
+        # the 12 built-in engines (the engine name picks reach_aig's
+        # input-elimination mode; budgets no caller set are constants).
+        import json
+
+        assert main(["engines", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["engines"]
+        assert len(payload) == 12
+        assert sum(len(entry["options"]) for entry in payload) == 42
+        for name in ("reach_aig", "reach_aig_allsat", "reach_aig_hybrid"):
+            (entry,) = [e for e in payload if e["name"] == name]
+            assert entry["options"] == [
+                "max_iterations", "max_manager_nodes", "quantify",
+            ]
+
 
 class TestServiceCLI:
     def test_submit_wait_proves_offline(

@@ -278,6 +278,27 @@ class TestCncEngine:
         assert result.stats.get("cnc_workers") == 2
         assert result.trace.validate(G.mod_counter(4, 12, safe=False))
 
+    def test_crashed_cubes_leave_the_split_unknown(self, monkeypatch):
+        import importlib
+
+        # The package re-exports the function under the module's name.
+        conquer_mod = importlib.import_module("repro.cnc.conquer")
+
+        def crash(task):
+            raise RuntimeError("worker lost")
+
+        # The workers fork, so they inherit the patched solve.
+        monkeypatch.setattr(conquer_mod, "_solve_task", crash)
+        result = verify(
+            G.mod_counter(4, 12, safe=False),
+            method="cnc",
+            max_depth=16,
+            workers=1,
+        )
+        assert result.status is Status.UNKNOWN
+        assert result.stats.get("cnc_cubes_crashed") >= 1
+        assert result.stats.get("cnc_split_crashed") == 1
+
     def test_stats_report_cube_accounting(self):
         result = verify(
             handshake(False), method="cnc", max_depth=10, workers=0

@@ -34,6 +34,31 @@ BUGGY_FAMILIES = {
 }
 
 
+@pytest.fixture
+def checked_interpolants(monkeypatch):
+    """Check every interpolant the engine extracts against its (A, B)
+    partition with the DPLL oracle; the list holds one entry per check."""
+    import repro.itp.engine as itp_engine
+    from repro.itp.interpolant import verify_interpolant
+
+    extract = itp_engine.extract_interpolant
+    checked = []
+
+    def extract_and_check(proof, split, aig, var_edge):
+        interpolant = extract(proof, split, aig, var_edge)
+        cnf_a, cnf_b = proof.partition(split)
+        # The check's fresh Tseitin variables must not reuse a shared
+        # variable that no axiom mentions.
+        width = max(cnf_a.num_vars, cnf_b.num_vars, max(var_edge, default=0))
+        cnf_a.num_vars = cnf_b.num_vars = width
+        assert verify_interpolant(aig, interpolant, cnf_a, cnf_b, var_edge)
+        checked.append(interpolant)
+        return interpolant
+
+    monkeypatch.setattr(itp_engine, "extract_interpolant", extract_and_check)
+    return checked
+
+
 def run_itp(netlist, max_depth=32, **overrides):
     options = ItpOptions(max_depth=max_depth, **overrides)
     return verify(netlist, method="itp", options=options)
@@ -137,14 +162,20 @@ class TestProofDiscipline:
             )
             assert result.stats.get("proofs_checked") == expected
 
-    def test_interpolants_survive_differential_check(self):
-        result = run_itp(
-            G.mod_counter(3, 6), verify_interpolants=True
-        )
+    def test_interpolants_survive_differential_check(
+        self, checked_interpolants
+    ):
+        result = run_itp(G.mod_counter(3, 6))
         assert result.status is Status.PROVED
-        assert result.stats.get("interpolants_verified") >= 1
+        # One interpolant per checked refutation, each one checked.
+        assert len(checked_interpolants) >= 1
+        assert len(checked_interpolants) == result.stats.get(
+            "proofs_checked"
+        )
 
-    def test_differential_check_on_random_circuits(self):
+    def test_differential_check_on_random_circuits(
+        self, checked_interpolants
+    ):
         # Regression: the Tseitin constant variable's pin axiom lives in
         # whichever partition created it first; the differential check
         # must evaluate both sides under the pin or it rejects sound
@@ -154,9 +185,11 @@ class TestProofDiscipline:
 
         for seed in (7, 13, 17, 30):
             netlist = random_netlist(seed)
-            result = run_itp(
-                netlist, max_depth=16, verify_interpolants=True
-            )
+            before = len(checked_interpolants)
+            result = run_itp(netlist, max_depth=16)
+            assert len(checked_interpolants) - before == (
+                result.stats.get("proofs_checked", 0.0)
+            ), seed
             reference = verify(
                 netlist.clone()[0], method="reach_bdd", max_depth=64
             )

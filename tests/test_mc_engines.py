@@ -8,7 +8,7 @@ from repro.circuits import generators as G
 from repro.core.images import ImageComputer
 from repro.core.partial import PartialQuantifier, allsat_quantify
 from repro.core.substitution import preimage_by_substitution
-from repro.errors import ModelCheckingError, ResourceLimit
+from repro.errors import ModelCheckingError
 from repro.mc.bmc import bmc
 from repro.mc.induction import k_induction
 from repro.mc.result import Status
@@ -240,13 +240,6 @@ class TestAllSatPreimage:
         bad = edge_not(net.property_edge)
         result = ImageComputer(net, elimination="allsat").preimage(bad)
         assert result.stats.get("cubes") == 0
-
-    def test_max_cubes_limit(self):
-        net = G.arbiter(4, safe=False)
-        bad = edge_not(net.property_edge)
-        computer = ImageComputer(net, elimination="allsat", max_cubes=0)
-        with pytest.raises(ResourceLimit):
-            computer.preimage(bad)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ModelCheckingError):

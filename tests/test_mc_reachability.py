@@ -105,9 +105,7 @@ class TestAigBackward:
     def test_invalid_mode_rejected(self):
         net = G.mod_counter(2, 3)
         with pytest.raises(ModelCheckingError):
-            BackwardReachability(
-                net, ReachOptions(input_elimination="quantum")
-            )
+            BackwardReachability(net, elimination="quantum")
 
     def test_hit_evaluates_the_initial_state(self):
         traversal = BackwardReachability(
@@ -396,9 +394,7 @@ class TestInputEliminationModes:
     )
     def test_safe_design_all_modes(self, mode):
         net = G.fifo_level(3, safe=True)
-        result = BackwardReachability(
-            net, ReachOptions(input_elimination=mode)
-        ).run()
+        result = BackwardReachability(net, elimination=mode).run()
         assert result.status is Status.PROVED, mode
 
     @pytest.mark.parametrize(
@@ -406,9 +402,7 @@ class TestInputEliminationModes:
     )
     def test_buggy_design_all_modes(self, mode):
         net = G.fifo_level(3, safe=False)
-        result = BackwardReachability(
-            net, ReachOptions(input_elimination=mode)
-        ).run()
+        result = BackwardReachability(net, elimination=mode).run()
         assert result.status is Status.FAILED, mode
         assert result.trace.validate(G.fifo_level(3, safe=False))
 
@@ -417,10 +411,8 @@ class TestInputEliminationModes:
         net = G.arbiter(3)
         result = BackwardReachability(
             net,
-            ReachOptions(
-                input_elimination="hybrid",
-                quantify=QuantifyOptions.preset("hash"),
-            ),
+            ReachOptions(quantify=QuantifyOptions.preset("hash")),
+            elimination="hybrid",
         ).run()
         assert result.status is Status.PROVED
         # With such a tight budget at least one variable went to all-SAT.
@@ -499,6 +491,18 @@ class TestBddEngines:
     def test_forward_finds_bugs(self):
         result = bdd_forward_reachability(G.bug_at_depth(4))
         assert result.status is Status.FAILED
+
+    def test_cache_bound_is_a_module_constant(self, monkeypatch):
+        import repro.mc.reach_bdd as reach_bdd
+
+        plain = bdd_forward_reachability(G.mod_counter(4, 12))
+        assert plain.stats.get("bdd_cache_resets") == 0
+        monkeypatch.setattr(reach_bdd, "MAX_CACHE_ENTRIES", 8)
+        bounded = bdd_forward_reachability(G.mod_counter(4, 12))
+        # Dropped caches cost recomputation, never another search.
+        assert bounded.stats.get("bdd_cache_resets") > 0
+        assert bounded.status is plain.status is Status.PROVED
+        assert bounded.iterations == plain.iterations
 
     def test_iteration_limit(self):
         result = bdd_backward_reachability(

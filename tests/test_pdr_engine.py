@@ -110,10 +110,13 @@ class TestVerdicts:
         assert result.status is Status.FAILED
         assert result.trace.depth == 0
 
-    def test_obligation_budget_yields_unknown(self):
-        result = run_pdr(G.mod_counter(4, 12, safe=False),
-                         max_obligations=1)
+    def test_obligation_budget_yields_unknown(self, monkeypatch):
+        import repro.pdr.engine as pdr_engine
+
+        monkeypatch.setattr(pdr_engine, "MAX_OBLIGATIONS", 1)
+        result = run_pdr(G.mod_counter(4, 12, safe=False))
         assert result.status is Status.UNKNOWN
+        assert result.stats.get("pdr_obligation_limit") == 1.0
 
     def test_dead_end_counterexample_under_constraints(self):
         # A violation whose bad state has no constraint-satisfying

@@ -269,7 +269,7 @@ class TestPolicies:
     def test_default_engines_include_forward_traversals(self):
         # Capability-derived defaults: the forward engines are candidates
         # (the hand-maintained list used to omit them), composite and
-        # forced-option variant engines are not.
+        # variant engines are not.
         defaults = default_engines()
         assert "reach_aig_fwd" in defaults
         assert "reach_bdd_fwd" in defaults
@@ -449,13 +449,14 @@ class TestReachOptionsNormalization:
         assert result.status is Status.PROVED
 
     def test_method_forces_elimination_mode(self):
-        # The method name wins over the object's input_elimination field.
+        # The method name alone picks the input-elimination mode.
         result = verify(
             G.mod_counter(3, 6, safe=False),
             method="reach_aig_allsat",
             options=ReachOptions(max_iterations=50),
         )
         assert result.status is Status.FAILED
+        assert result.engine == "reach_aig_allsat"
 
     def test_mixing_object_and_loose_keywords_rejected(self):
         with pytest.raises(ModelCheckingError):
